@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,7 +35,7 @@ from .maps import ConformalMap, DomainFamily
 from .poisson import DirichletProblem, RhsSpec, solve_dirichlet
 from .quadrature import (QuadResult, Verdict, brennan_direct, inverse_brennan,
                          kpq_norm)
-from .util import default_seed, fmt17
+from .util import default_seed, fmt17, open_target
 from .verify import run_verify
 from .weights import WeightField
 
@@ -131,23 +132,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open_target(out_path) as fh:
+        fh.write(text)
 
 
 def _emit_json(config: dict, payload: dict, out_path) -> None:
     doc = dict(payload)
     doc["config"] = config
-    _emit(json.dumps(doc, sort_keys=True) + "\n", out_path)
+    _emit(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n", out_path)
 
 
-def _emit_csv(config: dict, header: list[str], rows, out_path) -> None:
+def _csv_buffer(config: dict) -> io.StringIO:
+    # the whole table is built before --out is opened, so a failed run leaves it as it was
     buf = io.StringIO()
     for key in sorted(config):
         buf.write(f"# {key}={config[key]}\n")
+    return buf
+
+
+def _emit_csv(config: dict, header: list[str], rows, out_path) -> None:
+    buf = _csv_buffer(config)
     buf.write(",".join(header) + "\n")
     for row in rows:
         buf.write(",".join(fmt17(v) if isinstance(v, float) else str(v)
@@ -260,9 +264,7 @@ def _cmd_solve(args) -> int:
         ys = np.linspace(ymin, ymax, args.lattice_n)
         lattice = (xs[None, :] + 1j * ys[:, None]).ravel()
     if (args.output or "csv") == "csv":
-        buf = io.StringIO()
-        for key in sorted(config):
-            buf.write(f"# {key}={config[key]}\n")
+        buf = _csv_buffer(config)
         solution.to_csv(buf, lattice=lattice)
         _emit(buf.getvalue(), args.out_path)
     else:
@@ -305,11 +307,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
+        if "tol" in vars(args) and not 0.0 < args.tol < math.inf:
+            raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
         return _DISPATCH[args.command](args)
     except BrokenPipeError:
         return 0
     except (ConfweightError, ValueError, OSError) as exc:
-        # ValueError covers grid/seed validation, OSError a bad --out path
+        # ValueError covers grid/seed/--tol validation and non-finite JSON,
+        # OSError a bad --out path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidExponents, KpqDivergent
 from .maps import ConformalMap, Direction
 from .quadrature import DiscGridSpec, Verdict, disc_nodes, integrate_disc, kpq_norm
-from .util import default_seed, fmt17, pairwise_sum
+from .util import default_seed, pairwise_sum, write_csv
 from .weights import WeightField
 
 # fixed grid for the matched-node identity checks: level 6 of the default
@@ -85,17 +84,8 @@ class DiscField:
 
     def to_csv(self, target) -> None:
         """Write `x,y,value` rows, one per node, 17 significant digits."""
-        if isinstance(target, (str, Path)):
-            with open(target, "w") as fp:
-                self.to_csv(fp)
-            return
-        target.write("x,y,value\n")
         nodes = self.grid.nodes
-        for i in range(self.grid.n_r):
-            for j in range(self.grid.n_theta):
-                z = nodes[i, j]
-                target.write(f"{fmt17(z.real)},{fmt17(z.imag)},"
-                             f"{fmt17(self.values[i, j])}\n")
+        write_csv(target, ("x", "y", "value"), (nodes.real, nodes.imag, self.values))
 
 
 @dataclass(frozen=True)

@@ -218,9 +218,10 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         contains=lambda z: np.abs(z.real) < _QUARTER_PI,
         on_cut=None,
         to_disc=np.tan,
-        to_disc_prime=lambda z: 1.0 + np.tan(z) ** 2,
+        # sec^2 z, not 1 + tan^2 z: the latter cancels as |Im z| grows
+        to_disc_prime=lambda z: 1.0 / np.cos(z) ** 2,
         from_disc=np.arctan,
-        from_disc_prime=lambda w: 1.0 / (1.0 + w**2),
+        from_disc_prime=lambda w: 1.0 / ((1.0 - 1j * w) * (1.0 + 1j * w)),
         disc_contains=_unit_disc_contains,
         boundary=_strip_boundary,
     ),

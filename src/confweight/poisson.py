@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import PointOutsideDomain, RhsNotFinite, SingularTridiagonal
 from .fields import DiscField, PolarGrid, TestBump, gradient
 from .maps import ConformalMap, Direction
-from .util import fmt17, pairwise_sum
+from .util import pairwise_sum, write_csv
 
 
 @dataclass(frozen=True)
@@ -210,25 +209,13 @@ class DiscSolution:
         domain membership predicate accepts; without it, x+iy = psi(w) over
         the grid nodes with the nodal solution values.
         """
-        if isinstance(target, (str, Path)):
-            with open(target, "w") as fp:
-                self.to_csv(fp, lattice)
-            return
-        target.write("x,y,u\n")
         if lattice is None:
-            z = self.mapping.invert().eval(self.grid.nodes)
-            vals = self.field.values
-            for i in range(self.grid.n_r):
-                for j in range(self.grid.n_theta):
-                    target.write(f"{fmt17(z[i, j].real)},{fmt17(z[i, j].imag)},"
-                                 f"{fmt17(vals[i, j])}\n")
-            return
-        pts = np.ravel(np.asarray(lattice, dtype=complex))
-        keep = self.mapping.contains(pts)
-        pts = pts[keep]
-        vals = self.eval_domain(pts) if pts.size else np.empty(0)
-        for z, u in zip(pts, vals):
-            target.write(f"{fmt17(z.real)},{fmt17(z.imag)},{fmt17(u)}\n")
+            z, vals = self.mapping.invert().eval(self.grid.nodes), self.field.values
+        else:
+            pts = np.ravel(np.asarray(lattice, dtype=complex))
+            z = pts[self.mapping.contains(pts)]
+            vals = self.eval_domain(z) if z.size else np.empty(0)
+        write_csv(target, ("x", "y", "u"), (z.real, z.imag, vals))
 
 
 def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:

@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import os
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 DEFAULT_SEED = 0x5EED
+# rows formatted per write by write_csv; bounds the text held in memory
+CSV_BLOCK_ROWS = 4096
 
 
 def default_seed() -> int:
@@ -41,6 +45,29 @@ def pairwise_sum(values: np.ndarray) -> float:
 def fmt17(x: float) -> str:
     """Format with 17 significant digits (enough to round-trip binary64)."""
     return format(float(x), ".17g")
+
+
+@contextmanager
+def open_target(target):
+    """Yield a text stream: a new file for a path, stdout for None or "", else target."""
+    if isinstance(target, (str, os.PathLike)) and target != "":
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield target or sys.stdout
+
+
+def write_csv(target, header, columns) -> None:
+    """Write a header line, then float columns as rows of fmt17 cells.
+
+    Rows are streamed CSV_BLOCK_ROWS at a time through one "%.17g" template."""
+    cols = [np.ravel(c) for c in columns]
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open_target(target) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, cols[0].size, CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in cols])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def as_complex_array(z) -> tuple[np.ndarray, bool]:

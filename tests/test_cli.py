@@ -202,3 +202,57 @@ def test_bad_cw_seed_exit(capsys, monkeypatch):
     code, _, err = run(capsys, "constant", "--r", "1.5", "--bumps", "2")
     assert code == 1
     assert "CW_SEED" in err
+
+
+@pytest.mark.parametrize("command", [("brennan", "--s", "3.0"),
+                                     ("inverse-brennan", "--alpha", "-1.0"),
+                                     ("kpq", "--p", "2", "--q", "1")])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-0.001"])
+def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    code, out, err = run(capsys, command[0], "--domain", "disc", *command[1:],
+                         f"--tol={tol}", "--levels", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--tol" in err
+
+
+def test_non_finite_json_value_exits_1(capsys, tmp_path):
+    # q(p, s) overflows for a huge p; the report must not carry NaN/Infinity
+    code, out, err = run(capsys, "exponents", "--p", "1e308", "--s", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    target = tmp_path / "q.json"
+    code, _, _ = run(capsys, "exponents", "--p", "1e308", "--s", "3", "--out", str(target))
+    assert code == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("export", [(), ("--export", "lattice", "--window=-2,2,0.01,4",
+                                         "--lattice-n", "33")])
+def test_solve_csv_stdout_and_out_are_identical(capsys, tmp_path, export):
+    argv = ("solve", "--domain", "halfplane", "--f", "quartic", "--nr", "32",
+            "--ntheta", "32", *export)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "u.csv"
+    code, printed, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and printed == ""
+    assert target.read_bytes() == out.encode("ascii")
+    body = out.split("x,y,u\n", 1)[1]
+    assert body.count("\n") == (33 * 33 if export else 32 * 32)
+
+
+@pytest.mark.parametrize("window", ["-inf,inf,0,1", "-1e308,1e308,0,1"])
+def test_failed_solve_csv_leaves_out_untouched(capsys, tmp_path, window):
+    # the window's lattice is not finite, so the export fails after the solve
+    argv = ("solve", "--domain", "halfplane", "--f", "quartic", "--nr", "16",
+            "--ntheta", "16", "--export", "lattice", f"--window={window}",
+            "--lattice-n", "4", "--out", str(tmp_path / "u.csv"))
+    with np.errstate(all="ignore"):
+        assert run(capsys, *argv)[0] == 1
+        assert not (tmp_path / "u.csv").exists()
+        (tmp_path / "u.csv").write_text("kept\n")
+        code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert (tmp_path / "u.csv").read_text() == "kept\n"

@@ -9,7 +9,7 @@ from confweight import (ConformalMap, DiscField, DiscGridSpec, DomainFamily,
                         PolarGrid, TestBump, WeightField,
                         composition_inequality_check, gradient, integrate_disc,
                         isometry_check, lp_norm, make_bump_family,
-                        pullback_energy)
+                        fmt17, pullback_energy)
 
 
 def test_polar_grid_node_layout():
@@ -222,3 +222,14 @@ def test_isometry_matched_spec_override(bumps):
     m = ConformalMap.to_disc(DomainFamily.HALFPLANE)
     coarse = isometry_check(m, bumps[:1], spec=DiscGridSpec(n_r=64, n_theta=64))
     assert coarse <= 1e-6
+
+
+def test_to_csv_keeps_header_and_fmt17_cells():
+    g = PolarGrid(5, 8)
+    f = DiscField.from_function(g, lambda w: np.abs(w) ** 2 / 3.0)
+    buf = io.StringIO()
+    f.to_csv(buf)
+    expected = "x,y,value\n" + "".join(
+        f"{fmt17(z.real)},{fmt17(z.imag)},{fmt17(v)}\n"
+        for z, v in zip(g.nodes.ravel(), f.values.ravel()))
+    assert buf.getvalue() == expected

@@ -1,8 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
 from confweight import DEFAULT_SEED, default_seed, fmt17, pairwise_sum
-from confweight.util import as_complex_array
+from confweight.util import CSV_BLOCK_ROWS, as_complex_array, write_csv
 
 
 def test_default_seed_value():
@@ -56,3 +58,59 @@ def test_default_seed_rejects_garbage(monkeypatch):
     monkeypatch.setenv("CW_SEED", "banana")
     with pytest.raises(ValueError, match="CW_SEED"):
         default_seed()
+
+
+def _fmt17_table(header, columns) -> str:
+    """The reference CSV: one fmt17 call per cell, one row at a time."""
+    rows = zip(*(np.ravel(c) for c in columns))
+    return ",".join(header) + "\n" + "".join(",".join(fmt17(v) for v in row) + "\n"
+                                             for row in rows)
+
+
+def test_write_csv_cells_match_fmt17_for_special_values():
+    vals = np.array([-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                     0.1, 1.0 / 3.0, np.nan, np.inf, -np.inf, 1e-300, 123456.789])
+    cols = (vals, vals[::-1], -vals)
+    buf = io.StringIO()
+    write_csv(buf, ("a", "b", "c"), cols)
+    assert buf.getvalue() == _fmt17_table(("a", "b", "c"), cols)
+    lines = buf.getvalue().splitlines()
+    assert lines[1] == "-0,123456.789,0"
+    assert lines[3] == "4.9406564584124654e-324,-inf,-4.9406564584124654e-324"
+    assert lines[8] == "nan,-1.7976931348623157e+308,nan"
+    assert lines[9] == "inf,1.7976931348623157e+308,-inf"
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_write_csv_row_counts_around_the_block(rows):
+    rng = np.random.default_rng(rows)
+    z = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    u = rng.standard_normal(rows)
+    buf = io.StringIO()
+    write_csv(buf, ("x", "y", "u"), (z.real, z.imag, u))
+    text = buf.getvalue()
+    assert text == _fmt17_table(("x", "y", "u"), (z.real, z.imag, u))
+    assert text.count("\n") == 1 + rows
+
+
+def test_write_csv_writes_blocks_straight_to_the_target():
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text.count("\n"))
+            return super().write(text)
+
+    buf = Recorder()
+    grid = np.arange(2.0 * CSV_BLOCK_ROWS + 1).reshape(-1, 1)  # 2-d columns ravel
+    write_csv(buf, ("i", "j"), (grid, -grid))
+    assert writes == [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS, 1]  # the header, then each block
+    assert buf.getvalue() == _fmt17_table(("i", "j"), (grid, -grid))
+
+
+def test_write_csv_opens_a_path(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("v",), (np.array([0.5, 2.0]),))
+    assert path.read_bytes() == b"v\n0.5\n2\n"
+    write_csv(str(path), ("v",), (np.array([]),))
+    assert path.read_bytes() == b"v\n"
