@@ -6,10 +6,10 @@ verdicts, transfers Sobolev norms and Dirichlet problems between a domain
 and the unit disc, and estimates the associated embedding constants.
 """
 from .errors import (BranchCutViolation, ConfweightError, DomainMismatch,
-                     ExponentOutOfRange, GridTooCoarse, IntegrandNotFinite,
-                     InvalidExponents, IterationDivergence, KpqDivergent,
-                     PointOutsideDomain, RectangleNotInterior, RhsNotFinite,
-                     SingularTridiagonal)
+                     ExponentOutOfRange, GridTooCoarse, GridTooLarge,
+                     IntegrandNotFinite, InvalidExponents, IterationDivergence,
+                     KpqDivergent, PointOutsideDomain, RectangleNotInterior,
+                     RhsNotFinite, SingularTridiagonal)
 from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod,
                         ExponentBounds, ExponentBudget, disc_eigenvalue,
                         exponent_bounds, poincare_constant_disc, q_from_ps,
@@ -40,7 +40,7 @@ __all__ = [
     "DEFAULT_SEED", "DirichletProblem", "Direction", "DiscField",
     "DiscGridSpec", "DiscSolution", "DomainFamily", "DomainMismatch",
     "EstimateMethod", "ExponentBounds", "ExponentBudget", "ExponentOutOfRange",
-    "GridTooCoarse", "IntegrandNotFinite", "InvalidExponents",
+    "GridTooCoarse", "GridTooLarge", "IntegrandNotFinite", "InvalidExponents",
     "IterationDivergence", "J0_FIRST_ZERO", "KpqDivergent",
     "MoebiusAutomorphism", "PointOutsideDomain", "PolarGrid", "QuadResult",
     "RectangleNotInterior", "ResidualReport", "RhsNotFinite", "RhsSpec",

@@ -33,6 +33,10 @@ class GridTooCoarse(ConfweightError):
     """A polar grid is too coarse for the requested stencil."""
 
 
+class GridTooLarge(ConfweightError):
+    """A refinement ladder would reach a level above the node budget."""
+
+
 class KpqDivergent(ConfweightError):
     """The dilatation integral defining the operator norm bound diverges."""
 

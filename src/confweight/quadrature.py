@@ -16,6 +16,13 @@ Verdict semantics, judged on the sequence of per-level values v_1..v_L
 
 The tolerance therefore doubles as the significance floor for divergence:
 growth below tol scale is treated as settled, not as evidence of blow-up.
+
+Each level is evaluated in contiguous row blocks of about 2^16 nodes, so an
+integrand must be pointwise: it receives one block at a time, never the
+whole grid.  Block and grid sizes are powers of two, so summing the block
+sums pairwise follows the same halving tree as summing the whole level, and
+every level value is bit-identical to a whole-grid evaluation.  A ladder may
+not reach a level above the 2^24-node budget (4096 x 4096 cells).
 """
 from __future__ import annotations
 
@@ -26,11 +33,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrandNotFinite, InvalidExponents
+from .errors import GridTooLarge, IntegrandNotFinite, InvalidExponents
 from .maps import ConformalMap, Direction
 from .util import pairwise_sum
 
 _GROWTH_SLACK = 0.9  # an increment counts as sustained when >= 0.9x its predecessor
+_BLOCK_NODES = 1 << 16  # nodes per row block of a level (bounds its temporaries)
+_NODE_BUDGET = 1 << 24  # largest level a ladder may reach: 4096 x 4096 cells
 
 
 class Verdict(str, enum.Enum):
@@ -92,13 +101,18 @@ def disc_nodes(spec: DiscGridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _single_level(f: Callable, spec: DiscGridSpec) -> float:
     w, weights = disc_nodes(spec)
-    vals = np.asarray(f(w), dtype=float)
-    if vals.shape != w.shape:
-        vals = np.broadcast_to(vals, w.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = w[~np.isfinite(vals)].ravel()[0]
-        raise IntegrandNotFinite(f"integrand is not finite at interior node {bad}")
-    return pairwise_sum(vals * weights)
+    rows = max(1, _BLOCK_NODES // spec.n_theta)
+    sums = []
+    for i in range(0, spec.n_r, rows):
+        block = w[i:i + rows]
+        vals = np.asarray(f(block), dtype=float)
+        if vals.shape != block.shape:
+            vals = np.broadcast_to(vals, block.shape)
+        if not np.all(np.isfinite(vals)):
+            bad = block[~np.isfinite(vals)].ravel()[0]
+            raise IntegrandNotFinite(f"integrand is not finite at interior node {bad}")
+        sums.append(pairwise_sum(vals * weights[i:i + rows]))
+    return sums[0] if len(sums) == 1 else pairwise_sum(np.array(sums))
 
 
 def classify(level_values: list[float] | tuple[float, ...], tol: float) -> Verdict:
@@ -122,15 +136,17 @@ def integrate_disc(f: Callable, spec: DiscGridSpec | None = None, tol: float = 1
     Parameters
     ----------
     f : callable
-        Vectorized integrand; receives an array of complex nodes, must return
-        finite float values of the same shape (scalars broadcast).
+        Vectorized, pointwise integrand; receives a 2-d array of complex
+        nodes (a contiguous block of rows of the level grid, not the whole
+        grid) and must return finite float values of the same shape
+        (scalars broadcast).
     spec : DiscGridSpec, optional
         Base grid; refinement level k uses n_r*2^k by n_theta*2^k cells.
     tol : float
         Relative increment threshold for the ``CONVERGED`` verdict.
     max_levels : int
         Total refinement levels to attempt (default 8: base 16x16 grids end
-        at 2048x2048 cells).
+        at 2048x2048 cells).  The last level may hold at most 2^24 nodes.
 
     Returns
     -------
@@ -141,12 +157,24 @@ def integrate_disc(f: Callable, spec: DiscGridSpec | None = None, tol: float = 1
     Raises
     ------
     IntegrandNotFinite
-        If the integrand returns NaN/Inf at any interior node.
+        If the integrand returns NaN/Inf at any interior node; the message
+        names the first such node in row-major order.
+    GridTooLarge
+        If level ``max_levels - 1`` holds more than 2^24 nodes; raised before
+        any level is evaluated.
     """
     if spec is None:
         spec = DiscGridSpec()
     if max_levels < 1:
         raise ValueError("max_levels must be at least 1")
+    fit = 0  # levels whose grids stay within the node budget
+    while fit < max_levels and (spec.n_r * spec.n_theta << 2 * fit) <= _NODE_BUDGET:
+        fit += 1
+    if fit < max_levels:
+        raise GridTooLarge(
+            f"max_levels={max_levels} from a {spec.n_r}x{spec.n_theta} grid exceeds the node "
+            f"budget of {_NODE_BUDGET} (4096x4096) per level; the largest allowed max_levels "
+            f"is {fit}")
     values: list[float] = []
     for k in range(max_levels):
         values.append(_single_level(f, spec.level(k)))
@@ -166,6 +194,13 @@ def _from_disc(mapping: ConformalMap) -> ConformalMap:
     return mapping.invert() if mapping.direction is Direction.TO_DISC else mapping
 
 
+def _psi_prime_power(mapping: ConformalMap, e: float, spec: DiscGridSpec | None,
+                     tol: float, max_levels: int) -> QuadResult:
+    """Integral of |psi'|^e over the unit disc, psi the map from the disc."""
+    inv = _from_disc(mapping)
+    return integrate_disc(lambda w: np.abs(inv.derivative(w)) ** e, spec, tol, max_levels)
+
+
 def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = None,
                    tol: float = 1e-6, max_levels: int = 8) -> QuadResult:
     """Integral of |phi'|^s over the map's domain, computed on the disc.
@@ -176,9 +211,7 @@ def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = 
     """
     if not math.isfinite(s):
         raise InvalidExponents("s must be finite")
-    inv = _from_disc(mapping)
-    e = 2.0 - float(s)
-    return integrate_disc(lambda w: np.abs(inv.derivative(w)) ** e, spec, tol, max_levels)
+    return _psi_prime_power(mapping, 2.0 - float(s), spec, tol, max_levels)
 
 
 def inverse_brennan(mapping: ConformalMap, alpha: float, spec: DiscGridSpec | None = None,
@@ -186,9 +219,7 @@ def inverse_brennan(mapping: ConformalMap, alpha: float, spec: DiscGridSpec | No
     """Integral of |psi'|^alpha over the unit disc."""
     if not math.isfinite(alpha):
         raise InvalidExponents("alpha must be finite")
-    inv = _from_disc(mapping)
-    a = float(alpha)
-    return integrate_disc(lambda w: np.abs(inv.derivative(w)) ** a, spec, tol, max_levels)
+    return _psi_prime_power(mapping, float(alpha), spec, tol, max_levels)
 
 
 def kpq_norm(mapping: ConformalMap, p: float, q: float, spec: DiscGridSpec | None = None,

@@ -43,6 +43,13 @@ def test_brennan_divergent_exit(capsys):
     assert json.loads(out)["verdict"] == "Divergent"
 
 
+def test_levels_over_the_node_budget_exit_1(capsys):
+    code, out, err = run(capsys, "brennan", "--domain", "slitplane",
+                         "--s", "4.1", "--levels", "10")
+    assert (code, out) == (1, "")
+    assert "16777216" in err and "largest allowed max_levels is 9" in err
+
+
 def test_brennan_converged_exit(capsys):
     code, out, _ = run(capsys, "brennan", "--domain", "slitplane",
                        "--s", "3.0", "--tol", "0.1")

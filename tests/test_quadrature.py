@@ -1,9 +1,11 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
+from confweight import (ConformalMap, DiscGridSpec, DomainFamily, GridTooLarge,
                         IntegrandNotFinite, InvalidExponents, Verdict,
                         brennan_direct, classify, disc_nodes, integrate_disc,
                         inverse_brennan, kpq_norm, pairwise_sum)
@@ -57,6 +59,65 @@ def test_integrand_not_finite():
         return out
     with pytest.raises(IntegrandNotFinite):
         integrate_disc(bad)
+
+
+def _whole_grid_levels(f, spec, levels):
+    """Level values from one whole-grid evaluation per level (no row blocks)."""
+    values = []
+    for k in range(levels):
+        w, weights = disc_nodes(spec.level(k))
+        vals = np.broadcast_to(np.asarray(f(w), dtype=float), w.shape)
+        values.append(pairwise_sum(vals * weights))
+    return values
+
+
+_SLIT_PSI = ConformalMap.to_disc(DomainFamily.SLITPLANE).invert()
+
+
+@pytest.mark.parametrize("f", [lambda w: np.abs(_SLIT_PSI.derivative(w)) ** -2.1,
+                               lambda w: np.abs(w) ** 2,
+                               lambda w: 1.0],
+                         ids=["slitplane", "radial", "scalar"])
+@pytest.mark.parametrize("spec, levels", [(DiscGridSpec(256, 256), 3),   # 1, 4, 16 blocks
+                                          (DiscGridSpec(64, 2048), 1),   # 2 blocks
+                                          (DiscGridSpec(8, 1 << 17), 1)],  # row wider than a block
+                         ids=["256-ladder", "64x2048", "8x131072"])
+def test_row_blocks_match_the_whole_grid_bit_for_bit(f, spec, levels):
+    res = integrate_disc(f, spec, tol=1e-300, max_levels=levels)
+    assert list(res.level_values) == _whole_grid_levels(f, spec, res.levels_used)
+
+
+def test_integrand_not_finite_names_the_first_node_in_a_later_block():
+    spec = DiscGridSpec(512, 512)  # four blocks of 128 rows
+    w, _ = disc_nodes(spec)
+    r_cut = 0.5 * (abs(w[299, 0]) + abs(w[300, 0]))
+
+    def bad(z):
+        out = np.ones(z.shape)
+        out[(np.abs(z) > r_cut) & (z.imag < 0.0)] = np.nan
+        return out
+    with pytest.raises(IntegrandNotFinite, match=re.escape(str(w[300, 256]))):
+        integrate_disc(bad, spec, max_levels=1)
+
+
+def test_ladder_over_the_node_budget_fails_before_evaluating():
+    def never(w):
+        raise AssertionError("no level may be evaluated")
+    with pytest.raises(GridTooLarge, match=r"16777216 .*largest allowed max_levels is 9$"):
+        integrate_disc(never, max_levels=10)
+    with pytest.raises(GridTooLarge, match="is 0$"):
+        integrate_disc(never, DiscGridSpec(8192, 8192), max_levels=1)
+
+
+def test_one_slitplane_level_at_1024_squared_stays_small():
+    slit = ConformalMap.to_disc(DomainFamily.SLITPLANE)
+    tracemalloc.start()
+    try:
+        brennan_direct(slit, 4.1, DiscGridSpec(1024, 1024), max_levels=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_classify_converged_checked_first():

@@ -37,6 +37,32 @@ def test_pairwise_sum_empty_and_single():
     assert pairwise_sum(np.array([3.5])) == 3.5
 
 
+def _block_sums(x, block):
+    return np.array([pairwise_sum(x[i:i + block]) for i in range(0, x.size, block)])
+
+
+@pytest.mark.parametrize("size, block", [(1, 1), (8, 2), (64, 64), (1024, 8), (4096, 1024)])
+def test_pairwise_sum_of_power_of_two_block_sums_is_the_same_tree(size, block):
+    x = np.random.default_rng(size + block).standard_normal(size) * 1e3
+    assert pairwise_sum(_block_sums(x, block)) == pairwise_sum(x)
+
+
+def test_pairwise_sum_block_identity_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 10).flatmap(lambda m: st.tuples(
+        st.integers(0, m).map(lambda b: 1 << b),
+        st.lists(st.floats(-1e100, 1e100), min_size=1 << m, max_size=1 << m))))
+    def check(case):
+        block, values = case
+        x = np.array(values)
+        assert pairwise_sum(_block_sums(x, block)) == pairwise_sum(x)
+
+    check()
+
+
 def test_fmt17_round_trip_values():
     for x in (0.1, -3.0, 1.0 / 3.0, 1e-300, 123456.789, np.pi):
         assert float(fmt17(x)) == x
