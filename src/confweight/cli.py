@@ -27,14 +27,14 @@ import sys
 
 import numpy as np
 
-from .errors import ConfweightError
+from .errors import ConfweightError, GridTooLarge
 from .exponents import (DEFAULT_ALPHA0, exponent_bounds, poincare_constant_disc,
                         q_from_ps)
 from .fields import PolarGrid, make_bump_family
 from .maps import ConformalMap, DomainFamily
 from .poisson import DirichletProblem, RhsSpec, solve_dirichlet
-from .quadrature import (QuadResult, Verdict, brennan_direct, inverse_brennan,
-                         kpq_norm)
+from .quadrature import (NODE_BUDGET, QuadResult, Verdict, brennan_direct,
+                         inverse_brennan, kpq_norm)
 from .util import default_seed, fmt17, open_target
 from .verify import run_verify
 from .weights import WeightField
@@ -184,6 +184,13 @@ def _quad_payload(res: QuadResult) -> dict:
     }
 
 
+def _check_budget(flags: str, nodes: int) -> None:
+    # called before the grid or lattice is allocated
+    if nodes > NODE_BUDGET:
+        raise GridTooLarge(f"{flags} asks for {nodes} nodes, over the node budget of "
+                           f"{NODE_BUDGET} (4096x4096)")
+
+
 def _verdict_exit(res: QuadResult) -> int:
     return 0 if res.verdict is Verdict.CONVERGED else 1
 
@@ -241,6 +248,7 @@ def _cmd_exponents(args) -> int:
 
 def _cmd_constant(args) -> int:
     grid = PolarGrid(args.nr, args.ntheta)
+    _check_budget("--nr x --ntheta", grid.n_r * grid.n_theta)
     bumps = None
     if args.r != 2.0:
         rng = np.random.default_rng(default_seed())
@@ -255,7 +263,11 @@ def _cmd_constant(args) -> int:
 def _cmd_solve(args) -> int:
     mapping = ConformalMap.to_disc(DomainFamily(args.domain))
     problem = DirichletProblem(mapping, args.rhs)
-    solution = solve_dirichlet(problem, PolarGrid(args.nr, args.ntheta))
+    grid = PolarGrid(args.nr, args.ntheta)
+    _check_budget("--nr x --ntheta", grid.n_r * grid.n_theta)
+    if args.export == "lattice":
+        _check_budget("--lattice-n squared", args.lattice_n ** 2)
+    solution = solve_dirichlet(problem, grid)
     config = _config_echo(args)
     lattice = None
     if args.export == "lattice":
@@ -266,6 +278,7 @@ def _cmd_solve(args) -> int:
     if (args.output or "csv") == "csv":
         buf = _csv_buffer(config)
         solution.to_csv(buf, lattice=lattice)
+        del solution, grid  # free the solve's arrays before the text is copied out
         _emit(buf.getvalue(), args.out_path)
     else:
         vals = solution.field.values

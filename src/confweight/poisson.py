@@ -11,10 +11,13 @@ per azimuthal mode m, a tridiagonal system for  v'' + v'/r - m^2 v/r^2 = f_m
 on the cell-midpoint nodes r_i = (i+1/2)h.  At the innermost node the stencil
 closes across the origin (v at radius -r_0 is v(r_0, theta+pi), picking up
 (-1)^m per mode); the outer Dirichlet condition enters through the ghost
-reflection v_n = -v_{n-1}, which vanishes at r = 1 to second order.
+reflection v_n = -v_{n-1}, which vanishes at r = 1 to second order.  Modes
+are the columns of the rfft output; each grid's pivots are eliminated once and
+cached, so a solve is two in-place Thomas sweeps over its contiguous rows.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,58 +85,66 @@ class DirichletProblem:
             raise ValueError("problem needs a TO_DISC map")
 
     def rhs_on_disc(self, w) -> np.ndarray:
-        """f(psi(w)): the transferred right-hand side (no weight factor)."""
-        z = self.mapping.invert().eval(w)
-        return self.rhs.evaluate(z, self.mapping)
+        """f(psi(w)) as floats of w's shape: the transferred rhs (no weight factor)."""
+        f = self.rhs.evaluate(self.mapping.invert().eval(w), self.mapping)
+        return np.broadcast_to(np.asarray(f, dtype=float), np.shape(w))
 
 
-def _solve_tridiagonal(lo: np.ndarray, diag: np.ndarray, hi: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm, vectorized over a batch of systems.
+def _eliminate(lo: np.ndarray, diag: np.ndarray, hi: np.ndarray):
+    """Thomas elimination of one system per column of ``diag``, shape (n, batch).
 
-    ``lo`` and ``hi`` are the shared sub/super-diagonals (length n); ``diag``
-    and ``rhs`` carry one row per system, shape (batch, n).
+    ``lo``/``hi`` are the shared sub/super-diagonals (length n).  Returns the
+    pivots ``den`` (n, batch) and the eliminated super-diagonal ``cp``.
     """
-    batch, n = rhs.shape
+    n = diag.shape[0]
     floor = 1e-14 * (np.abs(diag).max() + np.abs(lo).max() + np.abs(hi).max())
-    cp = np.empty((batch, n - 1))
-    dp = np.empty((batch, n), dtype=rhs.dtype)
-    den = diag[:, 0].copy()
-    if np.any(np.abs(den) <= floor):
-        raise SingularTridiagonal("zero pivot in radial solve (internal error)")
-    if n > 1:
-        cp[:, 0] = hi[0] / den
-    dp[:, 0] = rhs[:, 0] / den
-    for i in range(1, n):
-        den = diag[:, i] - lo[i] * cp[:, i - 1]
-        if np.any(np.abs(den) <= floor):
+    den = diag.copy()
+    cp = np.empty_like(diag)
+    for i in range(n):
+        if i:
+            den[i] -= lo[i] * cp[i - 1]
+        if np.any(np.abs(den[i]) <= floor):
             raise SingularTridiagonal("zero pivot in radial solve (internal error)")
-        if i < n - 1:
-            cp[:, i] = hi[i] / den
-        dp[:, i] = (rhs[:, i] - lo[i] * dp[:, i - 1]) / den
-    for i in range(n - 2, -1, -1):
-        dp[:, i] -= cp[:, i] * dp[:, i + 1]
-    return dp
+        cp[i] = hi[i] / den[i]
+    return den, cp[:-1]
 
 
-def solve_disc_values(f_grid: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """Solve lap v = f on the unit disc, v(1, theta) = 0, on the polar grid."""
-    n_r, n_theta = grid.n_r, grid.n_theta
+@functools.lru_cache(maxsize=1)
+def _radial_factor(n_r: int, n_theta: int):
+    """Read-only ``(lo, den, cp)`` of the per-mode radial systems of one grid."""
     h = 1.0 / n_r
-    r = grid.r
-    fhat = np.fft.rfft(np.asarray(f_grid, dtype=float), axis=1).T.copy()
-    modes = np.arange(fhat.shape[0])
+    r = PolarGrid(n_r, n_theta).r
+    modes = np.arange(n_theta // 2 + 1)
     lo = 1.0 / h**2 - 1.0 / (2.0 * h * r)
     hi = 1.0 / h**2 + 1.0 / (2.0 * h * r)
-    diag = -2.0 / h**2 - modes[:, None] ** 2 / r[None, :] ** 2
+    diag = -2.0 / h**2 - modes[None, :] ** 2 / r[:, None] ** 2
     # across-origin closure: v_{-1} = (-1)^m v_0.  At r_0 = h/2 the coupling
     # lo[0] is identically zero, so the closure is automatic; the term is kept
     # in the assembled form it takes on a general node layout.
-    diag[:, 0] += np.where(modes % 2 == 0, 1.0, -1.0) * lo[0]
+    diag[0] += np.where(modes % 2 == 0, 1.0, -1.0) * lo[0]
     # Dirichlet ghost v_n = -v_{n-1}
-    diag[:, -1] -= hi[-1]
-    vhat = _solve_tridiagonal(lo, diag, hi, fhat)
-    return np.fft.irfft(vhat.T, n=n_theta, axis=1)
+    diag[-1] -= hi[-1]
+    factor = (lo, *_eliminate(lo, diag, hi))
+    for a in factor:
+        a.flags.writeable = False
+    return factor
+
+
+def solve_disc_values(f_grid: np.ndarray, grid: PolarGrid) -> np.ndarray:
+    """Solve lap v = f on the unit disc, v(1, theta) = 0, on the polar grid.
+
+    Modes are the columns of the rfft output, swept in place row by row with
+    the grid's cached pivots; the result is a C-contiguous (n_r, n_theta) array.
+    """
+    lo, den, cp = _radial_factor(grid.n_r, grid.n_theta)
+    v = np.fft.rfft(np.asarray(f_grid, dtype=float), axis=1)
+    v[0] /= den[0]
+    for i in range(1, grid.n_r):
+        v[i] -= lo[i] * v[i - 1]
+        v[i] /= den[i]
+    for i in range(grid.n_r - 2, -1, -1):
+        v[i] -= cp[i] * v[i + 1]
+    return np.fft.irfft(v, n=grid.n_theta, axis=1)
 
 
 @dataclass(frozen=True)
@@ -179,22 +190,19 @@ class DiscSolution:
         outer = i0 >= g.n_r - 1
         mid = ~(inner | outer)
 
-        if np.any(mid):
-            im = i0[mid]
-            vlo = ring(im, j0[mid], j1[mid], tj[mid])
-            vhi = ring(im + 1, j0[mid], j1[mid], tj[mid])
-            out[mid] = vlo * (1.0 - ti[mid]) + vhi * ti[mid]
-        if np.any(inner):
-            # linear along the diameter between (r_0, theta+pi) and (r_0, theta)
-            half = g.n_theta // 2
-            a = ring(0, j0[inner], j1[inner], tj[inner])
-            b = ring(0, (j0[inner] + half) % g.n_theta,
-                     (j1[inner] + half) % g.n_theta, tj[inner])
-            r0 = 0.5 * h
-            out[inner] = ((rr[inner] + r0) * a + (r0 - rr[inner]) * b) / (2.0 * r0)
-        if np.any(outer):
-            vn = ring(g.n_r - 1, j0[outer], j1[outer], tj[outer])
-            out[outer] = vn * (1.0 - rr[outer]) / (0.5 * h)
+        im = i0[mid]
+        vlo = ring(im, j0[mid], j1[mid], tj[mid])
+        vhi = ring(im + 1, j0[mid], j1[mid], tj[mid])
+        out[mid] = vlo * (1.0 - ti[mid]) + vhi * ti[mid]
+        # linear along the diameter between (r_0, theta+pi) and (r_0, theta)
+        half = g.n_theta // 2
+        a = ring(0, j0[inner], j1[inner], tj[inner])
+        b = ring(0, (j0[inner] + half) % g.n_theta,
+                 (j1[inner] + half) % g.n_theta, tj[inner])
+        r0 = 0.5 * h
+        out[inner] = ((rr[inner] + r0) * a + (r0 - rr[inner]) * b) / (2.0 * r0)
+        vn = ring(g.n_r - 1, j0[outer], j1[outer], tj[outer])
+        out[outer] = vn * (1.0 - rr[outer]) / (0.5 * h)
         out = out.reshape(w.shape)
         return float(out) if w.ndim == 0 else out
 
@@ -227,9 +235,7 @@ def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
     """
     if grid.n_theta & (grid.n_theta - 1):
         raise ValueError("n_theta must be a power of two")
-    ftilde = np.asarray(problem.rhs_on_disc(grid.nodes), dtype=float)
-    if ftilde.shape != grid.nodes.shape:
-        ftilde = np.broadcast_to(ftilde, grid.nodes.shape)
+    ftilde = problem.rhs_on_disc(grid.nodes)
     if not np.all(np.isfinite(ftilde)):
         bad = grid.nodes[~np.isfinite(ftilde)].ravel()[0]
         raise RhsNotFinite(f"right-hand side is not finite at psi({bad})")
@@ -257,11 +263,8 @@ def weak_residual(solution: DiscSolution, problem: DirichletProblem,
         raise ValueError("need at least one test bump")
     grid = solution.grid
     gx, gy = gradient(solution.field)
-    areas = grid.cell_areas
-    nodes = grid.nodes
-    ftilde = np.asarray(problem.rhs_on_disc(nodes), dtype=float)
-    if ftilde.shape != nodes.shape:
-        ftilde = np.broadcast_to(ftilde, nodes.shape)
+    areas, nodes = grid.cell_areas, grid.nodes
+    ftilde = problem.rhs_on_disc(nodes)
     res = []
     for b in bumps:
         gb = b.gradient(nodes)
@@ -319,10 +322,7 @@ def convergence_study(problem: DirichletProblem, levels: int = 4,
 
     rows: list[ConvergenceRow] = []
     for k, (g, e) in enumerate(zip(scored, errors)):
-        if k == 0 or e == 0.0 or errors[k - 1] == 0.0:
-            order = None
-        else:
-            order = math.log2(errors[k - 1] / e)
-        rows.append(ConvergenceRow(n_r=g.n_r, n_theta=g.n_theta, max_error=e,
-                                   order=order))
+        prev = errors[k - 1] if k else 0.0
+        order = math.log2(prev / e) if prev and e else None
+        rows.append(ConvergenceRow(n_r=g.n_r, n_theta=g.n_theta, max_error=e, order=order))
     return rows

@@ -39,7 +39,7 @@ from .util import pairwise_sum
 
 _GROWTH_SLACK = 0.9  # an increment counts as sustained when >= 0.9x its predecessor
 _BLOCK_NODES = 1 << 16  # nodes per row block of a level (bounds its temporaries)
-_NODE_BUDGET = 1 << 24  # largest level a ladder may reach: 4096 x 4096 cells
+NODE_BUDGET = 1 << 24  # largest level a ladder (or CLI grid) may reach: 4096 x 4096
 
 
 class Verdict(str, enum.Enum):
@@ -87,7 +87,7 @@ class QuadResult:
 
 
 def disc_nodes(spec: DiscGridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes (complex, n_r x n_theta) and matching area weights."""
+    """Quadrature nodes (complex, n_r x n_theta) and area weights (read-only broadcast)."""
     t = np.linspace(0.0, 1.0, spec.n_r + 1)
     edges = 1.0 - (1.0 - t) ** spec.radial_grading
     r = 0.5 * (edges[:-1] + edges[1:])
@@ -95,8 +95,7 @@ def disc_nodes(spec: DiscGridSpec) -> tuple[np.ndarray, np.ndarray]:
     dtheta = 2.0 * np.pi / spec.n_theta
     theta = (np.arange(spec.n_theta) + 0.5) * dtheta
     w = r[:, None] * np.exp(1j * theta)[None, :]
-    weights = (r * dr)[:, None] * np.full(spec.n_theta, dtheta)[None, :]
-    return w, weights
+    return w, np.broadcast_to((r * dr * dtheta)[:, None], w.shape)
 
 
 def _single_level(f: Callable, spec: DiscGridSpec) -> float:
@@ -168,12 +167,12 @@ def integrate_disc(f: Callable, spec: DiscGridSpec | None = None, tol: float = 1
     if max_levels < 1:
         raise ValueError("max_levels must be at least 1")
     fit = 0  # levels whose grids stay within the node budget
-    while fit < max_levels and (spec.n_r * spec.n_theta << 2 * fit) <= _NODE_BUDGET:
+    while fit < max_levels and (spec.n_r * spec.n_theta << 2 * fit) <= NODE_BUDGET:
         fit += 1
     if fit < max_levels:
         raise GridTooLarge(
             f"max_levels={max_levels} from a {spec.n_r}x{spec.n_theta} grid exceeds the node "
-            f"budget of {_NODE_BUDGET} (4096x4096) per level; the largest allowed max_levels "
+            f"budget of {NODE_BUDGET} (4096x4096) per level; the largest allowed max_levels "
             f"is {fit}")
     values: list[float] = []
     for k in range(max_levels):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from confweight import ConformalMap, DomainFamily
+from confweight import ConfweightError, ConformalMap, DomainFamily
 from confweight.cli import build_parser, main
 
 
@@ -48,6 +48,47 @@ def test_levels_over_the_node_budget_exit_1(capsys):
                          "--s", "4.1", "--levels", "10")
     assert (code, out) == (1, "")
     assert "16777216" in err and "largest allowed max_levels is 9" in err
+
+
+SOLVE = ("solve", "--domain", "disc", "--f", "const:-4")
+LATTICE = ("--export", "lattice")
+
+
+@pytest.mark.parametrize("argv,flags,nodes", [
+    (SOLVE + ("--nr", "65536", "--ntheta", "65536"), "--nr x --ntheta", 65536**2),
+    (SOLVE + ("--nr", "4096", "--ntheta", "8192"), "--nr x --ntheta", 4096 * 8192),
+    (("constant", "--nr", "65536", "--ntheta", "65536"), "--nr x --ntheta", 65536**2),
+    (("constant", "--r", "1.5", "--nr", "8192", "--ntheta", "4096"), "--nr x --ntheta",
+     8192 * 4096),
+    (SOLVE + LATTICE + ("--lattice-n", "8192"), "--lattice-n squared", 8192**2),
+    (SOLVE + LATTICE + ("--lattice-n", "4097"), "--lattice-n squared", 4097**2),
+])
+def test_grid_over_the_node_budget_exits_1_before_allocating(capsys, monkeypatch, argv,
+                                                             flags, nodes):
+    def allocates(*args, **kwargs):
+        raise AssertionError("a grid over the node budget reached the solver")
+
+    monkeypatch.setattr("confweight.cli.solve_dirichlet", allocates)
+    monkeypatch.setattr("confweight.cli.poincare_constant_disc", allocates)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"{flags} asks for {nodes} nodes" in err and "16777216" in err
+
+
+@pytest.mark.parametrize("argv", [
+    SOLVE + ("--nr", "4096", "--ntheta", "4096"),
+    ("constant", "--nr", "8192", "--ntheta", "2048"),
+    SOLVE + LATTICE + ("--lattice-n", "4096"),
+    SOLVE + ("--lattice-n", "8192"),  # the lattice is not built for a push-forward
+])
+def test_grid_at_the_node_budget_reaches_the_solver(capsys, monkeypatch, argv):
+    def reached(*args, **kwargs):
+        raise ConfweightError("reached the solver")
+
+    monkeypatch.setattr("confweight.cli.solve_dirichlet", reached)
+    monkeypatch.setattr("confweight.cli.poincare_constant_disc", reached)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err == "error: reached the solver\n"
 
 
 def test_brennan_converged_exit(capsys):

@@ -6,8 +6,10 @@ import pytest
 
 from confweight import (ConformalMap, DirichletProblem, DomainFamily,
                         PointOutsideDomain, PolarGrid, RhsNotFinite, RhsSpec,
-                        constant_rhs, convergence_study, quartic_rhs,
+                        SingularTridiagonal, constant_rhs, convergence_study,
+                        disc_eigenvalue, pairwise_sum, quartic_rhs,
                         solve_dirichlet, solve_disc_values, weak_residual)
+from confweight.poisson import _eliminate, _radial_factor
 
 
 def halfplane_problem(c=-4.0):
@@ -185,3 +187,82 @@ def test_rhs_must_be_finite():
     object.__setattr__(prob, "rhs", _PoisonedRhs())
     with pytest.raises(RhsNotFinite):
         solve_dirichlet(prob, PolarGrid(16, 16))
+
+
+# --- the row-major radial solve against the column-major original -----------
+
+def _reference_solve(f_grid, grid):
+    """The original solve: transposed rfft output, Thomas sweeps over columns."""
+    n_theta, h, r = grid.n_theta, 1.0 / grid.n_r, grid.r
+    fhat = np.fft.rfft(np.asarray(f_grid, dtype=float), axis=1).T.copy()
+    modes = np.arange(fhat.shape[0])
+    lo = 1.0 / h**2 - 1.0 / (2.0 * h * r)
+    hi = 1.0 / h**2 + 1.0 / (2.0 * h * r)
+    diag = -2.0 / h**2 - modes[:, None] ** 2 / r[None, :] ** 2
+    diag[:, 0] += np.where(modes % 2 == 0, 1.0, -1.0) * lo[0]
+    diag[:, -1] -= hi[-1]
+    batch, n = fhat.shape
+    cp = np.empty((batch, n - 1))
+    dp = np.empty((batch, n), dtype=fhat.dtype)
+    den = diag[:, 0].copy()
+    cp[:, 0] = hi[0] / den
+    dp[:, 0] = fhat[:, 0] / den
+    for i in range(1, n):
+        den = diag[:, i] - lo[i] * cp[:, i - 1]
+        if i < n - 1:
+            cp[:, i] = hi[i] / den
+        dp[:, i] = (fhat[:, i] - lo[i] * dp[:, i - 1]) / den
+    for i in range(n - 2, -1, -1):
+        dp[:, i] -= cp[:, i] * dp[:, i + 1]
+    return np.fft.irfft(dp.T, n=n_theta, axis=1)
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(128, 128), (64, 256), (256, 64), (2, 8), (64, 48)])
+def test_row_major_solve_matches_the_column_major_original(n_r, n_theta):
+    grid = PolarGrid(n_r, n_theta)
+    f = np.random.default_rng(n_r * n_theta).standard_normal((n_r, n_theta))
+    v = solve_disc_values(f, grid)
+    assert v.flags.c_contiguous
+    assert np.array_equal(v, _reference_solve(f, grid))
+
+
+def test_cached_factor_gives_the_same_bits_as_a_cold_solve():
+    grid = PolarGrid(64, 64)
+    f = np.random.default_rng(3).standard_normal((64, 64))
+    _radial_factor.cache_clear()
+    cold = solve_disc_values(f, grid)
+    hits = _radial_factor.cache_info().hits
+    warm = [solve_disc_values(f, grid) for _ in range(2)]
+    assert _radial_factor.cache_info().hits == hits + 2
+    assert all(np.array_equal(w, cold) for w in warm)
+
+
+def test_cached_factor_is_read_only():
+    for a in _radial_factor(32, 16):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("diag_column", [[0.0, 2.0, 2.0], [1.0, 1.0, 2.0]])
+def test_zero_pivot_raises(diag_column):
+    # first pivot 0, or second pivot 1 - 1 * (1 / 1) = 0
+    lo, hi = np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0])
+    diag = np.array(diag_column)[:, None] * np.ones((1, 2))
+    with pytest.raises(SingularTridiagonal, match="zero pivot in radial solve"):
+        _eliminate(lo, diag, hi)
+
+
+def test_disc_eigenvalue_matches_the_original_solver_bit_for_bit():
+    grid = PolarGrid(128, 128)
+    areas = grid.cell_areas
+    x = np.ones((128, 128))
+    mu_prev = math.inf
+    for it in range(1, 100):
+        y = _reference_solve(-x, grid)
+        mu = pairwise_sum(y * x * areas) / pairwise_sum(x * x * areas)
+        if abs(mu - mu_prev) <= 1e-10 * abs(mu):
+            break
+        mu_prev = mu
+        x = y / math.sqrt(pairwise_sum(y * y * areas))
+    assert disc_eigenvalue(grid) == (1.0 / mu, it)

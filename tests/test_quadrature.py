@@ -34,6 +34,17 @@ def test_disc_nodes_partition_unity():
     assert pairwise_sum(areas) == pytest.approx(math.pi, rel=1e-14)
 
 
+@pytest.mark.parametrize("n_r,n_theta", [(16, 16), (2048, 8)])
+def test_disc_node_weights_equal_the_outer_product(n_r, n_theta):
+    spec = DiscGridSpec(n_r=n_r, n_theta=n_theta)
+    edges = 1.0 - (1.0 - np.linspace(0.0, 1.0, n_r + 1)) ** spec.radial_grading
+    r, dr = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
+    outer = (r * dr)[:, None] * np.full(n_theta, 2.0 * np.pi / n_theta)[None, :]
+    _, weights = disc_nodes(spec)
+    assert weights.shape == (n_r, n_theta) and not weights.flags.writeable
+    assert np.array_equal(weights, outer)
+
+
 def test_integrate_constant_exact():
     res = integrate_disc(lambda w: 1.0)
     assert res.verdict is Verdict.CONVERGED
