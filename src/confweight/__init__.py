@@ -30,7 +30,7 @@ from .quadrature import (DiscGridSpec, QuadResult, Verdict, brennan_direct,
 from .util import DEFAULT_SEED, default_seed, fmt17, pairwise_sum
 from .verify import J0_FIRST_ZERO, quoted_formula_report, run_verify
 from .weights import (WeightClassReport, WeightField, moebius_ratio_bounds,
-                      weight_class_check, weight_equivalence_check, weight_eval)
+                      weight_class_check, weight_equivalence_check)
 
 __version__ = "1.0.0"
 
@@ -55,5 +55,5 @@ __all__ = [
     "pullback_energy", "q_from_ps", "quartic_rhs", "quoted_formula_report",
     "round_trip_check", "run_verify", "sample_interior", "solve_dirichlet",
     "solve_disc_values", "weak_residual", "weight_class_check",
-    "weight_equivalence_check", "weight_eval", "weighted_constant_check",
+    "weight_equivalence_check", "weighted_constant_check",
 ]

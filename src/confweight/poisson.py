@@ -2,9 +2,11 @@
 
 Conformal transfer does all the work: with v = u o psi the problem becomes
 lap v = f o psi on the unit disc, because the Jacobian |psi'|^2 cancels the
-weight h o psi exactly.  Assembly therefore only ever evaluates f at pulled
-back points; the weight is never queried.  Unbounded domains (exterior,
-half plane, strip) need no extra machinery for the same reason.
+weight h o psi exactly.  Both right-hand sides are radial on the disc, so
+assembly evaluates f o psi in closed form at the n_r radii: it queries
+neither the weight nor the map, and the solve builds no node grid.
+Unbounded domains (exterior, half plane, strip) need no extra machinery for
+the same reason.
 
 The disc solve is spectral in theta (real FFT) and second order in r:
 per azimuthal mode m, a tridiagonal system for  v'' + v'/r - m^2 v/r^2 = f_m
@@ -31,10 +33,12 @@ from .util import pairwise_sum, write_csv
 
 @dataclass(frozen=True)
 class RhsSpec:
-    """Closed-form right-hand side f on the domain side.
+    """Closed-form right-hand side f: ``evaluate`` on the domain, ``on_disc`` pulled back.
 
     ``const`` is f = value everywhere; ``quartic`` is the manufactured case
     f(z) = 16|phi(z)|^2 - 8, whose transferred solution is (1 - |w|^2)^2.
+    Both are radial on the disc: f o psi is c, and 16|w|^2 - 8 because
+    phi o psi is the identity (with an automorphism composed in too).
     """
 
     kind: str
@@ -64,6 +68,13 @@ class RhsSpec:
             return np.full(z.shape, self.value)
         return 16.0 * np.abs(mapping.eval(z)) ** 2 - 8.0
 
+    def on_disc(self, r) -> np.ndarray:
+        """f o psi at disc radius ``r``, as floats of r's shape."""
+        r = np.asarray(r, dtype=float)
+        if self.kind == "const":
+            return np.full(r.shape, self.value)
+        return 16.0 * r**2 - 8.0
+
 
 def constant_rhs(c: float) -> RhsSpec:
     return RhsSpec("const", float(c))
@@ -86,8 +97,7 @@ class DirichletProblem:
 
     def rhs_on_disc(self, w) -> np.ndarray:
         """f(psi(w)) as floats of w's shape: the transferred rhs (no weight factor)."""
-        f = self.rhs.evaluate(self.mapping.invert().eval(w), self.mapping)
-        return np.broadcast_to(np.asarray(f, dtype=float), np.shape(w))
+        return self.rhs.on_disc(np.abs(w))
 
 
 def _eliminate(lo: np.ndarray, diag: np.ndarray, hi: np.ndarray):
@@ -229,17 +239,17 @@ class DiscSolution:
 def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
     """Transfer the problem to the disc, solve it there, wrap the result.
 
-    Raises RhsNotFinite if the pulled-back right-hand side is not finite at
-    every node, and requires n_theta to be a power of two so refinement runs
-    reuse exact FFT lengths.
+    The radial f o psi is evaluated once per ring and broadcast along theta.
+    Raises RhsNotFinite if it is not finite at every node, and requires
+    n_theta to be a power of two so refinement runs reuse exact FFT lengths.
     """
     if grid.n_theta & (grid.n_theta - 1):
         raise ValueError("n_theta must be a power of two")
-    ftilde = problem.rhs_on_disc(grid.nodes)
-    if not np.all(np.isfinite(ftilde)):
-        bad = grid.nodes[~np.isfinite(ftilde)].ravel()[0]
+    f = problem.rhs.on_disc(grid.r)
+    if not np.all(np.isfinite(f)):
+        bad = complex(grid.r[~np.isfinite(f)][0])  # the node at theta = 0
         raise RhsNotFinite(f"right-hand side is not finite at psi({bad})")
-    v = solve_disc_values(ftilde, grid)
+    v = solve_disc_values(np.broadcast_to(f[:, None], (grid.n_r, grid.n_theta)), grid)
     return DiscSolution(field=DiscField(grid, v), mapping=problem.mapping)
 
 

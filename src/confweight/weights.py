@@ -47,11 +47,6 @@ class WeightField:
         return float(dens) if scalar else dens
 
 
-def weight_eval(field: WeightField, z):
-    """Function-style alias for :meth:`WeightField.evaluate`."""
-    return field.evaluate(z)
-
-
 def weight_equivalence_check(w1: WeightField, w2: WeightField, samples: int = 400,
                              rng: np.random.Generator | None = None) -> tuple[float, float]:
     """Observed (min, max) of h2/h1 over interior samples of the shared domain.

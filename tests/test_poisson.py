@@ -1,15 +1,20 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from confweight import (ConformalMap, DirichletProblem, DomainFamily,
-                        PointOutsideDomain, PolarGrid, RhsNotFinite, RhsSpec,
-                        SingularTridiagonal, constant_rhs, convergence_study,
-                        disc_eigenvalue, pairwise_sum, quartic_rhs,
-                        solve_dirichlet, solve_disc_values, weak_residual)
+                        MoebiusAutomorphism, PointOutsideDomain, PolarGrid,
+                        RhsNotFinite, RhsSpec, SingularTridiagonal,
+                        compose_with_automorphism, constant_rhs,
+                        convergence_study, disc_eigenvalue, pairwise_sum,
+                        quartic_rhs, solve_dirichlet, solve_disc_values,
+                        weak_residual)
 from confweight.poisson import _eliminate, _radial_factor
+
+_ETA = MoebiusAutomorphism(0.3 - 0.2j, rotation=0.7)
 
 
 def halfplane_problem(c=-4.0):
@@ -180,6 +185,9 @@ class _PoisonedRhs:
     def evaluate(self, z, mapping):
         return np.full(np.asarray(z).shape, np.nan)
 
+    def on_disc(self, r):
+        return np.full(np.shape(r), np.nan)
+
 
 def test_rhs_must_be_finite():
     prob = DirichletProblem.__new__(DirichletProblem)
@@ -266,3 +274,71 @@ def test_disc_eigenvalue_matches_the_original_solver_bit_for_bit():
         mu_prev = mu
         x = y / math.sqrt(pairwise_sum(y * y * areas))
     assert disc_eigenvalue(grid) == (1.0 / mu, it)
+
+
+# --- closed-form assembly on the disc ----------------------------------------
+
+_PLAIN = {f.value: ConformalMap.to_disc(f) for f in DomainFamily}
+_MAPPINGS = {**_PLAIN, **{name + "+eta": compose_with_automorphism(m, _ETA)
+                          for name, m in _PLAIN.items()}}
+
+
+def _maps(names):
+    return pytest.mark.parametrize("mapping", [_MAPPINGS[n] for n in names], ids=names)
+
+
+@pytest.mark.parametrize("rhs", [constant_rhs(-4.0), quartic_rhs()], ids=["const", "quartic"])
+@_maps([*_PLAIN, "cardioid+eta"])
+def test_assembly_evaluates_no_map_and_no_node_grid(mapping, rhs, monkeypatch):
+    calls = []
+    for name in ("eval", "derivative"):
+        orig = getattr(ConformalMap, name)
+
+        def spy(self, z, _orig=orig, _name=name):
+            calls.append(_name)
+            return _orig(self, z)
+
+        monkeypatch.setattr(ConformalMap, name, spy)
+    grid = PolarGrid(64, 64)
+    solve_dirichlet(DirichletProblem(mapping, rhs), grid)
+    assert calls == []
+    assert "nodes" not in grid.__dict__
+
+
+def test_cold_quartic_solve_at_1024_squared_stays_small():
+    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID), quartic_rhs())
+    _radial_factor.cache_clear()
+    tracemalloc.start()
+    try:
+        solve_dirichlet(problem, PolarGrid(1024, 1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@_maps(list(_MAPPINGS))
+def test_closed_form_rhs_agrees_with_the_round_trip(mapping):
+    w = PolarGrid(1024, 1024).nodes
+    rhs = quartic_rhs()
+    closed = rhs.on_disc(np.abs(w))
+    round_trip = rhs.evaluate(mapping.invert().eval(w), mapping)
+    assert float(np.max(np.abs(closed - round_trip))) < 1e-11
+
+
+@_maps(["disc", "strip", "disc+eta", "strip+eta"])
+def test_const_solve_is_bit_identical_to_the_pullback_assembly(mapping):
+    grid = PolarGrid(128, 64)
+    problem = DirichletProblem(mapping, constant_rhs(-4.0))
+    pulled = problem.rhs.evaluate(mapping.invert().eval(grid.nodes), mapping)
+    reference = solve_disc_values(np.broadcast_to(pulled, grid.nodes.shape), grid)
+    values = solve_dirichlet(problem, PolarGrid(128, 64)).field.values
+    assert np.array_equal(values, reference)
+
+
+def test_rhs_not_finite_names_the_first_bad_node():
+    prob = DirichletProblem.__new__(DirichletProblem)
+    object.__setattr__(prob, "mapping", ConformalMap.to_disc(DomainFamily.DISC))
+    object.__setattr__(prob, "rhs", _PoisonedRhs())
+    with pytest.raises(RhsNotFinite, match=r"not finite at psi\(\(0\.03125\+0j\)\)"):
+        solve_dirichlet(prob, PolarGrid(16, 16))

@@ -7,7 +7,7 @@ from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
                         DomainMismatch, MoebiusAutomorphism, RectangleNotInterior,
                         WeightField, compose_with_automorphism, disc_nodes,
                         moebius_ratio_bounds, pairwise_sum, sample_interior,
-                        weight_class_check, weight_equivalence_check, weight_eval)
+                        weight_class_check, weight_equivalence_check)
 
 
 def field(name):
@@ -20,13 +20,13 @@ def test_requires_to_disc_direction():
 
 
 def test_known_point_values():
-    assert weight_eval(field("exterior"), 2.0 + 0.0j) == pytest.approx(0.0625, abs=1e-15)
-    assert weight_eval(field("halfplane"), 1j) == pytest.approx(0.25, abs=1e-15)
-    assert weight_eval(field("strip"), 0.0 + 0.0j) == pytest.approx(1.0, abs=1e-15)
-    assert weight_eval(field("disc"), 0.3 + 0.4j) == 1.0
+    assert field("exterior").evaluate(2.0 + 0.0j) == pytest.approx(0.0625, abs=1e-15)
+    assert field("halfplane").evaluate(1j) == pytest.approx(0.25, abs=1e-15)
+    assert field("strip").evaluate(0.0 + 0.0j) == pytest.approx(1.0, abs=1e-15)
+    assert field("disc").evaluate(0.3 + 0.4j) == 1.0
     # cardioid weight is 1/|z| away from the cusp
-    assert weight_eval(field("cardioid"), 0.0625 + 0.0j) == pytest.approx(16.0, rel=1e-12)
-    assert weight_eval(field("slitplane"), 0.0 + 0.0j) == pytest.approx(1.0, rel=1e-12)
+    assert field("cardioid").evaluate(0.0625 + 0.0j) == pytest.approx(16.0, rel=1e-12)
+    assert field("slitplane").evaluate(0.0 + 0.0j) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_exterior_closed_form(rng):
@@ -41,6 +41,13 @@ def test_halfplane_closed_form(rng):
     z = sample_interior(f.map, 200, rng=rng)
     expected = 4.0 / np.abs(z + 1j) ** 4
     assert np.abs(f.evaluate(z) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("z", [0.5 + 0.0j, 0.3 + 10.0j, -0.7 + 0.2j])
+def test_strip_real_closed_form(z):
+    # h = |sec z|^4 and |cos z|^2 = (cos 2x + cosh 2y)/2
+    expected = 4.0 / (math.cos(2.0 * z.real) + math.cosh(2.0 * z.imag)) ** 2
+    assert field("strip").evaluate(z) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_positivity(to_disc, rng):
