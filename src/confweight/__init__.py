@@ -11,7 +11,7 @@ from .errors import (BranchCutViolation, ConfweightError, DomainMismatch,
                      KpqDivergent, PointOutsideDomain, RectangleNotInterior,
                      RhsNotFinite, SingularTridiagonal)
 from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod,
-                        ExponentBounds, ExponentBudget, disc_eigenvalue,
+                        ExponentBounds, disc_eigenvalue,
                         exponent_bounds, poincare_constant_disc, q_from_ps,
                         weighted_constant_check)
 from .fields import (CompositionRecord, DiscField, PolarGrid, TestBump,
@@ -39,7 +39,7 @@ __all__ = [
     "ConfweightError", "ConstantEstimate", "ConvergenceRow", "DEFAULT_ALPHA0",
     "DEFAULT_SEED", "DirichletProblem", "Direction", "DiscField",
     "DiscGridSpec", "DiscSolution", "DomainFamily", "DomainMismatch",
-    "EstimateMethod", "ExponentBounds", "ExponentBudget", "ExponentOutOfRange",
+    "EstimateMethod", "ExponentBounds", "ExponentOutOfRange",
     "GridTooCoarse", "GridTooLarge", "IntegrandNotFinite", "InvalidExponents",
     "IterationDivergence", "J0_FIRST_ZERO", "KpqDivergent",
     "MoebiusAutomorphism", "PointOutsideDomain", "PolarGrid", "QuadResult",

@@ -20,7 +20,6 @@ success / Converged, 1 for Divergent, Inconclusive or infeasible inputs,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -142,21 +141,16 @@ def _emit_json(config: dict, payload: dict, out_path) -> None:
     _emit(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n", out_path)
 
 
-def _csv_buffer(config: dict) -> io.StringIO:
-    # the whole table is built before --out is opened, so a failed run leaves it as it was
-    buf = io.StringIO()
-    for key in sorted(config):
-        buf.write(f"# {key}={config[key]}\n")
-    return buf
+def _csv_preamble(config: dict) -> str:
+    """The `# key=value` lines that echo the configuration above a CSV header."""
+    return "".join(f"# {key}={config[key]}\n" for key in sorted(config))
 
 
 def _emit_csv(config: dict, header: list[str], rows, out_path) -> None:
-    buf = _csv_buffer(config)
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(fmt17(v) if isinstance(v, float) else str(v)
-                           for v in row) + "\n")
-    _emit(buf.getvalue(), out_path)
+    lines = [",".join(header)]
+    lines += [",".join(fmt17(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    _emit(_csv_preamble(config) + "\n".join(lines) + "\n", out_path)
 
 
 def _config_echo(args, skip=("output", "out_path")) -> dict:
@@ -276,10 +270,9 @@ def _cmd_solve(args) -> int:
         ys = np.linspace(ymin, ymax, args.lattice_n)
         lattice = (xs[None, :] + 1j * ys[:, None]).ravel()
     if (args.output or "csv") == "csv":
-        buf = _csv_buffer(config)
-        solution.to_csv(buf, lattice=lattice)
-        del solution, grid  # free the solve's arrays before the text is copied out
-        _emit(buf.getvalue(), args.out_path)
+        # to_csv computes every column before it opens --out, so a failed
+        # export leaves the file (or stdout) as it was
+        solution.to_csv(args.out_path, lattice=lattice, preamble=_csv_preamble(config))
     else:
         vals = solution.field.values
         _emit_json(config, {"u_min": float(vals.min()), "u_max": float(vals.max()),

@@ -76,39 +76,6 @@ def exponent_bounds(p: float, alpha0: float) -> ExponentBounds:
                           conjectural=(alpha0 == -2.0))
 
 
-@dataclass(frozen=True)
-class ExponentBudget:
-    """A working set of exponents tied to one integrability floor alpha0.
-
-    Whenever both s and alpha are present they must satisfy alpha = 2 - s;
-    q and r are optional companions checked against bounds() by callers.
-    """
-
-    p: float
-    q: float | None = None
-    r: float | None = None
-    s: float | None = None
-    alpha: float | None = None
-    alpha0: float = DEFAULT_ALPHA0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise ExponentOutOfRange(f"p must be at least 1, got {self.p}")
-        if not (-2.0 < self.alpha0 < 0.0):
-            raise ExponentOutOfRange(f"alpha0 must lie in (-2, 0), got {self.alpha0}")
-        if self.s is not None and self.alpha is not None:
-            if abs(self.alpha - (2.0 - self.s)) > 1e-12:
-                raise ValueError(f"alpha={self.alpha} and s={self.s} violate alpha = 2 - s")
-
-    @property
-    def p_min(self) -> float:
-        a = abs(self.alpha0)
-        return (a + 2.0) / (a + 1.0)
-
-    def bounds(self) -> ExponentBounds:
-        return exponent_bounds(self.p, self.alpha0)
-
-
 class EstimateMethod(str, enum.Enum):
     EIGEN_RAYLEIGH = "EigenRayleigh"
     BUMP_FAMILY_MAX = "BumpFamilyMax"

@@ -118,8 +118,8 @@ class TestBump:
         w = np.asarray(w, dtype=complex)
         t2 = self._t2(w)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            body = np.exp(1.0 - 1.0 / (1.0 - t2))
-        return np.where(t2 < 1.0, self.amplitude * body, 0.0)
+            body = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - t2))
+        return np.where(t2 < 1.0, body, 0.0)
 
     def gradient(self, w) -> np.ndarray:
         """Cartesian gradient packed as d/dx + i*d/dy."""

@@ -220,12 +220,14 @@ class DiscSolution:
         """u(z) = v(phi(z)) at interior points of the model domain."""
         return self.eval_disc(self.mapping.eval(z))
 
-    def to_csv(self, target, lattice: np.ndarray | None = None) -> None:
-        """Write `x,y,u` rows: the grid pushed forward, or a given lattice.
+    def to_csv(self, target, lattice: np.ndarray | None = None,
+               preamble: str = "") -> None:
+        """Write ``preamble`` and `x,y,u` rows: the grid pushed forward, or a lattice.
 
         With ``lattice`` (complex points), rows cover exactly the points the
         domain membership predicate accepts; without it, x+iy = psi(w) over
-        the grid nodes with the nodal solution values.
+        the grid nodes with the nodal solution values.  Every column exists
+        before ``target`` is opened, so a failure leaves a path as it was.
         """
         if lattice is None:
             z, vals = self.mapping.invert().eval(self.grid.nodes), self.field.values
@@ -233,7 +235,7 @@ class DiscSolution:
             pts = np.ravel(np.asarray(lattice, dtype=complex))
             z = pts[self.mapping.contains(pts)]
             vals = self.eval_domain(z) if z.size else np.empty(0)
-        write_csv(target, ("x", "y", "u"), (z.real, z.imag, vals))
+        write_csv(target, ("x", "y", "u"), (z.real, z.imag, vals), preamble)
 
 
 def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:

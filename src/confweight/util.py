@@ -57,14 +57,15 @@ def open_target(target):
         yield target or sys.stdout
 
 
-def write_csv(target, header, columns) -> None:
-    """Write a header line, then float columns as rows of fmt17 cells.
+def write_csv(target, header, columns, preamble: str = "") -> None:
+    """Write ``preamble``, a header line, then float columns as rows of fmt17 cells.
 
-    Rows are streamed CSV_BLOCK_ROWS at a time through one "%.17g" template."""
+    Rows are streamed CSV_BLOCK_ROWS at a time through one "%.17g" template;
+    a path target is opened only when the first line is written."""
     cols = [np.ravel(c) for c in columns]
     row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open_target(target) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(preamble + ",".join(header) + "\n")
         for start in range(0, cols[0].size, CSV_BLOCK_ROWS):
             block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in cols])
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from confweight import (ConformalMap, ConstantEstimate, DomainFamily,
-                        EstimateMethod, ExponentBudget, ExponentOutOfRange,
+                        EstimateMethod, ExponentOutOfRange,
                         IterationDivergence, PolarGrid, disc_eigenvalue,
                         exponent_bounds, make_bump_family,
                         poincare_constant_disc, q_from_ps,
                         weighted_constant_check)
-from confweight.exponents import DEFAULT_ALPHA0
 
 J01 = 2.404825557695773
 
@@ -77,15 +76,6 @@ def test_exponent_bounds_domain():
         exponent_bounds(2.0, -1.0)     # p must stay below 2
     with pytest.raises(ExponentOutOfRange):
         exponent_bounds(1.05, -0.5)    # below p_min
-
-
-def test_exponent_budget():
-    budget = ExponentBudget(p=1.9, s=3.0, alpha=-1.0)
-    assert budget.alpha0 == DEFAULT_ALPHA0
-    assert budget.p_min == pytest.approx((1.752 + 2.0) / (1.752 + 1.0))
-    assert budget.bounds().q_max == exponent_bounds(1.9, DEFAULT_ALPHA0).q_max
-    with pytest.raises(ValueError):
-        ExponentBudget(p=1.9, s=3.0, alpha=0.5)  # alpha must equal 2 - s
 
 
 def test_disc_eigenvalue_close_to_bessel():

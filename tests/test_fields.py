@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ def test_bump_shape_and_support():
     assert b.value(0.2 + 0.1j + 0.3) == 0.0  # support is the open disc
     inside = b.value(0.2 + 0.1j + 0.15)
     assert 0.0 < inside < 1.5
+
+
+def test_bump_value_is_quiet_just_outside_the_support():
+    # exp(1 - 1/(1 - t^2)) = exp(709.5) is finite here, amplitude times it is not
+    b = TestBump(0j, 0.5, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert b.value([0.5 * math.sqrt(1.0 + 1.0 / 708.5)])[0] == 0.0
 
 
 def test_bump_requires_support_inside_disc():
