@@ -16,7 +16,7 @@ from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod,
                         weighted_constant_check)
 from .fields import (CompositionRecord, DiscField, PolarGrid, TestBump,
                      composition_inequality_check, gradient, isometry_check,
-                     lp_norm, make_bump_family, pullback_energy)
+                     lp_norm, make_bump_family)
 from .maps import (ConformalMap, Direction, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
                    compose_with_automorphism, round_trip_check, sample_interior)
@@ -24,9 +24,9 @@ from .poisson import (ConvergenceRow, DirichletProblem, DiscSolution,
                       ResidualReport, RhsSpec, constant_rhs, convergence_study,
                       quartic_rhs, solve_dirichlet, solve_disc_values,
                       weak_residual)
-from .quadrature import (DiscGridSpec, QuadResult, Verdict, brennan_direct,
-                         classify, disc_nodes, integrate_disc, inverse_brennan,
-                         kpq_norm)
+from .quadrature import (CHECK_SPEC, DiscGridSpec, QuadResult, Verdict,
+                         brennan_direct, classify, disc_nodes, integrate_disc,
+                         inverse_brennan, kpq_norm, pull_back)
 from .util import DEFAULT_SEED, default_seed, fmt17, pairwise_sum
 from .verify import J0_FIRST_ZERO, quoted_formula_report, run_verify
 from .weights import (WeightClassReport, WeightField, moebius_ratio_bounds,
@@ -35,7 +35,7 @@ from .weights import (WeightClassReport, WeightField, moebius_ratio_bounds,
 __version__ = "1.0.0"
 
 __all__ = [
-    "BranchCutViolation", "CompositionRecord", "ConformalMap",
+    "BranchCutViolation", "CHECK_SPEC", "CompositionRecord", "ConformalMap",
     "ConfweightError", "ConstantEstimate", "ConvergenceRow", "DEFAULT_ALPHA0",
     "DEFAULT_SEED", "DirichletProblem", "Direction", "DiscField",
     "DiscGridSpec", "DiscSolution", "DomainFamily", "DomainMismatch",
@@ -52,7 +52,7 @@ __all__ = [
     "fmt17", "gradient", "integrate_disc", "inverse_brennan",
     "isometry_check", "kpq_norm", "lp_norm", "make_bump_family",
     "moebius_ratio_bounds", "pairwise_sum", "poincare_constant_disc",
-    "pullback_energy", "q_from_ps", "quartic_rhs", "quoted_formula_report",
+    "pull_back", "q_from_ps", "quartic_rhs", "quoted_formula_report",
     "round_trip_check", "run_verify", "sample_interior", "solve_dirichlet",
     "solve_disc_values", "weak_residual", "weight_class_check",
     "weight_equivalence_check", "weighted_constant_check",

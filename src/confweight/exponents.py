@@ -18,17 +18,14 @@ import numpy as np
 
 from .errors import ExponentOutOfRange, IterationDivergence
 from .fields import DiscField, PolarGrid, TestBump, lp_norm, make_bump_family
-from .maps import ConformalMap, Direction
+from .maps import ConformalMap
 from .poisson import solve_disc_values
-from .quadrature import DiscGridSpec, disc_nodes
+from .quadrature import DiscGridSpec, pull_back
 from .util import pairwise_sum
-from .weights import WeightField
 
 # integrability floor used by default: |psi'|^alpha is known integrable on
 # the disc down to alpha0 = 2 - 3.752 for every simply connected domain
 DEFAULT_ALPHA0 = -1.752
-
-_CHECK_SPEC = DiscGridSpec(n_r=512, n_theta=512)
 
 
 def q_from_ps(p: float, s: float) -> float:
@@ -154,18 +151,18 @@ def weighted_constant_check(mapping: ConformalMap, r: float,
     ||f||_{L_r(Omega, h)} = ||g||_{L_r(D)} and
     ||grad f||_{L_2(Omega)} = ||grad g||_{L_2(D)}
     hold exactly in exact arithmetic; each side is quadratured independently
-    on a shared node set and compared.
+    on a shared node set (CHECK_SPEC by default) and compared.  The weighted
+    norm carries the density h(psi)|psi'|^2 and the energy the factor
+    (|phi'(psi)||psi'|)^2: equal in exact arithmetic, formed separately.
     """
     if not (math.isfinite(r) and r >= 1.0):
         raise ExponentOutOfRange(f"r must be at least 1, got {r}")
-    if mapping.direction is not Direction.TO_DISC:
-        raise ValueError("mapping must send its domain to the disc")
     if not bumps:
         raise ValueError("need at least one bump")
-    w, areas = disc_nodes(_CHECK_SPEC if spec is None else spec)
-    inv = mapping.invert()
-    density = WeightField(mapping).disc_density(w)
-    factor2 = (np.abs(mapping.derivative(inv.eval(w))) * np.abs(inv.derivative(w))) ** 2
+    w, areas, phi_abs, psi_abs = pull_back(mapping, spec)
+    density = phi_abs**2 * psi_abs**2
+    factor2 = (phi_abs * psi_abs) ** 2
+    del phi_abs, psi_abs  # the bump loop holds only the two products
     worst = 0.0
     for b in bumps:
         val_r = np.abs(b.value(w)) ** r

@@ -15,14 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidExponents, KpqDivergent
-from .maps import ConformalMap, Direction
-from .quadrature import DiscGridSpec, Verdict, disc_nodes, integrate_disc, kpq_norm
+from .maps import ConformalMap
+from .quadrature import DiscGridSpec, Verdict, kpq_norm, pull_back
 from .util import default_seed, pairwise_sum, write_csv
-from .weights import WeightField
-
-# fixed grid for the matched-node identity checks: level 6 of the default
-# refinement ladder (16x16 doubled five times)
-_CHECK_SPEC = DiscGridSpec(n_r=512, n_theta=512)
 
 
 @dataclass(frozen=True)
@@ -186,59 +181,27 @@ def gradient(field: DiscField) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def lp_norm(field: DiscField, p: float, weight: WeightField | None = None) -> float:
-    """(integral of |f|^p dnu)^(1/p) by the grid midpoint rule.
-
-    Without a weight, dnu is plane Lebesgue measure; with one, dnu carries
-    the weight's disc density h(psi(w))*|psi'(w)|^2 (identically one in
-    exact arithmetic, computed honestly here).
-    """
+def lp_norm(field: DiscField, p: float) -> float:
+    """(integral of |f|^p)^(1/p) over the disc by the grid midpoint rule."""
     if not (math.isfinite(p) and p >= 1.0):
         raise InvalidExponents(f"p must satisfy p >= 1, got {p}")
     cells = np.abs(field.values) ** p * field.grid.cell_areas
-    if weight is not None:
-        cells = cells * weight.disc_density(field.grid.nodes)
     return float(pairwise_sum(cells)) ** (1.0 / p)
-
-
-def pullback_energy(mapping: ConformalMap, bump, p: float = 2.0,
-                    spec: DiscGridSpec | None = None, tol: float = 1e-9,
-                    max_levels: int = 8) -> float:
-    """Integral of |grad(b o phi)|^p over the map's domain, via the disc.
-
-    Chain rule plus change of variables z = psi(w) give the disc integrand
-    |grad b|(w)^p * |phi'(psi(w))|^p * |psi'(w)|^2; for p = 2 the map factor
-    is identically one, but it is evaluated, not simplified away.
-    """
-    if mapping.direction is not Direction.TO_DISC:
-        raise ValueError("mapping must send its domain to the disc")
-    if not (math.isfinite(p) and p >= 1.0):
-        raise InvalidExponents(f"p must satisfy p >= 1, got {p}")
-    inv = mapping.invert()
-
-    def integrand(w):
-        z = inv.eval(w)
-        g = np.abs(bump.gradient(w))
-        return g**p * np.abs(mapping.derivative(z)) ** p * np.abs(inv.derivative(w)) ** 2
-
-    return integrate_disc(integrand, spec, tol, max_levels).value
 
 
 def isometry_check(mapping: ConformalMap, bumps: list[TestBump],
                    spec: DiscGridSpec | None = None) -> float:
     """Max relative gap between the domain-side and disc Dirichlet energies.
 
-    Both energies are evaluated on the same fixed node set, so the reported
-    gap isolates the conformal factor |phi'(psi(w))*psi'(w)|^2 from shared
-    quadrature error.
+    Both energies are evaluated on the same fixed node set (CHECK_SPEC by
+    default), so the reported gap isolates the conformal factor
+    |phi'(psi(w))*psi'(w)|^2 from shared quadrature error.
     """
     if not bumps:
         raise ValueError("need at least one bump")
-    if mapping.direction is not Direction.TO_DISC:
-        raise ValueError("mapping must send its domain to the disc")
-    w, areas = disc_nodes(_CHECK_SPEC if spec is None else spec)
-    inv = mapping.invert()
-    factor = (np.abs(mapping.derivative(inv.eval(w))) * np.abs(inv.derivative(w))) ** 2
+    w, areas, phi_abs, psi_abs = pull_back(mapping, spec)
+    factor = (phi_abs * psi_abs) ** 2
+    del phi_abs, psi_abs  # the bump loop holds only the product
     worst = 0.0
     for b in bumps:
         g2 = np.abs(b.gradient(w)) ** 2
@@ -269,22 +232,20 @@ def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
     """Verify ||grad(f o phi)||_q <= K_{p,q} * ||grad f||_p per bump.
 
     The constant comes from kpq_norm; a non-converged constant integral
-    raises KpqDivergent since the bound is then vacuous.  Equality cases
+    raises KpqDivergent since the bound is then vacuous.  Both norms are
+    summed on one node set, CHECK_SPEC by default.  Equality cases
     (p = q = 2) belong to isometry_check instead.
     """
     if not bumps:
         raise ValueError("need at least one bump")
-    if mapping.direction is not Direction.TO_DISC:
-        raise ValueError("mapping must send its domain to the disc")
     kres = kpq_norm(mapping, p, q)
     if kres.verdict is not Verdict.CONVERGED:
         raise KpqDivergent(f"K_({p},{q}) integral verdict {kres.verdict.value} "
                            f"on {mapping.family.value}")
     big_k = kres.value
-    w, areas = disc_nodes(_CHECK_SPEC if spec is None else spec)
-    inv = mapping.invert()
-    phi_prime = np.abs(mapping.derivative(inv.eval(w)))
-    jac2 = np.abs(inv.derivative(w)) ** 2
+    w, areas, phi_prime, psi_abs = pull_back(mapping, spec)
+    jac2 = psi_abs**2
+    del psi_abs
     out = []
     for b in bumps:
         g = np.abs(b.gradient(w))

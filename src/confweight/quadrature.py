@@ -186,18 +186,25 @@ def integrate_disc(f: Callable, spec: DiscGridSpec | None = None, tol: float = 1
 
 
 # ---------------------------------------------------------------------------
-# weighted integrals of the model maps
+# the change of variables z = psi(w) and weighted integrals of the model maps
+
+# fixed grid of the matched-node identity checks: 512 x 512 cells
+CHECK_SPEC = DiscGridSpec().level(5)
 
 
-def _from_disc(mapping: ConformalMap) -> ConformalMap:
-    return mapping.invert() if mapping.direction is Direction.TO_DISC else mapping
+def pull_back(mapping: ConformalMap, spec: DiscGridSpec | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes w, area weights, |phi'(psi(w))| and |psi'(w)| on a disc grid.
 
-
-def _psi_prime_power(mapping: ConformalMap, e: float, spec: DiscGridSpec | None,
-                     tol: float, max_levels: int) -> QuadResult:
-    """Integral of |psi'|^e over the unit disc, psi the map from the disc."""
-    inv = _from_disc(mapping)
-    return integrate_disc(lambda w: np.abs(inv.derivative(w)) ** e, spec, tol, max_levels)
+    phi is the TO_DISC ``mapping`` and psi its inverse; the pulled-back
+    conformal weight is the product (|phi'(psi)| * |psi'|)^2, identically one
+    in exact arithmetic.  ``spec`` defaults to CHECK_SPEC.
+    """
+    if mapping.direction is not Direction.TO_DISC:
+        raise ValueError("mapping must send its domain to the disc")
+    w, areas = disc_nodes(CHECK_SPEC if spec is None else spec)
+    inv = mapping.invert()
+    return w, areas, np.abs(mapping.derivative(inv.eval(w))), np.abs(inv.derivative(w))
 
 
 def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = None,
@@ -210,15 +217,17 @@ def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = 
     """
     if not math.isfinite(s):
         raise InvalidExponents("s must be finite")
-    return _psi_prime_power(mapping, 2.0 - float(s), spec, tol, max_levels)
+    return inverse_brennan(mapping, 2.0 - float(s), spec, tol, max_levels)
 
 
 def inverse_brennan(mapping: ConformalMap, alpha: float, spec: DiscGridSpec | None = None,
                     tol: float = 1e-6, max_levels: int = 8) -> QuadResult:
-    """Integral of |psi'|^alpha over the unit disc."""
+    """Integral of |psi'|^alpha over the unit disc, psi the map from the disc."""
     if not math.isfinite(alpha):
         raise InvalidExponents("alpha must be finite")
-    return _psi_prime_power(mapping, float(alpha), spec, tol, max_levels)
+    inv = mapping.invert() if mapping.direction is Direction.TO_DISC else mapping
+    e = float(alpha)
+    return integrate_disc(lambda w: np.abs(inv.derivative(w)) ** e, spec, tol, max_levels)
 
 
 def kpq_norm(mapping: ConformalMap, p: float, q: float, spec: DiscGridSpec | None = None,

@@ -6,7 +6,9 @@ boundary images, automorphism bounds, weight positivity and the mass
 identity, refinement classification of the slit-plane integrals, energy
 isometry, composition inequalities, exponent arithmetic, the transfer
 identities, the eigenvalue route to the disc constant, and the Dirichlet
-solver's exact solutions, linearity and weight-free assembly.
+solver's exact solutions, linearity and weight-free assembly.  The mass,
+isometry, composition and transfer checks sum on the 512x512 check grid
+CHECK_SPEC.
 
 The report is a plain dict of JSON-ready values.  All randomness flows from
 one seeded generator consumed in a fixed order, and every reduction is
@@ -32,8 +34,7 @@ from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
                    compose_with_automorphism, round_trip_check, sample_interior)
 from .poisson import (DirichletProblem, constant_rhs, convergence_study,
                       quartic_rhs, solve_dirichlet, weak_residual)
-from .quadrature import (DiscGridSpec, Verdict, brennan_direct, disc_nodes,
-                         integrate_disc)
+from .quadrature import Verdict, brennan_direct, integrate_disc, pull_back
 from .util import default_seed, pairwise_sum
 from .weights import WeightField, moebius_ratio_bounds, weight_equivalence_check
 
@@ -41,7 +42,6 @@ from .weights import WeightField, moebius_ratio_bounds, weight_equivalence_check
 J0_FIRST_ZERO = 2.404825557695773
 
 _FAMILIES = tuple(DomainFamily)
-_LEVEL6 = DiscGridSpec(n_r=512, n_theta=512)
 
 
 def _annulus(rng: np.random.Generator, n: int, rmin: float, rmax: float) -> np.ndarray:
@@ -99,7 +99,6 @@ def _check_automorphisms(add, rng):
 
 
 def _check_weights(add, rng):
-    w6, areas6 = disc_nodes(_LEVEL6)
     for fam in _FAMILIES:
         field = WeightField(ConformalMap.to_disc(fam))
         pts = sample_interior(field.map, 10_000, rng=rng)
@@ -113,7 +112,9 @@ def _check_weights(add, rng):
         rel_step = float(np.max(np.abs(field.evaluate(probe + step) - base) / base))
         add(f"weights.continuity.{fam.value}", rel_step <= 1e-3, max_rel_step=rel_step)
 
-        total = float(pairwise_sum(field.disc_density(w6) * areas6))
+        # h(psi(w))|psi'(w)|^2 on CHECK_SPEC, as WeightField.disc_density forms it
+        _, areas, phi_abs, psi_abs = pull_back(field.map)
+        total = float(pairwise_sum(phi_abs**2 * psi_abs**2 * areas))
         rel_mass = abs(total - math.pi) / math.pi
         add(f"weights.mass_identity.{fam.value}", rel_mass <= 1e-4,
             integral=total, rel_error=float(rel_mass))

@@ -6,6 +6,7 @@ yields the disc area pi, whatever the domain.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +69,8 @@ def weight_equivalence_check(w1: WeightField, w2: WeightField, samples: int = 40
 def moebius_ratio_bounds(a: complex) -> tuple[float, float]:
     """Sharp bounds for the weight ratio induced by an automorphism parameter a."""
     m = abs(a)
+    if not math.isfinite(m):
+        raise ValueError("automorphism parameters must be finite")
     if m >= 1.0:
         raise ValueError("automorphism parameter must satisfy |a| < 1")
     lo = (1.0 - m) / (1.0 + m)
@@ -91,8 +94,8 @@ def weight_class_check(field: WeightField, p: float, rect: tuple[float, float, f
     (an essential-sup estimate).  The rectangle must be strictly interior:
     every midpoint sample is required to be inside the domain.
     """
-    if p < 1.0:
-        raise ValueError("the weight classes are defined for p >= 1")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError("the weight classes are defined for finite p >= 1")
     x0, x1, y0, y1 = map(float, rect)
     if not (np.isfinite([x0, x1, y0, y1]).all() and x0 < x1 and y0 < y1):
         raise ValueError("rectangle must be (x0, x1, y0, y1) with x0 < x1, y0 < y1")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from confweight import ConfweightError, ConformalMap, DomainFamily
+from confweight import ConfweightError, ConformalMap, DomainFamily, integrate_disc
 from confweight.cli import build_parser, main
 from confweight.poisson import _radial_factor
 
@@ -109,6 +109,16 @@ def test_inverse_brennan_alpha(capsys):
     code, out, _ = run(capsys, "brennan", "--domain", "slitplane",
                        "--s", "3.0", "--tol", "0.1")
     assert direct["level_values"] == json.loads(out)["level_values"]
+
+
+def test_inverse_brennan_uses_alpha_as_given(capsys):
+    # 2 - (2 - alpha) is -1.7000000000000002, so a detour through s moves the bits
+    code, out, _ = run(capsys, "inverse-brennan", "--domain", "strip", "--alpha", "-1.7",
+                       "--tol", "0.01", "--levels", "4")
+    assert code == 0
+    inv = ConformalMap.to_disc(DomainFamily.STRIP).invert()
+    want = integrate_disc(lambda w: np.abs(inv.derivative(w)) ** -1.7, tol=0.01, max_levels=4)
+    assert json.loads(out)["level_values"] == list(want.level_values)
 
 
 def test_kpq_cardioid(capsys):

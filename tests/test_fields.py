@@ -7,10 +7,9 @@ import pytest
 
 from confweight import (ConformalMap, DiscField, DiscGridSpec, DomainFamily,
                         GridTooCoarse, InvalidExponents, KpqDivergent,
-                        PolarGrid, TestBump, WeightField,
-                        composition_inequality_check, gradient, integrate_disc,
-                        isometry_check, lp_norm, make_bump_family,
-                        fmt17, pullback_energy)
+                        PolarGrid, TestBump, composition_inequality_check,
+                        fmt17, gradient, isometry_check, lp_norm,
+                        make_bump_family)
 
 
 def test_polar_grid_node_layout():
@@ -142,8 +141,6 @@ def test_lp_norm_examples():
     assert lp_norm(ones, 2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     re_w = DiscField.from_function(g, lambda w: w.real)
     assert lp_norm(re_w, 2.0) == pytest.approx(math.sqrt(math.pi / 4.0), rel=1e-4)
-    hp = WeightField(ConformalMap.to_disc(DomainFamily.HALFPLANE))
-    assert lp_norm(ones, 1.0, weight=hp) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_lp_norm_rejects_bad_exponent():
@@ -160,32 +157,6 @@ def test_lp_norm_homogeneity():
     scaled = DiscField(g, -4.2 * f.values)
     for p in (1.0, 2.0, 3.0):
         assert lp_norm(scaled, p) == pytest.approx(4.2 * lp_norm(f, p), rel=1e-13)
-
-
-def test_pullback_energy_zero_bump():
-    m = ConformalMap.to_disc(DomainFamily.HALFPLANE)
-    b = TestBump(center=0.0j, radius=0.5, amplitude=0.0)
-    assert pullback_energy(m, b, p=2.0) == 0.0
-
-
-def test_pullback_energy_is_disc_energy(bumps):
-    m = ConformalMap.to_disc(DomainFamily.STRIP)
-    for b in bumps[:2]:
-        on_disc = integrate_disc(lambda w: np.abs(b.gradient(w)) ** 2, tol=1e-9).value
-        on_domain = pullback_energy(m, b, p=2.0)
-        assert on_domain == pytest.approx(on_disc, rel=1e-6)
-
-
-class _LinearProbe:
-    """Stands in for a bump: gradient of Re w, constant (1, 0)."""
-
-    def gradient(self, w):
-        return np.ones_like(w)
-
-
-def test_pullback_energy_linear_probe_halfplane():
-    m = ConformalMap.to_disc(DomainFamily.HALFPLANE)
-    assert pullback_energy(m, _LinearProbe(), p=2.0) == pytest.approx(math.pi, rel=1e-9)
 
 
 def test_isometry_check_families(bumps):

@@ -1,0 +1,38 @@
+"""Every module-level import in the package is used by its module."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import confweight
+
+MODULES = sorted(Path(confweight.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = {}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items())
+            if name not in used and name not in exported]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_module_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_the_walk_sees_an_unused_import():
+    src = "import os\nfrom x import y as z, w\n__all__ = ['w']\n"
+    assert _unused_imports(src) == ["os (line 1)", "z (line 2)"]

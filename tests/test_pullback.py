@@ -1,0 +1,89 @@
+"""The change of variables z = psi(w) behind every matched-node identity check."""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from confweight import (CHECK_SPEC, ConformalMap, DiscGridSpec, DomainFamily,
+                        WeightField, composition_inequality_check, disc_nodes,
+                        isometry_check, make_bump_family, pairwise_sum, pull_back,
+                        weighted_constant_check)
+
+# float.hex of the checks on a 64 x 64 grid with make_bump_family(3, seed 5),
+# taken before the checks shared pull_back: isometry, weighted constant at
+# r = 3, composition (p, q) and its (lhs, rhs) per bump, and the mass sum
+_PINS = {
+    "strip": ("0x1.f47b2d2370797p-53", "0x0.0p+0", (3.0, 2.0),
+              [("0x1.2993a115ee367p+1", "0x1.a062e0b5a1eefp+1"),
+               ("0x1.6e2e65054bfb9p+0", "0x1.555a7046c318dp+1"),
+               ("0x1.028a3ab6ede1fp+1", "0x1.e82098ad712bdp+1")],
+              "0x1.921fb54442d18p+1"),
+    "cardioid": ("0x0.0p+0", "0x1.8160e12eef4fep-53", (2.0, 1.5),
+                 [("0x1.10703abb2b6efp+0", "0x1.2993a115ee367p+1"),
+                  ("0x1.21db82153b0cbp-1", "0x1.6e2e65054bfb9p+0"),
+                  ("0x1.a7ae4ca1ce86cp-1", "0x1.028a3ab6ede1fp+1")],
+                 "0x1.921fb54442d18p+1"),
+    "slitplane": ("0x1.7aec8b3fd860bp-52", "0x1.b876f1d041448p-53", (3.0, 2.0),
+                  [("0x1.2993a115ee368p+1", "0x1.a062e0b5a1eefp+1"),
+                   ("0x1.6e2e65054bfb9p+0", "0x1.555a7046c318dp+1"),
+                   ("0x1.028a3ab6ede1fp+1", "0x1.e82098ad712bdp+1")],
+                  "0x1.921fb54442d17p+1"),
+}
+
+
+def test_check_spec_is_the_512_grid():
+    assert (CHECK_SPEC.n_r, CHECK_SPEC.n_theta) == (512, 512)
+    assert CHECK_SPEC == DiscGridSpec().level(5)
+
+
+def test_pull_back_defaults_to_check_spec():
+    w, areas, phi_abs, psi_abs = pull_back(ConformalMap.to_disc(DomainFamily.HALFPLANE))
+    assert w.shape == areas.shape == phi_abs.shape == psi_abs.shape == (512, 512)
+    assert np.array_equal(w, disc_nodes(CHECK_SPEC)[0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, b, spec: pull_back(m, spec),
+    lambda m, b, spec: isometry_check(m, b, spec),
+    lambda m, b, spec: weighted_constant_check(m, 3.0, b, spec),
+    lambda m, b, spec: composition_inequality_check(m, 3.0, 2.0, b, spec),
+], ids=["pull_back", "isometry", "weighted_constant", "composition"])
+def test_a_map_from_the_disc_is_rejected(call):
+    bumps = make_bump_family(1, rng=np.random.default_rng(5))
+    with pytest.raises(ValueError, match="send its domain to the disc"):
+        call(ConformalMap.from_disc(DomainFamily.CARDIOID), bumps, DiscGridSpec())
+
+
+@pytest.mark.parametrize("name", sorted(_PINS))
+def test_pulled_back_checks_keep_their_bits(name):
+    iso, wcc, (p, q), comp, mass = _PINS[name]
+    spec = DiscGridSpec(n_r=64, n_theta=64)
+    bumps = make_bump_family(3, rng=np.random.default_rng(5))
+    m = ConformalMap.to_disc(name)
+    assert isometry_check(m, bumps, spec).hex() == iso
+    assert weighted_constant_check(m, 3.0, bumps, spec).hex() == wcc
+    recs = composition_inequality_check(m, p, q, bumps, spec)
+    assert [(r.lhs.hex(), r.rhs.hex()) for r in recs] == comp
+    # the pointwise density and the pulled-back product sum to the same bits
+    w, areas, phi_abs, psi_abs = pull_back(m, spec)
+    assert float(pairwise_sum(WeightField(m).disc_density(w) * areas)).hex() == mass
+    assert float(pairwise_sum(phi_abs**2 * psi_abs**2 * areas)).hex() == mass
+
+
+@pytest.mark.parametrize("check, bound_mib", [
+    (lambda m, b: isometry_check(m, b), 24.0),
+    (lambda m, b: weighted_constant_check(m, 3.0, b), 28.0),
+], ids=["isometry", "weighted_constant"])
+def test_bump_loops_do_not_hold_the_derivative_arrays(check, bound_mib):
+    # at CHECK_SPEC one derivative array is 2 MiB; holding both through the
+    # bump loop lifts the peaks from 22.1 / 26.1 MiB to 26.1 / 30.1 MiB
+    m = ConformalMap.to_disc(DomainFamily.STRIP)
+    bumps = make_bump_family(3, rng=np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        check(m, bumps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+

@@ -99,6 +99,12 @@ def test_moebius_ratio_bound_values():
     assert hi == pytest.approx(361.0)
 
 
+@pytest.mark.parametrize("a", [complex("nan"), complex("inf"), float("nan")])
+def test_moebius_ratio_bounds_rejects_non_finite(a):
+    with pytest.raises(ValueError, match="must be finite"):
+        moebius_ratio_bounds(a)
+
+
 def test_equivalence_family_mismatch(rng):
     with pytest.raises(DomainMismatch):
         weight_equivalence_check(field("halfplane"), field("strip"), rng=rng)
@@ -112,6 +118,13 @@ def test_weight_class_interior_rectangles():
     assert rep.in_class and rep.integral_value > 0.0
     rep = weight_class_check(field("slitplane"), 1.0, (0.0, 1.0, 0.0, 1.0))
     assert rep.in_class  # p=1 records the max of 1/h, finite on compacts
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+def test_weight_class_needs_finite_p_at_least_one(p):
+    # p = inf once reported in_class with the rectangle's area as its integral
+    with pytest.raises(ValueError, match="finite p >= 1"):
+        weight_class_check(field("halfplane"), p, (-1.0, 1.0, 1.0, 2.0))
 
 
 def test_weight_class_rejects_escaping_rectangle():
