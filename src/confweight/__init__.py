@@ -22,8 +22,7 @@ from .maps import (ConformalMap, Direction, DomainFamily, MoebiusAutomorphism,
                    compose_with_automorphism, round_trip_check, sample_interior)
 from .poisson import (ConvergenceRow, DirichletProblem, DiscSolution,
                       ResidualReport, RhsSpec, constant_rhs, convergence_study,
-                      quartic_rhs, solve_dirichlet, solve_disc_values,
-                      weak_residual)
+                      quartic_rhs, solve_dirichlet, weak_residual)
 from .quadrature import (CHECK_SPEC, DiscGridSpec, QuadResult, Verdict,
                          brennan_direct, classify, disc_nodes, integrate_disc,
                          inverse_brennan, kpq_norm, pull_back)
@@ -54,6 +53,6 @@ __all__ = [
     "moebius_ratio_bounds", "pairwise_sum", "poincare_constant_disc",
     "pull_back", "q_from_ps", "quartic_rhs", "quoted_formula_report",
     "round_trip_check", "run_verify", "sample_interior", "solve_dirichlet",
-    "solve_disc_values", "weak_residual", "weight_class_check",
-    "weight_equivalence_check", "weighted_constant_check",
+    "weak_residual", "weight_class_check", "weight_equivalence_check",
+    "weighted_constant_check",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ExponentOutOfRange, IterationDivergence
 from .fields import DiscField, PolarGrid, TestBump, lp_norm, make_bump_family
 from .maps import ConformalMap
-from .poisson import solve_disc_values
+from .poisson import solve_radial
 from .quadrature import DiscGridSpec, pull_back
 from .util import pairwise_sum
 
@@ -90,21 +90,24 @@ def disc_eigenvalue(grid: PolarGrid, tol: float = 1e-10,
                     max_iterations: int = 10_000) -> tuple[float, int]:
     """Smallest Dirichlet eigenvalue of -Laplacian on the disc, discretized.
 
-    Inverse power iteration: each step solves lap y = -x with the transfer
-    solver and renormalizes.  The Rayleigh quotient of the inverse operator,
-    mu = <y, x>/<x, x> (area weighted), converges to 1/lambda_1; iteration
-    stops when successive quotients agree to ``tol`` relative.
+    Inverse power iteration: each step solves lap y = -x with the radial
+    solver and renormalizes.  The first eigenfunction is radial, and so is
+    every iterate from the constant start, so x lives on the n_r rings; each
+    ring weighs n_theta cells, which for a power-of-two n_theta gives the
+    same sums as the full grid.  The Rayleigh quotient of the inverse
+    operator, mu = <y, x>/<x, x> (area weighted), converges to 1/lambda_1;
+    iteration stops when successive quotients agree to ``tol`` relative.
     """
-    areas = grid.cell_areas
-    x = np.ones((grid.n_r, grid.n_theta))
+    ring = grid.n_theta * grid.cell_areas[:, 0]
+    x = np.ones(grid.n_r)
     mu_prev = math.inf
     for it in range(1, max_iterations + 1):
-        y = solve_disc_values(-x, grid)
-        mu = pairwise_sum(y * x * areas) / pairwise_sum(x * x * areas)
+        y = solve_radial(-x)
+        mu = pairwise_sum(y * x * ring) / pairwise_sum(x * x * ring)
         if abs(mu - mu_prev) <= tol * abs(mu):
             return 1.0 / mu, it
         mu_prev = mu
-        x = y / math.sqrt(pairwise_sum(y * y * areas))
+        x = y / math.sqrt(pairwise_sum(y * y * ring))
     raise IterationDivergence(f"Rayleigh quotient did not settle to {tol} "
                               f"in {max_iterations} iterations")
 

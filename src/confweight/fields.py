@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GridTooCoarse, InvalidExponents, KpqDivergent
 from .maps import ConformalMap
 from .quadrature import DiscGridSpec, Verdict, kpq_norm, pull_back
-from .util import default_seed, pairwise_sum, write_csv
+from .util import default_seed, pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,6 @@ class DiscField:
         vals = np.asarray(fn(grid.nodes), dtype=float)
         return cls(grid, np.broadcast_to(vals, grid.nodes.shape))
 
-    def to_csv(self, target) -> None:
-        """Write `x,y,value` rows, one per node, 17 significant digits."""
-        nodes = self.grid.nodes
-        write_csv(target, ("x", "y", "value"), (nodes.real, nodes.imag, self.values))
-
 
 @dataclass(frozen=True)
 class TestBump:
@@ -126,9 +121,6 @@ class TestBump:
             b = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - t2))
             slope = np.where(t2 < 1.0, -2.0 * b / (1.0 - t2) ** 2, 0.0)
         return slope * d / self.radius**2
-
-    def grad_magnitude(self, w) -> np.ndarray:
-        return np.abs(self.gradient(w))
 
 
 def make_bump_family(count: int, rng: np.random.Generator | None = None) -> list[TestBump]:

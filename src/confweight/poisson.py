@@ -8,14 +8,14 @@ neither the weight nor the map, and the solve builds no node grid.
 Unbounded domains (exterior, half plane, strip) need no extra machinery for
 the same reason.
 
-The disc solve is spectral in theta (real FFT) and second order in r:
-per azimuthal mode m, a tridiagonal system for  v'' + v'/r - m^2 v/r^2 = f_m
-on the cell-midpoint nodes r_i = (i+1/2)h.  At the innermost node the stencil
-closes across the origin (v at radius -r_0 is v(r_0, theta+pi), picking up
-(-1)^m per mode); the outer Dirichlet condition enters through the ghost
-reflection v_n = -v_{n-1}, which vanishes at r = 1 to second order.  Modes
-are the columns of the rfft output; each grid's pivots are eliminated once and
-cached, so a solve is two in-place Thomas sweeps over its contiguous rows.
+Radial data has a radial solution, so the disc solve is one second-order
+tridiagonal system for  v'' + v'/r = f  on the cell-midpoint nodes
+r_i = (i+1/2)h.  At the innermost node the stencil closes across the origin
+(v at radius -r_0 is v(r_0, theta+pi) = v(r_0)); the outer Dirichlet
+condition enters through the ghost reflection v_n = -v_{n-1}, which vanishes
+at r = 1 to second order.  The pivots depend only on n_r: they are
+eliminated once and cached (O(n_r) bytes), so a solve is two Thomas sweeps
+over a length-n_r vector.
 """
 from __future__ import annotations
 
@@ -101,10 +101,9 @@ class DirichletProblem:
 
 
 def _eliminate(lo: np.ndarray, diag: np.ndarray, hi: np.ndarray):
-    """Thomas elimination of one system per column of ``diag``, shape (n, batch).
+    """Thomas elimination of the tridiagonal system (lo, diag, hi), each length n.
 
-    ``lo``/``hi`` are the shared sub/super-diagonals (length n).  Returns the
-    pivots ``den`` (n, batch) and the eliminated super-diagonal ``cp``.
+    Returns the pivots ``den`` and the eliminated super-diagonal ``cp``.
     """
     n = diag.shape[0]
     floor = 1e-14 * (np.abs(diag).max() + np.abs(lo).max() + np.abs(hi).max())
@@ -113,48 +112,49 @@ def _eliminate(lo: np.ndarray, diag: np.ndarray, hi: np.ndarray):
     for i in range(n):
         if i:
             den[i] -= lo[i] * cp[i - 1]
-        if np.any(np.abs(den[i]) <= floor):
+        if abs(den[i]) <= floor:
             raise SingularTridiagonal("zero pivot in radial solve (internal error)")
         cp[i] = hi[i] / den[i]
     return den, cp[:-1]
 
 
 @functools.lru_cache(maxsize=1)
-def _radial_factor(n_r: int, n_theta: int):
-    """Read-only ``(lo, den, cp)`` of the per-mode radial systems of one grid."""
+def _radial_factor(n_r: int):
+    """Read-only ``(lo, 1/den, cp)`` of the radial system on ``n_r`` rings."""
     h = 1.0 / n_r
-    r = PolarGrid(n_r, n_theta).r
-    modes = np.arange(n_theta // 2 + 1)
+    r = (np.arange(n_r) + 0.5) / n_r  # PolarGrid.r
     lo = 1.0 / h**2 - 1.0 / (2.0 * h * r)
     hi = 1.0 / h**2 + 1.0 / (2.0 * h * r)
-    diag = -2.0 / h**2 - modes[None, :] ** 2 / r[:, None] ** 2
-    # across-origin closure: v_{-1} = (-1)^m v_0.  At r_0 = h/2 the coupling
-    # lo[0] is identically zero, so the closure is automatic; the term is kept
-    # in the assembled form it takes on a general node layout.
-    diag[0] += np.where(modes % 2 == 0, 1.0, -1.0) * lo[0]
+    diag = np.full(n_r, -2.0 / h**2)
+    # across-origin closure: v_{-1} = v_0.  At r_0 = h/2 the coupling lo[0] is
+    # identically zero, so the closure is automatic; the term is kept in the
+    # assembled form it takes on a general node layout.
+    diag[0] += lo[0]
     # Dirichlet ghost v_n = -v_{n-1}
     diag[-1] -= hi[-1]
-    factor = (lo, *_eliminate(lo, diag, hi))
+    den, cp = _eliminate(lo, diag, hi)
+    factor = (lo, 1.0 / den, cp)
     for a in factor:
         a.flags.writeable = False
     return factor
 
 
-def solve_disc_values(f_grid: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """Solve lap v = f on the unit disc, v(1, theta) = 0, on the polar grid.
+def solve_radial(f: np.ndarray) -> np.ndarray:
+    """Solve v'' + v'/r = f on the nodes r_i = (i+1/2)/n, v(1) = 0, n = len(f).
 
-    Modes are the columns of the rfft output, swept in place row by row with
-    the grid's cached pivots; the result is a C-contiguous (n_r, n_theta) array.
+    Two Thomas sweeps with the cached pivots of ``_radial_factor(n)``.  The
+    forward sweep multiplies by the reciprocal pivots, as numpy's complex
+    division by a real pivot does, so the bits equal those of the mode-0
+    column of a 2-D Fourier solve.
     """
-    lo, den, cp = _radial_factor(grid.n_r, grid.n_theta)
-    v = np.fft.rfft(np.asarray(f_grid, dtype=float), axis=1)
-    v[0] /= den[0]
-    for i in range(1, grid.n_r):
-        v[i] -= lo[i] * v[i - 1]
-        v[i] /= den[i]
-    for i in range(grid.n_r - 2, -1, -1):
+    lo, inv_den, cp = _radial_factor(len(f))
+    v = np.array(f, dtype=float)
+    v[0] *= inv_den[0]
+    for i in range(1, len(v)):
+        v[i] = (v[i] - lo[i] * v[i - 1]) * inv_den[i]
+    for i in range(len(v) - 2, -1, -1):
         v[i] -= cp[i] * v[i + 1]
-    return np.fft.irfft(v, n=grid.n_theta, axis=1)
+    return v
 
 
 @dataclass(frozen=True)
@@ -241,9 +241,11 @@ class DiscSolution:
 def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
     """Transfer the problem to the disc, solve it there, wrap the result.
 
-    The radial f o psi is evaluated once per ring and broadcast along theta.
-    Raises RhsNotFinite if it is not finite at every node, and requires
-    n_theta to be a power of two so refinement runs reuse exact FFT lengths.
+    The radial f o psi is evaluated once per ring, solved radially, and the
+    solution broadcast along theta.  Raises RhsNotFinite if f o psi is not
+    finite at every node.  n_theta must be a power of two: eval_disc and
+    gradient need the node at theta + pi, and convergence_study restricts by
+    halving n_theta.
     """
     if grid.n_theta & (grid.n_theta - 1):
         raise ValueError("n_theta must be a power of two")
@@ -251,7 +253,7 @@ def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
     if not np.all(np.isfinite(f)):
         bad = complex(grid.r[~np.isfinite(f)][0])  # the node at theta = 0
         raise RhsNotFinite(f"right-hand side is not finite at psi({bad})")
-    v = solve_disc_values(np.broadcast_to(f[:, None], (grid.n_r, grid.n_theta)), grid)
+    v = np.broadcast_to(solve_radial(f)[:, None], (grid.n_r, grid.n_theta))
     return DiscSolution(field=DiscField(grid, v), mapping=problem.mapping)
 
 

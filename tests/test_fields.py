@@ -1,4 +1,3 @@
-import io
 import math
 import warnings
 
@@ -8,8 +7,7 @@ import pytest
 from confweight import (ConformalMap, DiscField, DiscGridSpec, DomainFamily,
                         GridTooCoarse, InvalidExponents, KpqDivergent,
                         PolarGrid, TestBump, composition_inequality_check,
-                        fmt17, gradient, isometry_check, lp_norm,
-                        make_bump_family)
+                        gradient, isometry_check, lp_norm, make_bump_family)
 
 
 def test_polar_grid_node_layout():
@@ -42,21 +40,6 @@ def test_from_function_broadcasts_constant():
     f = DiscField.from_function(g, lambda w: 2.5)
     assert f.values.shape == (4, 8)
     assert np.all(f.values == 2.5)
-
-
-def test_to_csv_round_trip(tmp_path):
-    g = PolarGrid(3, 4)
-    f = DiscField.from_function(g, lambda w: w.real)
-    buf = io.StringIO()
-    f.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 1 + 3 * 4
-    x, y, v = (float(s) for s in lines[1].split(","))
-    assert v == x
-    path = tmp_path / "field.csv"
-    f.to_csv(path)
-    assert path.read_text().splitlines()[0] == "x,y,value"
 
 
 def test_bump_shape_and_support():
@@ -202,14 +185,3 @@ def test_isometry_matched_spec_override(bumps):
     m = ConformalMap.to_disc(DomainFamily.HALFPLANE)
     coarse = isometry_check(m, bumps[:1], spec=DiscGridSpec(n_r=64, n_theta=64))
     assert coarse <= 1e-6
-
-
-def test_to_csv_keeps_header_and_fmt17_cells():
-    g = PolarGrid(5, 8)
-    f = DiscField.from_function(g, lambda w: np.abs(w) ** 2 / 3.0)
-    buf = io.StringIO()
-    f.to_csv(buf)
-    expected = "x,y,value\n" + "".join(
-        f"{fmt17(z.real)},{fmt17(z.imag)},{fmt17(v)}\n"
-        for z, v in zip(g.nodes.ravel(), f.values.ravel()))
-    assert buf.getvalue() == expected

@@ -10,9 +10,8 @@ from confweight import (ConformalMap, DirichletProblem, DomainFamily,
                         RhsNotFinite, RhsSpec, SingularTridiagonal,
                         compose_with_automorphism, constant_rhs,
                         convergence_study, disc_eigenvalue, pairwise_sum,
-                        quartic_rhs, solve_dirichlet, solve_disc_values,
-                        weak_residual)
-from confweight.poisson import _eliminate, _radial_factor
+                        quartic_rhs, solve_dirichlet, weak_residual)
+from confweight.poisson import _eliminate, _radial_factor, solve_radial
 
 _ETA = MoebiusAutomorphism(0.3 - 0.2j, rotation=0.7)
 
@@ -78,14 +77,6 @@ def test_quartic_manufactured_solution():
     sol = solve_dirichlet(prob, grid)
     exact = (1.0 - grid.r[:, None] ** 2) ** 2
     assert float(np.max(np.abs(sol.field.values - exact))) < 1e-4
-
-
-def test_solve_disc_values_direct():
-    grid = PolarGrid(128, 128)
-    f = np.full((128, 128), -4.0)
-    v = solve_disc_values(f, grid)
-    exact = 1.0 - grid.r[:, None] ** 2
-    assert float(np.max(np.abs(v - exact))) < 2.5e-5
 
 
 def test_solution_evaluation():
@@ -197,10 +188,10 @@ def test_rhs_must_be_finite():
         solve_dirichlet(prob, PolarGrid(16, 16))
 
 
-# --- the row-major radial solve against the column-major original -----------
+# --- the radial solve against the FFT solver it replaced ---------------------
 
 def _reference_solve(f_grid, grid):
-    """The original solve: transposed rfft output, Thomas sweeps over columns."""
+    """The original 2-D solve: rfft in theta, Thomas sweeps per mode, irfft."""
     n_theta, h, r = grid.n_theta, 1.0 / grid.n_r, grid.r
     fhat = np.fft.rfft(np.asarray(f_grid, dtype=float), axis=1).T.copy()
     modes = np.arange(fhat.shape[0])
@@ -225,55 +216,81 @@ def _reference_solve(f_grid, grid):
     return np.fft.irfft(dp.T, n=n_theta, axis=1)
 
 
-@pytest.mark.parametrize("n_r,n_theta", [(128, 128), (64, 256), (256, 64), (2, 8), (64, 48)])
-def test_row_major_solve_matches_the_column_major_original(n_r, n_theta):
+def _broadcast(column, grid):
+    return np.broadcast_to(column[:, None], (grid.n_r, grid.n_theta))
+
+
+_SHAPES = pytest.mark.parametrize("n_r,n_theta", [(128, 128), (64, 256), (256, 64), (2, 8)])
+
+
+@_SHAPES
+def test_radial_solve_matches_the_fft_reference(n_r, n_theta):
     grid = PolarGrid(n_r, n_theta)
-    f = np.random.default_rng(n_r * n_theta).standard_normal((n_r, n_theta))
-    v = solve_disc_values(f, grid)
-    assert v.flags.c_contiguous
-    assert np.array_equal(v, _reference_solve(f, grid))
+    rng = np.random.default_rng(n_r * n_theta)
+    for scale in 10.0 ** np.arange(-5, 6):
+        f = scale * rng.standard_normal(n_r)
+        reference = _reference_solve(_broadcast(f, grid), grid)
+        assert np.array_equal(_broadcast(solve_radial(f), grid), reference)
+
+
+@pytest.mark.parametrize("rhs", [constant_rhs(-4.0), quartic_rhs()], ids=["const", "quartic"])
+@_SHAPES
+def test_solve_dirichlet_matches_the_fft_reference(n_r, n_theta, rhs):
+    grid = PolarGrid(n_r, n_theta)
+    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID), rhs)
+    reference = _reference_solve(_broadcast(rhs.on_disc(grid.r), grid), grid)
+    assert np.array_equal(solve_dirichlet(problem, grid).field.values, reference)
 
 
 def test_cached_factor_gives_the_same_bits_as_a_cold_solve():
-    grid = PolarGrid(64, 64)
-    f = np.random.default_rng(3).standard_normal((64, 64))
+    f = np.random.default_rng(3).standard_normal(64)
     _radial_factor.cache_clear()
-    cold = solve_disc_values(f, grid)
+    cold = solve_radial(f)
     hits = _radial_factor.cache_info().hits
-    warm = [solve_disc_values(f, grid) for _ in range(2)]
+    warm = [solve_radial(f) for _ in range(2)]
     assert _radial_factor.cache_info().hits == hits + 2
     assert all(np.array_equal(w, cold) for w in warm)
 
 
 def test_cached_factor_is_read_only():
-    for a in _radial_factor(32, 16):
+    for a in _radial_factor(32):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def test_cached_factor_holds_o_of_n_r_bytes():
+    _radial_factor.cache_clear()
+    tracemalloc.start()
+    try:
+        _radial_factor(2048)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 2**10
 
 
 @pytest.mark.parametrize("diag_column", [[0.0, 2.0, 2.0], [1.0, 1.0, 2.0]])
 def test_zero_pivot_raises(diag_column):
     # first pivot 0, or second pivot 1 - 1 * (1 / 1) = 0
     lo, hi = np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0])
-    diag = np.array(diag_column)[:, None] * np.ones((1, 2))
     with pytest.raises(SingularTridiagonal, match="zero pivot in radial solve"):
-        _eliminate(lo, diag, hi)
+        _eliminate(lo, np.array(diag_column), hi)
 
 
 def test_disc_eigenvalue_matches_the_original_solver_bit_for_bit():
-    grid = PolarGrid(128, 128)
-    areas = grid.cell_areas
-    x = np.ones((128, 128))
-    mu_prev = math.inf
-    for it in range(1, 100):
-        y = _reference_solve(-x, grid)
-        mu = pairwise_sum(y * x * areas) / pairwise_sum(x * x * areas)
-        if abs(mu - mu_prev) <= 1e-10 * abs(mu):
-            break
-        mu_prev = mu
-        x = y / math.sqrt(pairwise_sum(y * y * areas))
-    assert disc_eigenvalue(grid) == (1.0 / mu, it)
+    for grid in (PolarGrid(128, 128), PolarGrid(64, 256)):
+        areas = grid.cell_areas
+        x = np.ones((grid.n_r, grid.n_theta))
+        mu_prev = math.inf
+        for it in range(1, 100):
+            y = _reference_solve(-x, grid)
+            mu = pairwise_sum(y * x * areas) / pairwise_sum(x * x * areas)
+            if abs(mu - mu_prev) <= 1e-10 * abs(mu):
+                break
+            mu_prev = mu
+            x = y / math.sqrt(pairwise_sum(y * y * areas))
+        assert disc_eigenvalue(grid) == (1.0 / mu, it)
 
 
 # --- closed-form assembly on the disc ----------------------------------------
@@ -314,7 +331,7 @@ def test_cold_quartic_solve_at_1024_squared_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 12 * 2**20
 
 
 @_maps(list(_MAPPINGS))
@@ -331,7 +348,7 @@ def test_const_solve_is_bit_identical_to_the_pullback_assembly(mapping):
     grid = PolarGrid(128, 64)
     problem = DirichletProblem(mapping, constant_rhs(-4.0))
     pulled = problem.rhs.evaluate(mapping.invert().eval(grid.nodes), mapping)
-    reference = solve_disc_values(np.broadcast_to(pulled, grid.nodes.shape), grid)
+    reference = _reference_solve(pulled, grid)
     values = solve_dirichlet(problem, PolarGrid(128, 64)).field.values
     assert np.array_equal(values, reference)
 
