@@ -9,7 +9,7 @@ from .errors import (BranchCutViolation, ConfweightError, DomainMismatch,
                      ExponentOutOfRange, GridTooCoarse, GridTooLarge,
                      IntegrandNotFinite, InvalidExponents, IterationDivergence,
                      KpqDivergent, PointOutsideDomain, RectangleNotInterior,
-                     RhsNotFinite, SingularTridiagonal)
+                     RhsNotFinite, SingularTridiagonal, SolutionNotFinite)
 from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod,
                         ExponentBounds, disc_eigenvalue,
                         exponent_bounds, poincare_constant_disc, q_from_ps,
@@ -43,8 +43,8 @@ __all__ = [
     "IterationDivergence", "J0_FIRST_ZERO", "KpqDivergent",
     "MoebiusAutomorphism", "PointOutsideDomain", "PolarGrid", "QuadResult",
     "RectangleNotInterior", "ResidualReport", "RhsNotFinite", "RhsSpec",
-    "SingularTridiagonal", "TestBump", "Verdict", "WeightClassReport",
-    "WeightField", "boundary_image_check", "boundary_samples",
+    "SingularTridiagonal", "SolutionNotFinite", "TestBump", "Verdict",
+    "WeightClassReport", "WeightField", "boundary_image_check", "boundary_samples",
     "brennan_direct", "classify", "compose_with_automorphism",
     "composition_inequality_check", "constant_rhs", "convergence_study",
     "default_seed", "disc_eigenvalue", "disc_nodes", "exponent_bounds",

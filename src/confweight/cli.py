@@ -31,7 +31,7 @@ from .exponents import (DEFAULT_ALPHA0, exponent_bounds, poincare_constant_disc,
                         q_from_ps)
 from .fields import PolarGrid, make_bump_family
 from .maps import ConformalMap, DomainFamily
-from .poisson import DirichletProblem, RhsSpec, solve_dirichlet
+from .poisson import DirichletProblem, RhsSpec, _radial_solution, solve_dirichlet
 from .quadrature import (NODE_BUDGET, QuadResult, Verdict, brennan_direct,
                          inverse_brennan, kpq_norm)
 from .util import default_seed, fmt17, open_target
@@ -261,23 +261,24 @@ def _cmd_solve(args) -> int:
     _check_budget("--nr x --ntheta", grid.n_r * grid.n_theta)
     if args.export == "lattice":
         _check_budget("--lattice-n squared", args.lattice_n ** 2)
-    solution = solve_dirichlet(problem, grid)
     config = _config_echo(args)
+    if args.output == "json":
+        # the solution is radial: its extremes are those of one column
+        column = _radial_solution(problem, grid)
+        _emit_json(config, {"u_min": float(column.min()), "u_max": float(column.max()),
+                            "n_r": args.nr, "n_theta": args.ntheta},
+                   args.out_path)
+        return 0
+    solution = solve_dirichlet(problem, grid)
     lattice = None
     if args.export == "lattice":
         xmin, xmax, ymin, ymax = args.window
         xs = np.linspace(xmin, xmax, args.lattice_n)
         ys = np.linspace(ymin, ymax, args.lattice_n)
         lattice = (xs[None, :] + 1j * ys[:, None]).ravel()
-    if (args.output or "csv") == "csv":
-        # to_csv computes every column before it opens --out, so a failed
-        # export leaves the file (or stdout) as it was
-        solution.to_csv(args.out_path, lattice=lattice, preamble=_csv_preamble(config))
-    else:
-        vals = solution.field.values
-        _emit_json(config, {"u_min": float(vals.min()), "u_max": float(vals.max()),
-                            "n_r": args.nr, "n_theta": args.ntheta},
-                   args.out_path)
+    # to_csv computes every column before it opens --out, so a failed
+    # export leaves the file (or stdout) as it was
+    solution.to_csv(args.out_path, lattice=lattice, preamble=_csv_preamble(config))
     return 0
 
 

@@ -53,5 +53,9 @@ class RhsNotFinite(ConfweightError):
     """A right-hand side evaluated to NaN or Inf on the solver grid."""
 
 
+class SolutionNotFinite(ConfweightError):
+    """A finite right-hand side overflowed to NaN or Inf in the radial solve."""
+
+
 class SingularTridiagonal(ConfweightError):
     """A tridiagonal radial system lost diagonal dominance."""

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PointOutsideDomain, RhsNotFinite, SingularTridiagonal
+from .errors import (PointOutsideDomain, RhsNotFinite, SingularTridiagonal,
+                     SolutionNotFinite)
 from .fields import DiscField, PolarGrid, TestBump, gradient
 from .maps import ConformalMap, Direction
 from .util import pairwise_sum, write_csv
@@ -238,14 +239,14 @@ class DiscSolution:
         write_csv(target, ("x", "y", "u"), (z.real, z.imag, vals), preamble)
 
 
-def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
-    """Transfer the problem to the disc, solve it there, wrap the result.
+def _radial_solution(problem: DirichletProblem, grid: PolarGrid) -> np.ndarray:
+    """The transferred solution at the n_r radii of ``grid``: one value per ring.
 
-    The radial f o psi is evaluated once per ring, solved radially, and the
-    solution broadcast along theta.  Raises RhsNotFinite if f o psi is not
-    finite at every node.  n_theta must be a power of two: eval_disc and
-    gradient need the node at theta + pi, and convergence_study restricts by
-    halving n_theta.
+    f o psi is evaluated once per ring and solved radially.  Raises
+    RhsNotFinite if f o psi is not finite at every node, and
+    SolutionNotFinite if a finite f overflows in the solve.  n_theta must be
+    a power of two: eval_disc and gradient need the node at theta + pi, and
+    convergence_study restricts by halving n_theta.
     """
     if grid.n_theta & (grid.n_theta - 1):
         raise ValueError("n_theta must be a power of two")
@@ -253,7 +254,23 @@ def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
     if not np.all(np.isfinite(f)):
         bad = complex(grid.r[~np.isfinite(f)][0])  # the node at theta = 0
         raise RhsNotFinite(f"right-hand side is not finite at psi({bad})")
-    v = np.broadcast_to(solve_radial(f)[:, None], (grid.n_r, grid.n_theta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = solve_radial(f)
+    if not np.all(np.isfinite(v)):
+        bad = float(grid.r[~np.isfinite(v)][0])
+        raise SolutionNotFinite(f"solution is not finite at radius {bad} "
+                                "(the right-hand side overflows the solve)")
+    return v
+
+
+def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
+    """Transfer the problem to the disc, solve it there, wrap the result.
+
+    The ring values of ``_radial_solution`` (whose docstring lists the
+    errors) are broadcast along theta.
+    """
+    column = _radial_solution(problem, grid)
+    v = np.broadcast_to(column[:, None], (grid.n_r, grid.n_theta))
     return DiscSolution(field=DiscField(grid, v), mapping=problem.mapping)
 
 

@@ -17,19 +17,20 @@ Verdict semantics, judged on the sequence of per-level values v_1..v_L
 The tolerance therefore doubles as the significance floor for divergence:
 growth below tol scale is treated as settled, not as evidence of blow-up.
 
-Each level is evaluated in contiguous row blocks of about 2^16 nodes, so an
-integrand must be pointwise: it receives one block at a time, never the
-whole grid.  Block and grid sizes are powers of two, so summing the block
-sums pairwise follows the same halving tree as summing the whole level, and
-every level value is bit-identical to a whole-grid evaluation.  A ladder may
-not reach a level above the 2^24-node budget (4096 x 4096 cells).
+Each level is evaluated in contiguous row blocks of about 2^16 nodes, each
+generated only when it is reached, so an integrand must be pointwise: it
+receives one block at a time, and the whole grid never exists.  Block and
+grid sizes are powers of two, so summing the block sums pairwise follows the
+same halving tree as summing the whole level, and every level value is
+bit-identical to a whole-grid evaluation.  A ladder may not reach a level
+above the 2^24-node budget (4096 x 4096 cells).
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -86,31 +87,40 @@ class QuadResult:
     level_values: tuple[float, ...] = field(default_factory=tuple)
 
 
-def disc_nodes(spec: DiscGridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes (complex, n_r x n_theta) and area weights (read-only broadcast)."""
+def disc_nodes(spec: DiscGridSpec, rows: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray] | Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Quadrature nodes (complex, n_r x n_theta) and area weights (read-only broadcast).
+
+    With ``rows``, an iterator over the same ``(w, areas)`` in consecutive
+    blocks of at most ``rows`` rows, each generated only when it is reached.
+    """
     t = np.linspace(0.0, 1.0, spec.n_r + 1)
     edges = 1.0 - (1.0 - t) ** spec.radial_grading
     r = 0.5 * (edges[:-1] + edges[1:])
     dr = np.diff(edges)
     dtheta = 2.0 * np.pi / spec.n_theta
     theta = (np.arange(spec.n_theta) + 0.5) * dtheta
-    w = r[:, None] * np.exp(1j * theta)[None, :]
-    return w, np.broadcast_to((r * dr * dtheta)[:, None], w.shape)
+    areas = r * dr * dtheta
+    phase = np.exp(1j * theta)[None, :]
+
+    def blocks(step):
+        for i in range(0, spec.n_r, step):
+            w = r[i:i + step, None] * phase
+            yield w, np.broadcast_to(areas[i:i + step, None], w.shape)
+
+    return next(blocks(spec.n_r)) if rows is None else blocks(rows)
 
 
 def _single_level(f: Callable, spec: DiscGridSpec) -> float:
-    w, weights = disc_nodes(spec)
-    rows = max(1, _BLOCK_NODES // spec.n_theta)
     sums = []
-    for i in range(0, spec.n_r, rows):
-        block = w[i:i + rows]
+    for block, areas in disc_nodes(spec, max(1, _BLOCK_NODES // spec.n_theta)):
         vals = np.asarray(f(block), dtype=float)
         if vals.shape != block.shape:
             vals = np.broadcast_to(vals, block.shape)
         if not np.all(np.isfinite(vals)):
             bad = block[~np.isfinite(vals)].ravel()[0]
             raise IntegrandNotFinite(f"integrand is not finite at interior node {bad}")
-        sums.append(pairwise_sum(vals * weights[i:i + rows]))
+        sums.append(pairwise_sum(vals * areas))
     return sums[0] if len(sums) == 1 else pairwise_sum(np.array(sums))
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -341,6 +342,46 @@ def test_solve_csv_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "solve", *argv, "--nr", "16", "--ntheta", "16")
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("--domain", "cardioid", "--f", "quartic"),
+     "73bbbbafbf2ad9bebb887c9c15d85fad056ea338b46e38f3428101501693b4ca"),
+    (("--domain", "disc", "--f", "const:0"),  # every u is -0.0
+     "0bb19df3d00efa1134b55c286549954f771065663a3d571a374de2407417e5ac"),
+])
+def test_solve_json_bytes_are_pinned(capsys, argv, digest):
+    # digests taken when the extremes came from the whole (n_r, n_theta) field
+    code, out, _ = run(capsys, "solve", *argv, "--nr", "16", "--ntheta", "16",
+                       "--output", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_solve_json_builds_no_grid():
+    # the extremes of a radial solution are those of its column: 8 KiB at 1024^2,
+    # where the broadcast field is 8 MiB
+    _radial_factor.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--domain", "cardioid", "--f", "quartic", "--nr", "1024",
+                     "--ntheta", "1024", "--output", "json", "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("rhs", ["const:1.7e308", "const:5e307", "const:-1.7e308"])
+def test_solve_overflow_exits_1_without_a_warning(capsys, recwarn, output, rhs):
+    code, out, err = run(capsys, "solve", "--domain", "disc", f"--f={rhs}",
+                         "--output", output)
+    assert (code, out) == (1, "")
+    assert err == ("error: solution is not finite at radius 0.00390625 "
+                   "(the right-hand side overflows the solve)\n")
+    assert len(recwarn) == 0
 
 
 def test_solve_csv_streams_rows_to_out(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from confweight import (ConformalMap, DirichletProblem, DomainFamily,
                         MoebiusAutomorphism, PointOutsideDomain, PolarGrid,
                         RhsNotFinite, RhsSpec, SingularTridiagonal,
-                        compose_with_automorphism, constant_rhs,
+                        SolutionNotFinite, compose_with_automorphism, constant_rhs,
                         convergence_study, disc_eigenvalue, pairwise_sum,
                         quartic_rhs, solve_dirichlet, weak_residual)
 from confweight.poisson import _eliminate, _radial_factor, solve_radial
@@ -359,3 +359,10 @@ def test_rhs_not_finite_names_the_first_bad_node():
     object.__setattr__(prob, "rhs", _PoisonedRhs())
     with pytest.raises(RhsNotFinite, match=r"not finite at psi\(\(0\.03125\+0j\)\)"):
         solve_dirichlet(prob, PolarGrid(16, 16))
+
+
+def test_overflowing_solve_names_the_first_bad_radius(recwarn):
+    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.DISC), constant_rhs(5e307))
+    with pytest.raises(SolutionNotFinite, match=r"not finite at radius 0\.03125 "):
+        solve_dirichlet(problem, PolarGrid(16, 16))
+    assert len(recwarn) == 0

@@ -72,6 +72,18 @@ def test_integrand_not_finite():
         integrate_disc(bad)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 16, 64])
+def test_node_blocks_tile_the_whole_grid_bit_for_bit(rows):
+    spec = DiscGridSpec(n_r=32, n_theta=64)
+    w, areas = disc_nodes(spec)
+    blocks = list(disc_nodes(spec, rows))
+    assert len(blocks) == -(-spec.n_r // rows)
+    assert all(b.shape == a.shape == (min(rows, spec.n_r), spec.n_theta)
+               for b, a in blocks[:-1])
+    assert np.array_equal(np.concatenate([b for b, _ in blocks]), w)
+    assert np.array_equal(np.concatenate([a for _, a in blocks]), areas)
+
+
 def _whole_grid_levels(f, spec, levels):
     """Level values from one whole-grid evaluation per level (no row blocks)."""
     values = []
@@ -120,15 +132,19 @@ def test_ladder_over_the_node_budget_fails_before_evaluating():
         integrate_disc(never, DiscGridSpec(8192, 8192), max_levels=1)
 
 
-def test_one_slitplane_level_at_1024_squared_stays_small():
+def test_slitplane_level_and_ladder_peaks_do_not_grow_with_the_grid():
+    # nodes are generated per row block, so neither the 64 MiB node array of a
+    # 2048^2 level nor anything else of whole-level size is ever held
     slit = ConformalMap.to_disc(DomainFamily.SLITPLANE)
-    tracemalloc.start()
-    try:
-        brennan_direct(slit, 4.1, DiscGridSpec(1024, 1024), max_levels=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    for spec, levels in ((DiscGridSpec(2048, 2048), 1), (DiscGridSpec(), 8)):
+        tracemalloc.start()
+        try:
+            res = brennan_direct(slit, 4.1, spec, max_levels=levels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.levels_used == levels
+        assert peak <= 8 * 2**20
 
 
 def test_classify_converged_checked_first():
