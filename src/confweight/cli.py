@@ -31,7 +31,7 @@ from .exponents import (DEFAULT_ALPHA0, exponent_bounds, poincare_constant_disc,
                         q_from_ps)
 from .fields import PolarGrid, make_bump_family
 from .maps import ConformalMap, DomainFamily
-from .poisson import DirichletProblem, RhsSpec, _radial_solution, solve_dirichlet
+from .poisson import DirichletProblem, RhsSpec, solve_dirichlet
 from .quadrature import (NODE_BUDGET, QuadResult, Verdict, brennan_direct,
                          inverse_brennan, kpq_norm)
 from .util import default_seed, fmt17, open_target
@@ -262,14 +262,13 @@ def _cmd_solve(args) -> int:
     if args.export == "lattice":
         _check_budget("--lattice-n squared", args.lattice_n ** 2)
     config = _config_echo(args)
+    solution = solve_dirichlet(problem, grid)
     if args.output == "json":
-        # the solution is radial: its extremes are those of one column
-        column = _radial_solution(problem, grid)
-        _emit_json(config, {"u_min": float(column.min()), "u_max": float(column.max()),
+        values = solution.field.values
+        _emit_json(config, {"u_min": float(values.min()), "u_max": float(values.max()),
                             "n_r": args.nr, "n_theta": args.ntheta},
                    args.out_path)
         return 0
-    solution = solve_dirichlet(problem, grid)
     lattice = None
     if args.export == "lattice":
         xmin, xmax, ymin, ymax = args.window

@@ -8,6 +8,7 @@ solution or CSV export needs one.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,17 +59,22 @@ class PolarGrid:
 
 @dataclass(frozen=True)
 class DiscField:
-    """Real scalar samples on a PolarGrid; values must be finite."""
+    """Real scalar samples on a PolarGrid; values must be finite.
+
+    ``values`` is kept as given, so a broadcast (a radial column along theta)
+    stays a view of its column.
+    """
 
     grid: PolarGrid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n_r, self.grid.n_theta):
             raise ValueError(f"values shape {vals.shape} does not match grid "
                              f"{(self.grid.n_r, self.grid.n_theta)}")
-        if not np.all(np.isfinite(vals)):
+        # min and max propagate NaN and +-inf without a full-size temporary
+        if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
             raise ValueError("field values must all be finite")
         object.__setattr__(self, "values", vals)
 
@@ -92,6 +98,8 @@ class TestBump:
 
     def __post_init__(self):
         c = complex(self.center)
+        if not cmath.isfinite(c):
+            raise ValueError("center must be finite")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("radius must be positive and finite")
         if abs(c) + self.radius >= 1.0:

@@ -278,33 +278,28 @@ class ConformalMap:
     def _ops(self) -> _FamilyOps:
         return _FAMILY_OPS[self.family]
 
-    def _check_input(self, arr: np.ndarray) -> None:
-        ops = self._ops
+    def _inside(self, arr: np.ndarray) -> np.ndarray:
+        """Membership of the map's input domain; a cut family's excludes its cut."""
         if self.direction is Direction.TO_DISC:
-            if ops.on_cut is not None:
-                bad = ops.on_cut(arr)
-                if np.any(bad):
-                    z = arr[bad].ravel()[0] if arr.ndim else complex(arr)
-                    raise BranchCutViolation(f"{z} lies on the excluded ray of '{self.family.value}'")
-            inside = ops.contains(arr)
-        else:
-            inside = ops.disc_contains(arr)
-        if not np.all(inside):
-            where = ~np.asarray(inside)
-            z = arr[where].ravel()[0] if arr.ndim else complex(arr)
-            name = self.family.value if self.direction is Direction.TO_DISC else "unit disc"
-            raise PointOutsideDomain(f"{z} is not an interior point of '{name}'")
+            return self._ops.contains(arr)
+        return self._ops.disc_contains(arr)
+
+    def _check_input(self, arr: np.ndarray) -> None:
+        inside = self._inside(arr)
+        if np.all(inside):
+            return
+        z = arr[~inside].ravel()[0] if arr.ndim else complex(arr)
+        if self.direction is Direction.FROM_DISC:
+            raise PointOutsideDomain(f"{z} is not an interior point of 'unit disc'")
+        on_cut = self._ops.on_cut
+        if on_cut is not None and on_cut(z):
+            raise BranchCutViolation(f"{z} lies on the excluded ray of '{self.family.value}'")
+        raise PointOutsideDomain(f"{z} is not an interior point of '{self.family.value}'")
 
     def contains(self, z) -> bool | np.ndarray:
         """Membership test for the map's input domain (no exception)."""
         arr, scalar = as_complex_array(z)
-        ops = self._ops
-        if self.direction is Direction.TO_DISC:
-            inside = ops.contains(arr)
-            if ops.on_cut is not None:
-                inside = inside & ~ops.on_cut(arr)
-        else:
-            inside = ops.disc_contains(arr)
+        inside = self._inside(arr)
         return bool(inside) if scalar else inside
 
     def eval(self, z):

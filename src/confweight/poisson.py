@@ -15,7 +15,8 @@ r_i = (i+1/2)h.  At the innermost node the stencil closes across the origin
 condition enters through the ghost reflection v_n = -v_{n-1}, which vanishes
 at r = 1 to second order.  The pivots depend only on n_r: they are
 eliminated once and cached (O(n_r) bytes), so a solve is two Thomas sweeps
-over a length-n_r vector.
+over a length-n_r vector, and its field is that vector broadcast along theta:
+no n_r x n_theta array is filled unless a caller asks for one.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .errors import (PointOutsideDomain, RhsNotFinite, SingularTridiagonal,
                      SolutionNotFinite)
 from .fields import DiscField, PolarGrid, TestBump, gradient
 from .maps import ConformalMap, Direction
-from .util import pairwise_sum, write_csv
+from .util import as_complex_array, pairwise_sum, write_csv
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ class DiscSolution:
         return self.field.grid
 
     def eval_disc(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=complex)
+        w, scalar = as_complex_array(w)
         g, v = self.grid, self.field.values
         rr = np.abs(np.ravel(w))
         if np.any(rr >= 1.0):
@@ -215,7 +216,7 @@ class DiscSolution:
         vn = ring(g.n_r - 1, j0[outer], j1[outer], tj[outer])
         out[outer] = vn * (1.0 - rr[outer]) / (0.5 * h)
         out = out.reshape(w.shape)
-        return float(out) if w.ndim == 0 else out
+        return float(out) if scalar else out
 
     def eval_domain(self, z) -> np.ndarray:
         """u(z) = v(phi(z)) at interior points of the model domain."""
@@ -239,14 +240,16 @@ class DiscSolution:
         write_csv(target, ("x", "y", "u"), (z.real, z.imag, vals), preamble)
 
 
-def _radial_solution(problem: DirichletProblem, grid: PolarGrid) -> np.ndarray:
-    """The transferred solution at the n_r radii of ``grid``: one value per ring.
+def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
+    """Transfer the problem to the disc, solve it there, wrap the result.
 
-    f o psi is evaluated once per ring and solved radially.  Raises
-    RhsNotFinite if f o psi is not finite at every node, and
-    SolutionNotFinite if a finite f overflows in the solve.  n_theta must be
-    a power of two: eval_disc and gradient need the node at theta + pi, and
-    convergence_study restricts by halving n_theta.
+    f o psi is evaluated once per ring and solved radially; the field is the
+    read-only broadcast of those n_r ring values along theta, so the solve
+    allocates O(n_r) bytes whatever n_theta is.  Raises RhsNotFinite if
+    f o psi is not finite at every node, and SolutionNotFinite if a finite f
+    overflows in the solve.  n_theta must be a power of two: eval_disc and
+    gradient need the node at theta + pi, and convergence_study restricts by
+    halving n_theta.
     """
     if grid.n_theta & (grid.n_theta - 1):
         raise ValueError("n_theta must be a power of two")
@@ -260,18 +263,8 @@ def _radial_solution(problem: DirichletProblem, grid: PolarGrid) -> np.ndarray:
         bad = float(grid.r[~np.isfinite(v)][0])
         raise SolutionNotFinite(f"solution is not finite at radius {bad} "
                                 "(the right-hand side overflows the solve)")
-    return v
-
-
-def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
-    """Transfer the problem to the disc, solve it there, wrap the result.
-
-    The ring values of ``_radial_solution`` (whose docstring lists the
-    errors) are broadcast along theta.
-    """
-    column = _radial_solution(problem, grid)
-    v = np.broadcast_to(column[:, None], (grid.n_r, grid.n_theta))
-    return DiscSolution(field=DiscField(grid, v), mapping=problem.mapping)
+    values = np.broadcast_to(v[:, None], (grid.n_r, grid.n_theta))
+    return DiscSolution(field=DiscField(grid, values), mapping=problem.mapping)
 
 
 @dataclass(frozen=True)

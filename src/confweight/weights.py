@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainMismatch, RectangleNotInterior
-from .maps import ConformalMap, Direction, sample_interior
+from .maps import ConformalMap, Direction, MoebiusAutomorphism, sample_interior
 from .util import as_complex_array, default_seed, pairwise_sum
 
 
@@ -68,12 +68,7 @@ def weight_equivalence_check(w1: WeightField, w2: WeightField, samples: int = 40
 
 def moebius_ratio_bounds(a: complex) -> tuple[float, float]:
     """Sharp bounds for the weight ratio induced by an automorphism parameter a."""
-    m = abs(a)
-    if not math.isfinite(m):
-        raise ValueError("automorphism parameters must be finite")
-    if m >= 1.0:
-        raise ValueError("automorphism parameter must satisfy |a| < 1")
-    lo = (1.0 - m) / (1.0 + m)
+    lo, _ = MoebiusAutomorphism(a).derivative_magnitude_bounds()
     return lo**2, (1.0 / lo) ** 2
 
 

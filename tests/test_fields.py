@@ -33,6 +33,18 @@ def test_disc_field_validation():
     vals[1, 2] = np.nan
     with pytest.raises(ValueError):
         DiscField(g, vals)
+    for bad in (np.nan, np.inf, -np.inf):
+        column = np.array([0.0, 1.0, bad, -2.0])
+        with pytest.raises(ValueError, match="finite"):
+            DiscField(g, np.broadcast_to(column[:, None], (4, 4)))
+
+
+def test_disc_field_keeps_a_broadcast_column_as_a_view():
+    column = np.array([-1.0, -0.5, 0.25, 0.0])
+    values = np.broadcast_to(column[:, None], (4, 8))
+    field = DiscField(PolarGrid(4, 8), values)
+    assert field.values is values
+    assert field.values.strides == (8, 0)
 
 
 def test_from_function_broadcasts_constant():
@@ -64,6 +76,9 @@ def test_bump_requires_support_inside_disc():
         TestBump(center=0.8 + 0.0j, radius=0.3)
     with pytest.raises(ValueError):
         TestBump(center=0.0j, radius=-0.1)
+    for center in (complex("nan"), float("nan"), complex(0.1, float("nan"))):
+        with pytest.raises(ValueError, match="center must be finite"):
+            TestBump(center=center, radius=0.2)
 
 
 def test_bump_gradient_matches_finite_differences():

@@ -54,6 +54,15 @@ def test_slitplane_branch_cut():
         assert abs(m.eval(z)) < 1.0
 
 
+def test_a_mixed_bad_array_names_its_first_rejected_point():
+    m = ConformalMap.to_disc(DomainFamily.CARDIOID)
+    with pytest.raises(PointOutsideDomain, match=r"^\(3\+0j\) is not an interior") as info:
+        m.eval(np.array([0.1 + 0.1j, 3.0, -0.1]))
+    assert not isinstance(info.value, BranchCutViolation)
+    with pytest.raises(BranchCutViolation, match=r"^\(-0\.1\+0j\) lies on the excluded ray"):
+        m.derivative(np.array([0.1 + 0.1j, -0.1, 3.0]))
+
+
 def test_exterior_disc_side_punctured():
     inv = ConformalMap.from_disc(DomainFamily.EXTERIOR)
     with pytest.raises(PointOutsideDomain):

@@ -1,6 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from confweight import poisson, verify
+from confweight.util import DEFAULT_SEED
 from confweight.verify import _check_maps
 
 # 3626764237 put a slit-plane evaluation point close enough to the branch point
@@ -17,3 +22,29 @@ def test_map_checks_pass_at_seed(seed):
     fd = [detail["max_rel"] for name, _, detail in checks if ".derivative_fd." in name]
     assert len(fd) == 12
     assert max(fd) <= 1e-7
+
+
+def test_poisson_checks_solve_each_disc_grid_once(monkeypatch):
+    # every family's transferred problem is the same disc problem
+    counts = {"solve_dirichlet": 0, "weak_residual": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        wrapped = counted(getattr(poisson, name))
+        for module in (verify, poisson):
+            monkeypatch.setattr(module, name, wrapped)
+    checks = []
+    verify._check_poisson(
+        lambda name, passed, **detail: checks.append(
+            {"name": name, "passed": bool(passed), "detail": detail}),
+        np.random.default_rng(DEFAULT_SEED))
+    # 3 grids + 4 convergence levels + 2 re-solves + negation + weight spy
+    assert counts == {"solve_dirichlet": 11, "weak_residual": 3}
+    # digest taken when every family solved and tested its own three grids
+    digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
+    assert digest == "27ea7f98bea0d9c7016393d01cf62a3515f3851ce338a75d599435014132f8a7"
