@@ -8,15 +8,15 @@ and the unit disc, and estimates the associated embedding constants.
 from .errors import (BranchCutViolation, ConfweightError, DomainMismatch,
                      ExponentOutOfRange, GridTooCoarse, GridTooLarge,
                      IntegrandNotFinite, InvalidExponents, IterationDivergence,
-                     KpqDivergent, PointOutsideDomain, RectangleNotInterior,
-                     RhsNotFinite, SingularTridiagonal, SolutionNotFinite)
+                     KpqDivergent, PointOutsideDomain, RhsNotFinite,
+                     SingularTridiagonal, SolutionNotFinite)
 from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod,
                         ExponentBounds, disc_eigenvalue,
                         exponent_bounds, poincare_constant_disc, q_from_ps,
                         weighted_constant_check)
 from .fields import (CompositionRecord, DiscField, PolarGrid, TestBump,
-                     composition_inequality_check, gradient, isometry_check,
-                     lp_norm, make_bump_family)
+                     composition_inequality_check, isometry_check, lp_norm,
+                     make_bump_family)
 from .maps import (ConformalMap, Direction, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
                    compose_with_automorphism, round_trip_check, sample_interior)
@@ -28,8 +28,7 @@ from .quadrature import (CHECK_SPEC, DiscGridSpec, QuadResult, Verdict,
                          inverse_brennan, kpq_norm, pull_back)
 from .util import DEFAULT_SEED, default_seed, fmt17, pairwise_sum
 from .verify import J0_FIRST_ZERO, quoted_formula_report, run_verify
-from .weights import (WeightClassReport, WeightField, moebius_ratio_bounds,
-                      weight_class_check, weight_equivalence_check)
+from .weights import WeightField, moebius_ratio_bounds, weight_equivalence_check
 
 __version__ = "1.0.0"
 
@@ -38,21 +37,19 @@ __all__ = [
     "ConfweightError", "ConstantEstimate", "ConvergenceRow", "DEFAULT_ALPHA0",
     "DEFAULT_SEED", "DirichletProblem", "Direction", "DiscField",
     "DiscGridSpec", "DiscSolution", "DomainFamily", "DomainMismatch",
-    "EstimateMethod", "ExponentBounds", "ExponentOutOfRange",
-    "GridTooCoarse", "GridTooLarge", "IntegrandNotFinite", "InvalidExponents",
+    "EstimateMethod", "ExponentBounds", "ExponentOutOfRange", "GridTooCoarse",
+    "GridTooLarge", "IntegrandNotFinite", "InvalidExponents",
     "IterationDivergence", "J0_FIRST_ZERO", "KpqDivergent",
     "MoebiusAutomorphism", "PointOutsideDomain", "PolarGrid", "QuadResult",
-    "RectangleNotInterior", "ResidualReport", "RhsNotFinite", "RhsSpec",
-    "SingularTridiagonal", "SolutionNotFinite", "TestBump", "Verdict",
-    "WeightClassReport", "WeightField", "boundary_image_check", "boundary_samples",
-    "brennan_direct", "classify", "compose_with_automorphism",
-    "composition_inequality_check", "constant_rhs", "convergence_study",
-    "default_seed", "disc_eigenvalue", "disc_nodes", "exponent_bounds",
-    "fmt17", "gradient", "integrate_disc", "inverse_brennan",
+    "ResidualReport", "RhsNotFinite", "RhsSpec", "SingularTridiagonal",
+    "SolutionNotFinite", "TestBump", "Verdict", "WeightField",
+    "boundary_image_check", "boundary_samples", "brennan_direct", "classify",
+    "compose_with_automorphism", "composition_inequality_check", "constant_rhs",
+    "convergence_study", "default_seed", "disc_eigenvalue", "disc_nodes",
+    "exponent_bounds", "fmt17", "integrate_disc", "inverse_brennan",
     "isometry_check", "kpq_norm", "lp_norm", "make_bump_family",
     "moebius_ratio_bounds", "pairwise_sum", "poincare_constant_disc",
     "pull_back", "q_from_ps", "quartic_rhs", "quoted_formula_report",
     "round_trip_check", "run_verify", "sample_interior", "solve_dirichlet",
-    "weak_residual", "weight_class_check", "weight_equivalence_check",
-    "weighted_constant_check",
+    "weak_residual", "weight_equivalence_check", "weighted_constant_check",
 ]

@@ -17,10 +17,6 @@ class DomainMismatch(ConfweightError):
     """Two objects defined over different domain families were combined."""
 
 
-class RectangleNotInterior(ConfweightError):
-    """A test rectangle is not strictly contained in the domain."""
-
-
 class IntegrandNotFinite(ConfweightError):
     """An integrand returned NaN or Inf at an interior quadrature node."""
 

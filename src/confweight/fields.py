@@ -4,7 +4,8 @@ Test functions are closed-form bumps evaluated analytically (value and
 gradient), so composing them with a conformal map costs no interpolation
 error; the pullback checks below then run at pure quadrature accuracy.
 Sampled fields (DiscField) on a uniform polar grid only appear where a PDE
-solution or CSV export needs one.
+solution or CSV export needs one; the solver's fields are radial, and
+``poisson`` differences and interpolates their ring column itself.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridTooCoarse, InvalidExponents, KpqDivergent
+from .errors import InvalidExponents, KpqDivergent
 from .maps import ConformalMap
 from .quadrature import DiscGridSpec, Verdict, kpq_norm, pull_back
 from .util import default_seed, pairwise_sum
@@ -146,39 +147,6 @@ def make_bump_family(count: int, rng: np.random.Generator | None = None) -> list
         bumps.append(TestBump(center=rho * np.exp(1j * ang), radius=radius,
                               amplitude=amp))
     return bumps
-
-
-def gradient(field: DiscField) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian gradient arrays (gx, gy) by second-order polar differences.
-
-    Central differences in r and theta; the innermost ring differences
-    across the origin using the node at theta + pi, the outermost ring uses
-    a one-sided three-point stencil.
-    """
-    g = field.grid
-    if g.n_r < 16 or g.n_theta < 16:
-        raise GridTooCoarse(f"gradient needs at least 16 nodes per direction, "
-                            f"got {g.n_r}x{g.n_theta}")
-    if g.n_theta % 2:
-        raise ValueError("n_theta must be even for the across-origin stencil")
-    v = field.values
-    h = 1.0 / g.n_r
-    dtheta = 2.0 * np.pi / g.n_theta
-
-    fr = np.empty_like(v)
-    fr[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    # v(-r_0, theta) == v(r_0, theta + pi), spacing still 2h
-    fr[0] = (v[1] - np.roll(v[0], -(g.n_theta // 2))) / (2.0 * h)
-    fr[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-
-    ft = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * dtheta)
-
-    cos = np.cos(g.theta)[None, :]
-    sin = np.sin(g.theta)[None, :]
-    inv_r = (1.0 / g.r)[:, None]
-    gx = fr * cos - ft * sin * inv_r
-    gy = fr * sin + ft * cos * inv_r
-    return gx, gy
 
 
 def lp_norm(field: DiscField, p: float) -> float:

@@ -16,7 +16,9 @@ condition enters through the ghost reflection v_n = -v_{n-1}, which vanishes
 at r = 1 to second order.  The pivots depend only on n_r: they are
 eliminated once and cached (O(n_r) bytes), so a solve is two Thomas sweeps
 over a length-n_r vector, and its field is that vector broadcast along theta:
-no n_r x n_theta array is filled unless a caller asks for one.
+no n_r x n_theta array is filled unless a caller asks for one.  Every consumer
+reads the ring column: off-node values interpolate it linearly in r, the weak
+residual differences it radially, and convergence studies restrict it.
 """
 from __future__ import annotations
 
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (PointOutsideDomain, RhsNotFinite, SingularTridiagonal,
-                     SolutionNotFinite)
-from .fields import DiscField, PolarGrid, TestBump, gradient
+from .errors import (GridTooCoarse, PointOutsideDomain, RhsNotFinite,
+                     SingularTridiagonal, SolutionNotFinite)
+from .fields import DiscField, PolarGrid, TestBump
 from .maps import ConformalMap, Direction
 from .util import as_complex_array, pairwise_sum, write_csv
 
@@ -163,13 +165,20 @@ def solve_radial(f: np.ndarray) -> np.ndarray:
 class DiscSolution:
     """Transferred solution v on the disc grid plus the map back to the domain.
 
-    u(z) := v(phi(z)) is the solution of the original weighted problem;
-    off-node evaluation is bilinear in (r, theta) with the exact boundary
-    value 0 at r = 1 and an across-origin diameter rule below the first ring.
+    u(z) := v(phi(z)) is the solution of the original weighted problem.
+    The field must be constant along theta (``solve_dirichlet`` broadcasts
+    its ring column), so off-node evaluation is linear in r on the column
+    ``field.values[:, 0]`` with the exact boundary value 0 at r = 1
+    appended; below the first ring it takes the first ring's value.
     """
 
     field: DiscField
     mapping: ConformalMap
+
+    def __post_init__(self):
+        v = self.field.values  # theta stride 0: a broadcast column, constant as built
+        if v.strides[1] and not np.all(v == v[:, :1]):
+            raise ValueError("solution field must be constant along theta (a ring column)")
 
     @property
     def grid(self) -> PolarGrid:
@@ -177,45 +186,11 @@ class DiscSolution:
 
     def eval_disc(self, w) -> np.ndarray:
         w, scalar = as_complex_array(w)
-        g, v = self.grid, self.field.values
-        rr = np.abs(np.ravel(w))
+        rr = np.abs(w)
         if np.any(rr >= 1.0):
             raise PointOutsideDomain("evaluation point outside the open unit disc")
-        theta = np.mod(np.angle(np.ravel(w)), 2.0 * np.pi)
-        h = 1.0 / g.n_r
-        dth = 2.0 * np.pi / g.n_theta
-
-        jf = theta / dth
-        j0 = np.floor(jf).astype(int) % g.n_theta
-        tj = jf - np.floor(jf)
-        j1 = (j0 + 1) % g.n_theta
-
-        def ring(i, jlo, jhi, frac):
-            return v[i, jlo] * (1.0 - frac) + v[i, jhi] * frac
-
-        p = rr / h - 0.5
-        i0 = np.floor(p).astype(int)
-        ti = p - np.floor(p)
-        out = np.empty(rr.shape)
-
-        inner = i0 < 0
-        outer = i0 >= g.n_r - 1
-        mid = ~(inner | outer)
-
-        im = i0[mid]
-        vlo = ring(im, j0[mid], j1[mid], tj[mid])
-        vhi = ring(im + 1, j0[mid], j1[mid], tj[mid])
-        out[mid] = vlo * (1.0 - ti[mid]) + vhi * ti[mid]
-        # linear along the diameter between (r_0, theta+pi) and (r_0, theta)
-        half = g.n_theta // 2
-        a = ring(0, j0[inner], j1[inner], tj[inner])
-        b = ring(0, (j0[inner] + half) % g.n_theta,
-                 (j1[inner] + half) % g.n_theta, tj[inner])
-        r0 = 0.5 * h
-        out[inner] = ((rr[inner] + r0) * a + (r0 - rr[inner]) * b) / (2.0 * r0)
-        vn = ring(g.n_r - 1, j0[outer], j1[outer], tj[outer])
-        out[outer] = vn * (1.0 - rr[outer]) / (0.5 * h)
-        out = out.reshape(w.shape)
+        column = self.field.values[:, 0]
+        out = np.interp(rr, np.append(self.grid.r, 1.0), np.append(column, 0.0))
         return float(out) if scalar else out
 
     def eval_domain(self, z) -> np.ndarray:
@@ -247,12 +222,8 @@ def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
     read-only broadcast of those n_r ring values along theta, so the solve
     allocates O(n_r) bytes whatever n_theta is.  Raises RhsNotFinite if
     f o psi is not finite at every node, and SolutionNotFinite if a finite f
-    overflows in the solve.  n_theta must be a power of two: eval_disc and
-    gradient need the node at theta + pi, and convergence_study restricts by
-    halving n_theta.
+    overflows in the solve.
     """
-    if grid.n_theta & (grid.n_theta - 1):
-        raise ValueError("n_theta must be a power of two")
     f = problem.rhs.on_disc(grid.r)
     if not np.all(np.isfinite(f)):
         bad = complex(grid.r[~np.isfinite(f)][0])  # the node at theta = 0
@@ -286,7 +257,17 @@ def weak_residual(solution: DiscSolution, problem: DirichletProblem,
     if not bumps:
         raise ValueError("need at least one test bump")
     grid = solution.grid
-    gx, gy = gradient(solution.field)
+    if grid.n_r < 16 or grid.n_theta < 16:
+        raise GridTooCoarse(f"weak_residual needs at least 16 nodes per direction, "
+                            f"got {grid.n_r}x{grid.n_theta}")
+    # second-order radial differences of the ring column; across the origin
+    # v(-r_0) = v(r_0), and the outer ring takes a one-sided 3-point stencil
+    v, h = solution.field.values[:, 0], 1.0 / grid.n_r
+    dv = np.empty_like(v)
+    dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    dv[0] = (v[1] - v[0]) / (2.0 * h)
+    dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    gx, gy = dv[:, None] * np.cos(grid.theta), dv[:, None] * np.sin(grid.theta)
     areas, nodes = grid.cell_areas, grid.nodes
     ftilde = problem.rhs_on_disc(nodes)
     res = []
@@ -306,46 +287,39 @@ class ConvergenceRow:
     order: float | None  # observed rate vs the previous row
 
 
-def _restrict_once(values: np.ndarray) -> np.ndarray:
+def _restrict_once(column: np.ndarray) -> np.ndarray:
     # coarse node (i+1/2)H sits midway between fine radial nodes 2i and 2i+1
-    # at the same theta (even fine columns)
-    return 0.5 * (values[0::2, 0::2] + values[1::2, 0::2])
+    return 0.5 * (column[0::2] + column[1::2])
 
 
 def convergence_study(problem: DirichletProblem, levels: int = 4,
                       base: PolarGrid | None = None) -> list[ConvergenceRow]:
     """Solve on a ladder of doubled grids and report max errors and orders.
 
-    Constant right-hand sides are scored against the exact transferred
-    solution v = c(|w|^2 - 1)/4; anything else against the finest level
-    restricted (second-order radial averaging) to each coarser grid.
+    Each level's ring column is scored: constant right-hand sides against
+    the exact transferred solution v = c(|w|^2 - 1)/4, anything else against
+    the finest column restricted (second-order radial averaging) to each
+    coarser grid.
     """
     if levels < 3:
         raise ValueError("need at least 3 levels")
     if base is None:
         base = PolarGrid(32, 32)
     grids = [PolarGrid(base.n_r << k, base.n_theta << k) for k in range(levels)]
-    sols = [solve_dirichlet(problem, g) for g in grids]
+    columns = [solve_dirichlet(problem, g).field.values[:, 0] for g in grids]
 
-    errors: list[float] = []
-    scored: list[PolarGrid] = []
     if problem.rhs.kind == "const":
         c = problem.rhs.value
-        for g, s in zip(grids, sols):
-            exact = 0.25 * c * (g.r[:, None] ** 2 - 1.0)
-            errors.append(float(np.max(np.abs(s.field.values - exact))))
-            scored.append(g)
+        refs = [0.25 * c * (g.r ** 2 - 1.0) for g in grids]
     else:
-        finest = sols[-1].field.values
-        for k in range(levels - 1):
-            ref = finest
-            for _ in range(levels - 1 - k):
-                ref = _restrict_once(ref)
-            errors.append(float(np.max(np.abs(sols[k].field.values - ref))))
-            scored.append(grids[k])
+        refs = [columns[-1]]
+        while len(refs) < levels:
+            refs.insert(0, _restrict_once(refs[0]))
+        refs.pop()  # the finest level is the reference, so it is not scored
+    errors = [float(np.max(np.abs(v - ref))) for v, ref in zip(columns, refs)]
 
     rows: list[ConvergenceRow] = []
-    for k, (g, e) in enumerate(zip(scored, errors)):
+    for k, (g, e) in enumerate(zip(grids, errors)):
         prev = errors[k - 1] if k else 0.0
         order = math.log2(prev / e) if prev and e else None
         rows.append(ConvergenceRow(n_r=g.n_r, n_theta=g.n_theta, max_error=e, order=order))

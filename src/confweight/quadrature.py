@@ -208,13 +208,21 @@ def pull_back(mapping: ConformalMap, spec: DiscGridSpec | None = None
 
     phi is the TO_DISC ``mapping`` and psi its inverse; the pulled-back
     conformal weight is the product (|phi'(psi)| * |psi'|)^2, identically one
-    in exact arithmetic.  ``spec`` defaults to CHECK_SPEC.
+    in exact arithmetic.  ``spec`` defaults to CHECK_SPEC.  The magnitudes are
+    filled in row blocks, so the maps' complex temporaries stay block-sized.
     """
     if mapping.direction is not Direction.TO_DISC:
         raise ValueError("mapping must send its domain to the disc")
-    w, areas = disc_nodes(CHECK_SPEC if spec is None else spec)
+    spec = CHECK_SPEC if spec is None else spec
+    w, areas = disc_nodes(spec)
     inv = mapping.invert()
-    return w, areas, np.abs(mapping.derivative(inv.eval(w))), np.abs(inv.derivative(w))
+    phi_abs, psi_abs = np.empty(w.shape), np.empty(w.shape)
+    rows = max(1, _BLOCK_NODES // spec.n_theta)
+    for i in range(0, spec.n_r, rows):
+        block = w[i:i + rows]
+        phi_abs[i:i + rows] = np.abs(mapping.derivative(inv.eval(block)))
+        psi_abs[i:i + rows] = np.abs(inv.derivative(block))
+    return w, areas, phi_abs, psi_abs
 
 
 def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = None,

@@ -6,15 +6,14 @@ yields the disc area pi, whatever the domain.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainMismatch, RectangleNotInterior
+from .errors import DomainMismatch
 from .maps import ConformalMap, Direction, MoebiusAutomorphism, sample_interior
-from .util import as_complex_array, default_seed, pairwise_sum
+from .util import as_complex_array, default_seed
 
 
 @dataclass(frozen=True)
@@ -70,45 +69,3 @@ def moebius_ratio_bounds(a: complex) -> tuple[float, float]:
     """Sharp bounds for the weight ratio induced by an automorphism parameter a."""
     lo, _ = MoebiusAutomorphism(a).derivative_magnitude_bounds()
     return lo**2, (1.0 / lo) ** 2
-
-
-@dataclass(frozen=True)
-class WeightClassReport:
-    p: float
-    compact_set: str
-    in_class: bool
-    integral_value: float
-
-
-def weight_class_check(field: WeightField, p: float, rect: tuple[float, float, float, float],
-                       n: int = 64) -> WeightClassReport:
-    """Check the local integrability condition for h over a compact rectangle.
-
-    For p > 1 the report integrates h^{1/(1-p)} over the rectangle with an
-    n x n midpoint rule; for p = 1 it records the sample maximum of 1/h
-    (an essential-sup estimate).  The rectangle must be strictly interior:
-    every midpoint sample is required to be inside the domain.
-    """
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError("the weight classes are defined for finite p >= 1")
-    x0, x1, y0, y1 = map(float, rect)
-    if not (np.isfinite([x0, x1, y0, y1]).all() and x0 < x1 and y0 < y1):
-        raise ValueError("rectangle must be (x0, x1, y0, y1) with x0 < x1, y0 < y1")
-    dx = (x1 - x0) / n
-    dy = (y1 - y0) / n
-    xs = x0 + (np.arange(n) + 0.5) * dx
-    ys = y0 + (np.arange(n) + 0.5) * dy
-    z = xs[:, None] + 1j * ys[None, :]
-    inside = field.map.contains(z)
-    if not np.all(inside):
-        bad = z[~inside].ravel()[0]
-        raise RectangleNotInterior(f"sample {bad} of the rectangle leaves the domain")
-    h = field.evaluate(z)
-    if p == 1.0:
-        value = float((1.0 / h).max())
-    else:
-        value = pairwise_sum(h ** (1.0 / (1.0 - p)) * dx * dy)
-    return WeightClassReport(p=float(p),
-                             compact_set=f"[{x0:g},{x1:g}]x[{y0:g},{y1:g}]",
-                             in_class=bool(np.isfinite(value)),
-                             integral_value=value)

@@ -254,9 +254,12 @@ def test_invalid_grid_sizes_exit_cleanly(capsys):
     code, _, err = run(capsys, "solve", "--domain", "disc", "--f", "const:-4",
                        "--nr", "0", "--ntheta", "32")
     assert code == 1 and err.startswith("error:")
-    code, _, err = run(capsys, "solve", "--domain", "disc", "--f", "const:-4",
-                       "--nr", "32", "--ntheta", "31")
-    assert code == 1 and "power of two" in err
+    # any angle count is a grid: the radial solve never pairs theta with theta + pi
+    code, out, err = run(capsys, "solve", "--domain", "disc", "--f", "const:-4",
+                         "--nr", "32", "--ntheta", "31")
+    assert code == 0 and err == ""
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert rows[0] == "x,y,u" and len(rows) == 1 + 32 * 31
 
 
 def test_bad_cw_seed_exit(capsys, monkeypatch):
@@ -335,10 +338,12 @@ def test_failed_solve_csv_leaves_stdout_empty(capsys, window):
      "ce7973ebb43d1f90974cf06ae6a115686f7a6991bb1e1b65a0b8b19262eb3ac2"),
     (("--domain", "halfplane", "--f", "quartic", "--export", "lattice",
       "--window=-2,2,0.01,4", "--lattice-n", "9"),
-     "a119ef681654cdaae9171c1dcafb89dc23424c05773a8536af570f75dbdda4c6"),
+     "193e512db93936485196ae65beb7c573edfca727cb2e41b3024df1d5ba0438f2"),
 ])
 def test_solve_csv_bytes_are_pinned(capsys, argv, digest):
-    # streaming must not move a byte: these digests were taken from the buffered writer
+    # streaming must not move a byte: these digests were taken from the buffered writer,
+    # the lattice one again when eval_disc became linear on the ring column (15 of its
+    # 81 u cells moved, by at most 1.1e-16: test_pinned_lattice_cells_move_by_rounding_only)
     code, out, _ = run(capsys, "solve", *argv, "--nr", "16", "--ntheta", "16")
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from confweight import (ConformalMap, DiscField, DiscGridSpec, DomainFamily,
-                        GridTooCoarse, InvalidExponents, KpqDivergent,
-                        PolarGrid, TestBump, composition_inequality_check,
-                        gradient, isometry_check, lp_norm, make_bump_family)
+                        InvalidExponents, KpqDivergent, PolarGrid, TestBump,
+                        composition_inequality_check, isometry_check, lp_norm,
+                        make_bump_family)
 
 
 def test_polar_grid_node_layout():
@@ -101,36 +101,6 @@ def test_make_bump_family_deterministic():
            [(x.center, x.radius, x.amplitude) for x in b]
     for bump in a:
         assert abs(bump.center) + bump.radius <= 0.9 + 1e-12
-
-
-def test_gradient_requires_fine_grid():
-    with pytest.raises(GridTooCoarse):
-        gradient(DiscField.from_function(PolarGrid(8, 32), lambda w: w.real))
-    with pytest.raises(GridTooCoarse):
-        gradient(DiscField.from_function(PolarGrid(32, 8), lambda w: w.real))
-
-
-def test_gradient_of_linear_function():
-    g = PolarGrid(128, 128)
-    gx, gy = gradient(DiscField.from_function(g, lambda w: w.real))
-    assert np.abs(gx - 1.0).max() <= 1e-3
-    assert np.abs(gy).max() <= 1e-3
-
-
-def test_gradient_of_constant_is_zero():
-    g = PolarGrid(32, 32)
-    gx, gy = gradient(DiscField.from_function(g, lambda w: 3.0))
-    assert np.abs(gx).max() == 0.0
-    assert np.abs(gy).max() == 0.0
-
-
-def test_gradient_of_radius_squared():
-    g = PolarGrid(128, 128)
-    gx, gy = gradient(DiscField.from_function(g, lambda w: np.abs(w) ** 2))
-    ex, ey = 2.0 * g.nodes.real, 2.0 * g.nodes.imag
-    # interior rows only; radial extremes use one-sided stencils
-    err = max(np.abs(gx - ex)[1:-1].max(), np.abs(gy - ey)[1:-1].max())
-    assert err < 1e-3
 
 
 def test_lp_norm_examples():

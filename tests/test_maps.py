@@ -173,6 +173,44 @@ def test_automorphism_composition(rng):
     assert np.abs(comp(w) - eta1(eta2(w))).max() < 1e-13
 
 
+def _automorphism_properties():
+    """Hypothesis strategies: automorphisms with |a| < 0.95, points with |w| <= 0.9."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    angle = st.floats(-np.pi, np.pi)
+
+    def polar(radius):
+        return st.builds(lambda r, t: r * np.exp(1j * t), radius, angle)
+
+    automorphisms = st.builds(MoebiusAutomorphism, polar(st.floats(0.0, 0.95, exclude_max=True)),
+                              angle)
+    settings = hypothesis.settings(max_examples=200, deadline=None, database=None)
+    return hypothesis.given, settings, automorphisms, polar(st.floats(0.0, 0.9))
+
+
+def test_automorphism_composition_property():
+    given, settings, automorphisms, points = _automorphism_properties()
+
+    @settings
+    @given(automorphisms, automorphisms, points)
+    def check(outer, inner, w):
+        assert abs(outer.compose(inner)(w) - outer(inner(w))) <= 1e-12
+
+    check()
+
+
+def test_automorphism_inverse_round_trip_property():
+    given, settings, automorphisms, points = _automorphism_properties()
+
+    @settings
+    @given(automorphisms, points)
+    def check(eta, w):
+        assert abs(eta.inverse()(eta(w)) - w) <= 1e-13
+        assert abs(eta(eta.inverse()(w)) - w) <= 1e-13
+
+    check()
+
+
 def test_compose_with_automorphism_still_uniformizes(rng):
     base = ConformalMap.to_disc(DomainFamily.HALFPLANE)
     eta = MoebiusAutomorphism(a=0.5, rotation=0.3)

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from confweight import (ConformalMap, DirichletProblem, DomainFamily,
-                        MoebiusAutomorphism, PointOutsideDomain, PolarGrid,
+from confweight import (ConformalMap, DirichletProblem, DiscField, DiscSolution,
+                        DomainFamily, GridTooCoarse, MoebiusAutomorphism,
+                        PointOutsideDomain, PolarGrid,
                         RhsNotFinite, RhsSpec, SingularTridiagonal,
                         SolutionNotFinite, compose_with_automorphism, constant_rhs,
                         convergence_study, disc_eigenvalue, pairwise_sum,
@@ -54,9 +55,19 @@ def test_rhs_on_disc_is_weightless_pullback():
     assert np.array_equal(prob.rhs_on_disc(w), [-4.0, -4.0])
 
 
-def test_solve_requires_power_of_two_angles():
-    with pytest.raises(ValueError):
-        solve_dirichlet(halfplane_problem(), PolarGrid(64, 48))
+@pytest.mark.parametrize("rhs", [constant_rhs(-4.0), quartic_rhs()], ids=["const", "quartic"])
+def test_solve_accepts_any_angle_count(rhs, bumps):
+    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID), rhs)
+    odd = solve_dirichlet(problem, PolarGrid(64, 48))
+    even = solve_dirichlet(problem, PolarGrid(64, 64))
+    assert odd.field.values.shape == (64, 48)
+    assert np.array_equal(odd.field.values[:, 0], even.field.values[:, 0])
+    w = np.array([0.0j, 0.3 + 0.4j, -0.2j, 0.999 + 0.0j])
+    assert np.array_equal(odd.eval_disc(w), even.eval_disc(w))
+    # the weak residual runs there and still falls at second order
+    coarse = weak_residual(odd, problem, bumps).max_residual
+    fine = weak_residual(solve_dirichlet(problem, PolarGrid(128, 96)), problem, bumps)
+    assert math.log2(coarse / fine.max_residual) >= 1.9
 
 
 def test_exact_constant_solution_converges():
@@ -99,6 +110,17 @@ def test_eval_disc_rejects_non_finite_points(w, recwarn):
     with pytest.raises(ValueError, match="finite"):
         sol.eval_disc(w)
     assert len(recwarn) == 0
+
+
+def test_solution_field_must_be_a_ring_column():
+    grid, disc = PolarGrid(16, 16), ConformalMap.to_disc(DomainFamily.DISC)
+    column = 1.0 - grid.r**2
+    for values in (_broadcast(column, grid), np.array(_broadcast(column, grid))):
+        solution = DiscSolution(DiscField(grid, values), disc)
+        assert solution.eval_disc(-0.5 + 0.0j) == solution.eval_disc(0.5 + 0.0j)
+    # eval_disc and weak_residual read column 0 only, so w.real would read as |w|
+    with pytest.raises(ValueError, match="constant along theta"):
+        DiscSolution(DiscField.from_function(grid, lambda w: w.real), disc)
 
 
 def test_eval_domain_matches_disc():
@@ -376,3 +398,103 @@ def test_overflowing_solve_names_the_first_bad_radius(recwarn):
     with pytest.raises(SolutionNotFinite, match=r"not finite at radius 0\.03125 "):
         solve_dirichlet(problem, PolarGrid(16, 16))
     assert len(recwarn) == 0
+
+
+# --- the ring column against the 2-D rules it replaced -----------------------
+
+def _polar_gradient(values, grid):
+    """The deleted 2-D gradient: central differences in r and theta, the first
+    ring differenced across the origin through the node at theta + pi."""
+    h, dtheta = 1.0 / grid.n_r, 2.0 * np.pi / grid.n_theta
+    fr = np.empty_like(values)
+    fr[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    fr[0] = (values[1] - np.roll(values[0], -(grid.n_theta // 2))) / (2.0 * h)
+    fr[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    ft = (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2.0 * dtheta)
+    cos, sin = np.cos(grid.theta)[None, :], np.sin(grid.theta)[None, :]
+    inv_r = (1.0 / grid.r)[:, None]
+    return fr * cos - ft * sin * inv_r, fr * sin + ft * cos * inv_r
+
+
+def _bilinear_eval(solution, w):
+    """The deleted 2-D evaluation: bilinear in (r, theta), linear along the
+    diameter below the first ring, and a wedge down to 0 above the last."""
+    g, v = solution.grid, solution.field.values
+    rr, h, dth = np.abs(w), 1.0 / g.n_r, 2.0 * np.pi / g.n_theta
+    jf = np.mod(np.angle(w), 2.0 * np.pi) / dth
+    j0 = np.floor(jf).astype(int) % g.n_theta
+    tj = jf - np.floor(jf)
+    j1 = (j0 + 1) % g.n_theta
+
+    def ring(i, jlo, jhi, frac):
+        return v[i, jlo] * (1.0 - frac) + v[i, jhi] * frac
+
+    p = rr / h - 0.5
+    i0 = np.floor(p).astype(int)
+    ti = p - np.floor(p)
+    out = np.empty(rr.shape)
+    inner, outer = i0 < 0, i0 >= g.n_r - 1
+    mid = ~(inner | outer)
+    im = i0[mid]
+    vlo = ring(im, j0[mid], j1[mid], tj[mid])
+    vhi = ring(im + 1, j0[mid], j1[mid], tj[mid])
+    out[mid] = vlo * (1.0 - ti[mid]) + vhi * ti[mid]
+    half = g.n_theta // 2
+    a = ring(0, j0[inner], j1[inner], tj[inner])
+    b = ring(0, (j0[inner] + half) % g.n_theta, (j1[inner] + half) % g.n_theta, tj[inner])
+    r0 = 0.5 * h
+    out[inner] = ((rr[inner] + r0) * a + (r0 - rr[inner]) * b) / (2.0 * r0)
+    vn = ring(g.n_r - 1, j0[outer], j1[outer], tj[outer])
+    out[outer] = vn * (1.0 - rr[outer]) / (0.5 * h)
+    return out
+
+
+@pytest.mark.parametrize("rhs", [constant_rhs(-4.0), quartic_rhs()], ids=["const", "quartic"])
+@pytest.mark.parametrize("n_r,n_theta", [(16, 16), (64, 64), (128, 64)])
+def test_weak_residual_matches_the_polar_gradient_bit_for_bit(n_r, n_theta, rhs, bumps):
+    grid = PolarGrid(n_r, n_theta)
+    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID), rhs)
+    solution = solve_dirichlet(problem, grid)
+    gx, gy = _polar_gradient(solution.field.values, grid)
+    nodes, areas = grid.nodes, grid.cell_areas
+    ftilde = problem.rhs_on_disc(nodes)
+    reference = []
+    for b in bumps:
+        gb = b.gradient(nodes)
+        pair = pairwise_sum((gx * gb.real + gy * gb.imag) * areas)
+        reference.append(abs(pair + pairwise_sum(ftilde * b.value(nodes) * areas)))
+    residuals = weak_residual(solution, problem, bumps).residuals
+    assert [r.hex() for r in residuals] == [float(r).hex() for r in reference]
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(8, 32), (32, 8)])
+def test_weak_residual_requires_fine_grid(n_r, n_theta, bumps):
+    problem = halfplane_problem()
+    solution = solve_dirichlet(problem, PolarGrid(n_r, n_theta))
+    with pytest.raises(GridTooCoarse, match=f"got {n_r}x{n_theta}"):
+        weak_residual(solution, problem, bumps)
+
+
+def test_eval_disc_matches_the_bilinear_rule_to_rounding():
+    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID), quartic_rhs())
+    solution = solve_dirichlet(problem, PolarGrid(256, 256))
+    rng = np.random.default_rng(20)
+    g = solution.grid
+    disc = np.sqrt(rng.uniform(0.0, 1.0, 10**5)) * np.exp(2j * np.pi * rng.uniform(size=10**5))
+    centre = rng.uniform(0.0, g.r[0], 100) * np.exp(2j * np.pi * rng.uniform(size=100))
+    wedge = rng.uniform(g.r[-1], 1.0, 100) * np.exp(2j * np.pi * rng.uniform(size=100))
+    w = np.concatenate([[0.0j], disc, centre, g.nodes.ravel(), wedge])
+    w = w[np.abs(w) < 1.0]
+    assert np.max(np.abs(solution.eval_disc(w) - _bilinear_eval(solution, w))) <= 4.5e-16
+
+
+def test_pinned_lattice_cells_move_by_rounding_only():
+    # the lattice of tests/test_cli.py::test_solve_csv_bytes_are_pinned
+    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.HALFPLANE), quartic_rhs())
+    solution = solve_dirichlet(problem, PolarGrid(16, 16))
+    xs, ys = np.linspace(-2.0, 2.0, 9), np.linspace(0.01, 4.0, 9)
+    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    z = z[problem.mapping.contains(z)]
+    old = _bilinear_eval(solution, problem.mapping.eval(z))
+    assert z.size == 81
+    assert np.max(np.abs(solution.eval_domain(z) - old)) <= 2.2e-16

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from confweight import (CHECK_SPEC, ConformalMap, DiscGridSpec, DomainFamily,
-                        WeightField, composition_inequality_check, disc_nodes,
-                        isometry_check, make_bump_family, pairwise_sum, pull_back,
+                        MoebiusAutomorphism, WeightField, compose_with_automorphism,
+                        composition_inequality_check, disc_nodes, isometry_check,
+                        make_bump_family, pairwise_sum, pull_back,
                         weighted_constant_check)
 
 # float.hex of the checks on a 64 x 64 grid with make_bump_family(3, seed 5),
@@ -87,3 +88,28 @@ def test_bump_loops_do_not_hold_the_derivative_arrays(check, bound_mib):
         tracemalloc.stop()
     assert peak < bound_mib * 2**20
 
+
+@pytest.mark.parametrize("spec", [CHECK_SPEC, DiscGridSpec(n_r=64, n_theta=2048)],
+                         ids=["512x512", "64x2048"])
+@pytest.mark.parametrize("eta", [None, MoebiusAutomorphism(0.3 - 0.2j, rotation=0.7)],
+                         ids=["plain", "eta"])
+def test_blocked_pull_back_has_the_bits_of_a_whole_grid_evaluation(to_disc, eta, spec):
+    m = to_disc if eta is None else compose_with_automorphism(to_disc, eta)
+    w, areas, phi_abs, psi_abs = pull_back(m, spec)
+    inv = m.invert()
+    assert np.array_equal(phi_abs, np.abs(m.derivative(inv.eval(w))))
+    assert np.array_equal(psi_abs, np.abs(inv.derivative(w)))
+
+
+def test_slit_plane_pull_back_keeps_its_temporaries_block_sized():
+    # one complex 512^2 temporary is 4 MiB: evaluating the derivatives on the
+    # whole grid peaked at 24.0 MiB, row blocks of 2^16 nodes peak at 13.0 MiB
+    m = ConformalMap.to_disc(DomainFamily.SLITPLANE)
+    pull_back(m, DiscGridSpec())
+    tracemalloc.start()
+    try:
+        pull_back(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
-                        DomainMismatch, MoebiusAutomorphism, RectangleNotInterior,
-                        WeightField, compose_with_automorphism, disc_nodes,
+                        DomainMismatch, MoebiusAutomorphism, WeightField,
+                        compose_with_automorphism, disc_nodes,
                         moebius_ratio_bounds, pairwise_sum, sample_interior,
-                        weight_class_check, weight_equivalence_check)
+                        weight_equivalence_check)
 
 
 def field(name):
@@ -108,27 +108,3 @@ def test_moebius_ratio_bounds_rejects_non_finite(a):
 def test_equivalence_family_mismatch(rng):
     with pytest.raises(DomainMismatch):
         weight_equivalence_check(field("halfplane"), field("strip"), rng=rng)
-
-
-def test_weight_class_interior_rectangles():
-    rep = weight_class_check(field("halfplane"), 2.0, (-1.0, 1.0, 1.0, 2.0))
-    assert rep.in_class and math.isfinite(rep.integral_value)
-    assert rep.compact_set == "[-1,1]x[1,2]"
-    rep = weight_class_check(field("exterior"), 3.0, (2.0, 3.0, 2.0, 3.0))
-    assert rep.in_class and rep.integral_value > 0.0
-    rep = weight_class_check(field("slitplane"), 1.0, (0.0, 1.0, 0.0, 1.0))
-    assert rep.in_class  # p=1 records the max of 1/h, finite on compacts
-
-
-@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
-def test_weight_class_needs_finite_p_at_least_one(p):
-    # p = inf once reported in_class with the rectangle's area as its integral
-    with pytest.raises(ValueError, match="finite p >= 1"):
-        weight_class_check(field("halfplane"), p, (-1.0, 1.0, 1.0, 2.0))
-
-
-def test_weight_class_rejects_escaping_rectangle():
-    with pytest.raises(RectangleNotInterior):
-        weight_class_check(field("halfplane"), 2.0, (-1.0, 1.0, -0.5, 2.0))
-    with pytest.raises(RectangleNotInterior):
-        weight_class_check(field("cardioid"), 2.0, (-0.5, 0.5, -0.5, 0.5))
