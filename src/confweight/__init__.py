@@ -14,7 +14,7 @@ from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod,
                         ExponentBounds, disc_eigenvalue,
                         exponent_bounds, poincare_constant_disc, q_from_ps,
                         weighted_constant_check)
-from .fields import (CompositionRecord, DiscField, PolarGrid, TestBump,
+from .fields import (CompositionRecord, PolarGrid, TestBump,
                      composition_inequality_check, isometry_check, lp_norm,
                      make_bump_family)
 from .maps import (ConformalMap, Direction, DomainFamily, MoebiusAutomorphism,
@@ -35,8 +35,8 @@ __version__ = "1.0.0"
 __all__ = [
     "BranchCutViolation", "CHECK_SPEC", "CompositionRecord", "ConformalMap",
     "ConfweightError", "ConstantEstimate", "ConvergenceRow", "DEFAULT_ALPHA0",
-    "DEFAULT_SEED", "DirichletProblem", "Direction", "DiscField",
-    "DiscGridSpec", "DiscSolution", "DomainFamily", "DomainMismatch",
+    "DEFAULT_SEED", "DirichletProblem", "Direction", "DiscGridSpec",
+    "DiscSolution", "DomainFamily", "DomainMismatch",
     "EstimateMethod", "ExponentBounds", "ExponentOutOfRange", "GridTooCoarse",
     "GridTooLarge", "IntegrandNotFinite", "InvalidExponents",
     "IterationDivergence", "J0_FIRST_ZERO", "KpqDivergent",

@@ -34,7 +34,7 @@ from .maps import ConformalMap, DomainFamily
 from .poisson import DirichletProblem, RhsSpec, solve_dirichlet
 from .quadrature import (NODE_BUDGET, QuadResult, Verdict, brennan_direct,
                          inverse_brennan, kpq_norm)
-from .util import default_seed, fmt17, open_target
+from .util import default_seed, fmt17, fmt_g, open_target
 from .verify import run_verify
 from .weights import WeightField
 
@@ -159,11 +159,11 @@ def _config_echo(args, skip=("output", "out_path")) -> dict:
         if key in skip or val is None:
             continue
         if isinstance(val, complex):
-            val = f"{val.real:g},{val.imag:g}"
+            val = f"{fmt_g(val.real)},{fmt_g(val.imag)}"
         elif isinstance(val, RhsSpec):
             val = val.label
         elif isinstance(val, tuple):
-            val = ",".join(f"{v:g}" for v in val)
+            val = ",".join(fmt_g(v) for v in val)
         cfg[key] = val
     return cfg
 
@@ -264,8 +264,8 @@ def _cmd_solve(args) -> int:
     config = _config_echo(args)
     solution = solve_dirichlet(problem, grid)
     if args.output == "json":
-        values = solution.field.values
-        _emit_json(config, {"u_min": float(values.min()), "u_max": float(values.max()),
+        column = solution.column
+        _emit_json(config, {"u_min": float(column.min()), "u_max": float(column.max()),
                             "n_r": args.nr, "n_theta": args.ntheta},
                    args.out_path)
         return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExponentOutOfRange, IterationDivergence
-from .fields import DiscField, PolarGrid, TestBump, lp_norm, make_bump_family
+from .fields import PolarGrid, TestBump, lp_norm, make_bump_family
 from .maps import ConformalMap
 from .poisson import solve_radial
 from .quadrature import DiscGridSpec, pull_back
@@ -134,12 +134,12 @@ def poincare_constant_disc(r: float, grid: PolarGrid,
     if bumps is None:
         bumps = make_bump_family(64)
     best = 0.0
+    nodes = grid.nodes
     for b in bumps:
-        grad = DiscField.from_function(grid, lambda w: np.abs(b.gradient(w)))
-        denom = lp_norm(grad, 2.0)
+        denom = lp_norm(grid, np.abs(b.gradient(nodes)), 2.0)
         if denom == 0.0:
             continue
-        num = lp_norm(DiscField.from_function(grid, b.value), r)
+        num = lp_norm(grid, b.value(nodes), r)
         best = max(best, num / denom)
     return ConstantEstimate(value=best, method=EstimateMethod.BUMP_FAMILY_MAX,
                             tolerance=0.0, iterations=len(bumps))

@@ -3,9 +3,9 @@
 Test functions are closed-form bumps evaluated analytically (value and
 gradient), so composing them with a conformal map costs no interpolation
 error; the pullback checks below then run at pure quadrature accuracy.
-Sampled fields (DiscField) on a uniform polar grid only appear where a PDE
-solution or CSV export needs one; the solver's fields are radial, and
-``poisson`` differences and interpolates their ring column itself.
+Sampled values on a uniform polar grid are plain arrays at
+``PolarGrid.nodes``, which ``lp_norm`` integrates; the solver's solutions
+are radial, and ``poisson`` keeps each as its ring column.
 """
 from __future__ import annotations
 
@@ -56,33 +56,6 @@ class PolarGrid:
         dtheta = 2.0 * np.pi / self.n_theta
         return np.broadcast_to((self.r * dr * dtheta)[:, None],
                                (self.n_r, self.n_theta))
-
-
-@dataclass(frozen=True)
-class DiscField:
-    """Real scalar samples on a PolarGrid; values must be finite.
-
-    ``values`` is kept as given, so a broadcast (a radial column along theta)
-    stays a view of its column.
-    """
-
-    grid: PolarGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_r, self.grid.n_theta):
-            raise ValueError(f"values shape {vals.shape} does not match grid "
-                             f"{(self.grid.n_r, self.grid.n_theta)}")
-        # min and max propagate NaN and +-inf without a full-size temporary
-        if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
-            raise ValueError("field values must all be finite")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_function(cls, grid: PolarGrid, fn) -> "DiscField":
-        vals = np.asarray(fn(grid.nodes), dtype=float)
-        return cls(grid, np.broadcast_to(vals, grid.nodes.shape))
 
 
 @dataclass(frozen=True)
@@ -149,11 +122,21 @@ def make_bump_family(count: int, rng: np.random.Generator | None = None) -> list
     return bumps
 
 
-def lp_norm(field: DiscField, p: float) -> float:
-    """(integral of |f|^p)^(1/p) over the disc by the grid midpoint rule."""
+def lp_norm(grid: PolarGrid, values, p: float) -> float:
+    """(integral of |f|^p)^(1/p) over the disc by the grid midpoint rule.
+
+    ``values`` are the finite samples of f at ``grid.nodes``.
+    """
     if not (math.isfinite(p) and p >= 1.0):
         raise InvalidExponents(f"p must satisfy p >= 1, got {p}")
-    cells = np.abs(field.values) ** p * field.grid.cell_areas
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n_r, grid.n_theta):
+        raise ValueError(f"values shape {values.shape} does not match grid "
+                         f"{(grid.n_r, grid.n_theta)}")
+    # min and max propagate NaN and +-inf without a full-size temporary
+    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        raise ValueError("field values must all be finite")
+    cells = np.abs(values) ** p * grid.cell_areas
     return float(pairwise_sum(cells)) ** (1.0 / p)
 
 

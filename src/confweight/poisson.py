@@ -15,10 +15,10 @@ r_i = (i+1/2)h.  At the innermost node the stencil closes across the origin
 condition enters through the ghost reflection v_n = -v_{n-1}, which vanishes
 at r = 1 to second order.  The pivots depend only on n_r: they are
 eliminated once and cached (O(n_r) bytes), so a solve is two Thomas sweeps
-over a length-n_r vector, and its field is that vector broadcast along theta:
-no n_r x n_theta array is filled unless a caller asks for one.  Every consumer
-reads the ring column: off-node values interpolate it linearly in r, the weak
-residual differences it radially, and convergence studies restrict it.
+over a length-n_r vector, and the solution is that vector, its ring column:
+off-node values interpolate it linearly in r, the weak residual differences
+it radially, convergence studies restrict it, and only the pushed-forward
+CSV export spreads it along theta.
 """
 from __future__ import annotations
 
@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import (GridTooCoarse, PointOutsideDomain, RhsNotFinite,
                      SingularTridiagonal, SolutionNotFinite)
-from .fields import DiscField, PolarGrid, TestBump
+from .fields import PolarGrid, TestBump
 from .maps import ConformalMap, Direction
-from .util import as_complex_array, pairwise_sum, write_csv
+from .util import as_complex_array, fmt_g, pairwise_sum, write_csv
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class RhsSpec:
 
     @property
     def label(self) -> str:
-        return f"const:{self.value:g}" if self.kind == "const" else "quartic"
+        return f"const:{fmt_g(self.value)}" if self.kind == "const" else "quartic"
 
     @classmethod
     def parse(cls, text: str) -> "RhsSpec":
@@ -98,10 +98,6 @@ class DirichletProblem:
     def __post_init__(self):
         if self.mapping.direction is not Direction.TO_DISC:
             raise ValueError("problem needs a TO_DISC map")
-
-    def rhs_on_disc(self, w) -> np.ndarray:
-        """f(psi(w)) as floats of w's shape: the transferred rhs (no weight factor)."""
-        return self.rhs.on_disc(np.abs(w))
 
 
 def _eliminate(lo: np.ndarray, diag: np.ndarray, hi: np.ndarray):
@@ -166,31 +162,31 @@ class DiscSolution:
     """Transferred solution v on the disc grid plus the map back to the domain.
 
     u(z) := v(phi(z)) is the solution of the original weighted problem.
-    The field must be constant along theta (``solve_dirichlet`` broadcasts
-    its ring column), so off-node evaluation is linear in r on the column
-    ``field.values[:, 0]`` with the exact boundary value 0 at r = 1
+    Radial data has a radial solution, so v is its ring ``column``: one
+    finite value per grid radius, shape (n_r,).  Off-node evaluation is
+    linear in r on the column with the exact boundary value 0 at r = 1
     appended; below the first ring it takes the first ring's value.
     """
 
-    field: DiscField
+    grid: PolarGrid
+    column: np.ndarray
     mapping: ConformalMap
 
     def __post_init__(self):
-        v = self.field.values  # theta stride 0: a broadcast column, constant as built
-        if v.strides[1] and not np.all(v == v[:, :1]):
-            raise ValueError("solution field must be constant along theta (a ring column)")
-
-    @property
-    def grid(self) -> PolarGrid:
-        return self.field.grid
+        column = np.asarray(self.column, dtype=float)
+        if column.shape != (self.grid.n_r,):
+            raise ValueError(f"column shape {column.shape} does not match the grid's "
+                             f"{self.grid.n_r} rings")
+        if not (math.isfinite(column.min()) and math.isfinite(column.max())):
+            raise ValueError("solution column must be finite")
+        object.__setattr__(self, "column", column)
 
     def eval_disc(self, w) -> np.ndarray:
         w, scalar = as_complex_array(w)
         rr = np.abs(w)
         if np.any(rr >= 1.0):
             raise PointOutsideDomain("evaluation point outside the open unit disc")
-        column = self.field.values[:, 0]
-        out = np.interp(rr, np.append(self.grid.r, 1.0), np.append(column, 0.0))
+        out = np.interp(rr, np.append(self.grid.r, 1.0), np.append(self.column, 0.0))
         return float(out) if scalar else out
 
     def eval_domain(self, z) -> np.ndarray:
@@ -207,7 +203,8 @@ class DiscSolution:
         before ``target`` is opened, so a failure leaves a path as it was.
         """
         if lattice is None:
-            z, vals = self.mapping.invert().eval(self.grid.nodes), self.field.values
+            z = self.mapping.invert().eval(self.grid.nodes)
+            vals = np.broadcast_to(self.column[:, None], z.shape)
         else:
             pts = np.ravel(np.asarray(lattice, dtype=complex))
             z = pts[self.mapping.contains(pts)]
@@ -218,11 +215,10 @@ class DiscSolution:
 def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
     """Transfer the problem to the disc, solve it there, wrap the result.
 
-    f o psi is evaluated once per ring and solved radially; the field is the
-    read-only broadcast of those n_r ring values along theta, so the solve
-    allocates O(n_r) bytes whatever n_theta is.  Raises RhsNotFinite if
-    f o psi is not finite at every node, and SolutionNotFinite if a finite f
-    overflows in the solve.
+    f o psi is evaluated once per ring and solved radially; the solution is
+    the ring column of n_r values, so the solve allocates O(n_r) bytes
+    whatever n_theta is.  Raises RhsNotFinite if f o psi is not finite at
+    every node, and SolutionNotFinite if a finite f overflows in the solve.
     """
     f = problem.rhs.on_disc(grid.r)
     if not np.all(np.isfinite(f)):
@@ -234,8 +230,7 @@ def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
         bad = float(grid.r[~np.isfinite(v)][0])
         raise SolutionNotFinite(f"solution is not finite at radius {bad} "
                                 "(the right-hand side overflows the solve)")
-    values = np.broadcast_to(v[:, None], (grid.n_r, grid.n_theta))
-    return DiscSolution(field=DiscField(grid, values), mapping=problem.mapping)
+    return DiscSolution(grid, v, problem.mapping)
 
 
 @dataclass(frozen=True)
@@ -262,14 +257,14 @@ def weak_residual(solution: DiscSolution, problem: DirichletProblem,
                             f"got {grid.n_r}x{grid.n_theta}")
     # second-order radial differences of the ring column; across the origin
     # v(-r_0) = v(r_0), and the outer ring takes a one-sided 3-point stencil
-    v, h = solution.field.values[:, 0], 1.0 / grid.n_r
+    v, h = solution.column, 1.0 / grid.n_r
     dv = np.empty_like(v)
     dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     dv[0] = (v[1] - v[0]) / (2.0 * h)
     dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     gx, gy = dv[:, None] * np.cos(grid.theta), dv[:, None] * np.sin(grid.theta)
     areas, nodes = grid.cell_areas, grid.nodes
-    ftilde = problem.rhs_on_disc(nodes)
+    ftilde = problem.rhs.on_disc(np.abs(nodes))
     res = []
     for b in bumps:
         gb = b.gradient(nodes)
@@ -306,7 +301,7 @@ def convergence_study(problem: DirichletProblem, levels: int = 4,
     if base is None:
         base = PolarGrid(32, 32)
     grids = [PolarGrid(base.n_r << k, base.n_theta << k) for k in range(levels)]
-    columns = [solve_dirichlet(problem, g).field.values[:, 0] for g in grids]
+    columns = [solve_dirichlet(problem, g).column for g in grids]
 
     if problem.rhs.kind == "const":
         c = problem.rhs.value

@@ -47,6 +47,12 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def fmt_g(x: float) -> str:
+    """The ``%g`` text of x when it reads back as x, else the shortest round trip."""
+    text = format(float(x), "g")
+    return text if float(text) == x else repr(float(x))
+
+
 @contextmanager
 def open_target(target):
     """Yield a text stream: a new file for a path, stdout for None or "", else target."""

@@ -26,9 +26,8 @@ import numpy as np
 from . import weights as weights_module
 from .exponents import (disc_eigenvalue, exponent_bounds, poincare_constant_disc,
                         q_from_ps, weighted_constant_check)
-from .fields import (DiscField, PolarGrid, TestBump,
-                     composition_inequality_check, isometry_check, lp_norm,
-                     make_bump_family)
+from .fields import (PolarGrid, TestBump, composition_inequality_check,
+                     isometry_check, lp_norm, make_bump_family)
 from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
                    compose_with_automorphism, round_trip_check, sample_interior)
@@ -112,7 +111,7 @@ def _check_weights(add, rng):
         rel_step = float(np.max(np.abs(field.evaluate(probe + step) - base) / base))
         add(f"weights.continuity.{fam.value}", rel_step <= 1e-3, max_rel_step=rel_step)
 
-        # h(psi(w))|psi'(w)|^2 on CHECK_SPEC, as WeightField.disc_density forms it
+        # the pulled-back weight h(psi(w))|psi'(w)|^2 = (|phi'(psi(w))| |psi'(w)|)^2
         _, areas, phi_abs, psi_abs = pull_back(field.map)
         total = float(pairwise_sum(phi_abs**2 * psi_abs**2 * areas))
         rel_mass = abs(total - math.pi) / math.pi
@@ -176,12 +175,11 @@ def _check_fields(add, rng):
         constant=float(recs[0].constant), tightest_ratio=float(tightest))
 
     grid = PolarGrid(64, 64)
-    f = DiscField.from_function(grid, bumps[0].value)
-    g = DiscField(grid, -2.7 * f.values)
+    f = bumps[0].value(grid.nodes)
     rel = 0.0
     for p in (1.0, 2.0, 3.5):
-        want = 2.7 * lp_norm(f, p)
-        rel = max(rel, abs(lp_norm(g, p) - want) / want)
+        want = 2.7 * lp_norm(grid, f, p)
+        rel = max(rel, abs(lp_norm(grid, -2.7 * f, p) - want) / want)
     add("fields.norm_homogeneity", rel <= 1e-13, max_rel=float(rel))
 
 
@@ -252,7 +250,7 @@ def _check_poisson(add, rng):
         errors = []
         for grid, sol in zip(grids, sols):
             exact = 1.0 - np.abs(mapping.eval(inv.eval(grid.nodes))) ** 2
-            errors.append(float(np.max(np.abs(sol.field.values - exact))))
+            errors.append(float(np.max(np.abs(sol.column[:, None] - exact))))
         err_orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         add(f"poisson.exact_const.{fam.value}",
             min(err_orders) >= 1.9 and errors[-1] <= 1e-3,
@@ -272,10 +270,10 @@ def _check_poisson(add, rng):
     s1 = solve_dirichlet(problem, grid)
     s2 = solve_dirichlet(problem, grid)
     add("poisson.deterministic_resolve",
-        bool(np.array_equal(s1.field.values, s2.field.values)))
+        bool(np.array_equal(s1.column, s2.column)))
     neg = solve_dirichlet(DirichletProblem(problem.mapping, constant_rhs(4.0)), grid)
     add("poisson.linearity_negation",
-        bool(np.array_equal(neg.field.values, -s1.field.values)))
+        bool(np.array_equal(neg.column, -s1.column)))
 
     # assembly must pull back f only; the weight is never consulted
     calls = {"count": 0}

@@ -7,7 +7,6 @@ yields the disc area pi, whatever the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,25 +25,10 @@ class WeightField:
         if self.map.direction is not Direction.TO_DISC:
             raise ValueError("a weight field needs a TO_DISC map")
 
-    @cached_property
-    def _inverse(self) -> ConformalMap:
-        return self.map.invert()
-
     def evaluate(self, z):
         arr, scalar = as_complex_array(z)
         h = np.abs(self.map.derivative(arr)) ** 2
         return float(h) if scalar else h
-
-    def disc_density(self, w):
-        """h(psi(w)) |psi'(w)|^2, the density of the pulled-back weighted measure.
-
-        Identically 1 in exact arithmetic; evaluated as the honest product of
-        the two derivative magnitudes so numerical checks stay meaningful.
-        """
-        arr, scalar = as_complex_array(w)
-        z = self._inverse.eval(arr)
-        dens = self.evaluate(z) * np.abs(self._inverse.derivative(arr)) ** 2
-        return float(dens) if scalar else dens
 
 
 def weight_equivalence_check(w1: WeightField, w2: WeightField, samples: int = 400,

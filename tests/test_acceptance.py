@@ -15,10 +15,11 @@ import pytest
 
 from confweight import (ConformalMap, DiscGridSpec, DomainFamily, Verdict,
                         WeightField, brennan_direct, composition_inequality_check,
-                        default_seed, disc_nodes, exponent_bounds, isometry_check,
+                        default_seed, exponent_bounds, isometry_check,
                         kpq_norm, make_bump_family, pairwise_sum,
-                        poincare_constant_disc, q_from_ps, quoted_formula_report,
-                        run_verify, sample_interior, weighted_constant_check)
+                        poincare_constant_disc, pull_back, q_from_ps,
+                        quoted_formula_report, run_verify, sample_interior,
+                        weighted_constant_check)
 from confweight.fields import PolarGrid
 
 ALL = tuple(DomainFamily)
@@ -59,11 +60,10 @@ def test_criterion_1_weight_formulas():
 def test_criterion_2_mass_identity():
     start = time.perf_counter()
     level6 = DiscGridSpec(n_r=16, n_theta=16).level(5)  # 512 x 512
-    w, areas = disc_nodes(level6)
     worst = 0.0
     for fam in ALL:
-        field = WeightField(ConformalMap.to_disc(fam))
-        total = pairwise_sum(field.disc_density(w) * areas)
+        _, areas, phi_abs, psi_abs = pull_back(ConformalMap.to_disc(fam), level6)
+        total = pairwise_sum(phi_abs**2 * psi_abs**2 * areas)
         worst = max(worst, abs(total - math.pi) / math.pi)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-4 and elapsed < 30.0
@@ -187,7 +187,7 @@ def test_criterion_8_dirichlet_solver():
             sol = solve_dirichlet(problem, grid)
             # u = 1 - |phi(z)|^2 scored at z = psi(w), the full round trip
             exact = 1.0 - np.abs(mapping.eval(inv.eval(grid.nodes))) ** 2
-            errs.append(float(np.max(np.abs(sol.field.values - exact))))
+            errs.append(float(np.max(np.abs(sol.column[:, None] - exact))))
             res.append(weak_residual(sol, problem, bumps).max_residual)
         worst_err = max(worst_err, errs[-1])
         worst_order = min(worst_order, math.log2(errs[0] / errs[1]))

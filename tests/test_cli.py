@@ -217,6 +217,25 @@ def test_solve_json_summary(capsys):
     assert doc["config"]["rhs"] == "const:-4"
 
 
+def test_config_echo_reads_back_exactly(capsys):
+    # two inputs that %g prints alike give different weights, so each echo
+    # must name its own input
+    weights = []
+    for at in ("0.123456789,0", "0.123457,0"):
+        _, out, _ = run(capsys, "weight", "--domain", "strip", "--at", at)
+        doc = json.loads(out)
+        assert doc["config"]["at"] == at
+        weights.append(doc["h"])
+    assert weights[0] != weights[1]
+    code, out, _ = run(capsys, "solve", "--domain", "disc", "--f", "const:1.23456789",
+                       "--window=-0.123456789,2,0.01,3", "--nr", "16", "--ntheta", "16",
+                       "--output", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["rhs"] == "const:1.23456789"
+    assert config["window"] == "-0.123456789,2,0.01,3"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "weight.json"
     code, out, _ = run(capsys, "weight", "--domain", "halfplane", "--at", "0,1",

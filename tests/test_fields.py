@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from confweight import (ConformalMap, DiscField, DiscGridSpec, DomainFamily,
+from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
                         InvalidExponents, KpqDivergent, PolarGrid, TestBump,
                         composition_inequality_check, isometry_check, lp_norm,
                         make_bump_family)
@@ -23,35 +23,6 @@ def test_polar_grid_node_layout():
 def test_polar_grid_cell_areas_cover_disc():
     g = PolarGrid(64, 64)
     assert float(g.cell_areas.sum()) == pytest.approx(math.pi, rel=1e-12)
-
-
-def test_disc_field_validation():
-    g = PolarGrid(4, 4)
-    with pytest.raises(ValueError):
-        DiscField(g, np.zeros((4, 5)))
-    vals = np.zeros((4, 4))
-    vals[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        DiscField(g, vals)
-    for bad in (np.nan, np.inf, -np.inf):
-        column = np.array([0.0, 1.0, bad, -2.0])
-        with pytest.raises(ValueError, match="finite"):
-            DiscField(g, np.broadcast_to(column[:, None], (4, 4)))
-
-
-def test_disc_field_keeps_a_broadcast_column_as_a_view():
-    column = np.array([-1.0, -0.5, 0.25, 0.0])
-    values = np.broadcast_to(column[:, None], (4, 8))
-    field = DiscField(PolarGrid(4, 8), values)
-    assert field.values is values
-    assert field.values.strides == (8, 0)
-
-
-def test_from_function_broadcasts_constant():
-    g = PolarGrid(4, 8)
-    f = DiscField.from_function(g, lambda w: 2.5)
-    assert f.values.shape == (4, 8)
-    assert np.all(f.values == 2.5)
 
 
 def test_bump_shape_and_support():
@@ -105,26 +76,39 @@ def test_make_bump_family_deterministic():
 
 def test_lp_norm_examples():
     g = PolarGrid(128, 128)
-    ones = DiscField.from_function(g, lambda w: 1.0)
-    assert lp_norm(ones, 2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    re_w = DiscField.from_function(g, lambda w: w.real)
-    assert lp_norm(re_w, 2.0) == pytest.approx(math.sqrt(math.pi / 4.0), rel=1e-4)
+    ones = np.ones((128, 128))
+    assert lp_norm(g, ones, 2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    assert lp_norm(g, g.nodes.real, 2.0) == pytest.approx(math.sqrt(math.pi / 4.0),
+                                                          rel=1e-4)
 
 
 def test_lp_norm_rejects_bad_exponent():
     g = PolarGrid(16, 16)
-    f = DiscField.from_function(g, lambda w: 1.0)
     with pytest.raises(InvalidExponents):
-        lp_norm(f, 0.5)
+        lp_norm(g, np.ones((16, 16)), 0.5)
+
+
+def test_lp_norm_rejects_bad_values():
+    g = PolarGrid(4, 4)
+    for shape in ((4, 5), (5, 4), (4,), (16,), (4, 4, 1)):
+        with pytest.raises(ValueError, match="does not match grid"):
+            lp_norm(g, np.zeros(shape), 2.0)
+    vals = np.zeros((4, 4))
+    vals[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        lp_norm(g, vals, 2.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        column = np.array([0.0, 1.0, bad, -2.0])
+        with pytest.raises(ValueError, match="finite"):
+            lp_norm(g, np.broadcast_to(column[:, None], (4, 4)), 1.0)
 
 
 def test_lp_norm_homogeneity():
     g = PolarGrid(64, 64)
     b = TestBump(center=0.1 - 0.2j, radius=0.35)
-    f = DiscField.from_function(g, b.value)
-    scaled = DiscField(g, -4.2 * f.values)
+    f = b.value(g.nodes)
     for p in (1.0, 2.0, 3.0):
-        assert lp_norm(scaled, p) == pytest.approx(4.2 * lp_norm(f, p), rel=1e-13)
+        assert lp_norm(g, -4.2 * f, p) == pytest.approx(4.2 * lp_norm(g, f, p), rel=1e-13)
 
 
 def test_isometry_check_families(bumps):

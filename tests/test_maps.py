@@ -173,7 +173,7 @@ def test_automorphism_composition(rng):
     assert np.abs(comp(w) - eta1(eta2(w))).max() < 1e-13
 
 
-def _automorphism_properties():
+def _automorphism_properties(rmin=0.0):
     """Hypothesis strategies: automorphisms with |a| < 0.95, points with |w| <= 0.9."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -185,7 +185,7 @@ def _automorphism_properties():
     automorphisms = st.builds(MoebiusAutomorphism, polar(st.floats(0.0, 0.95, exclude_max=True)),
                               angle)
     settings = hypothesis.settings(max_examples=200, deadline=None, database=None)
-    return hypothesis.given, settings, automorphisms, polar(st.floats(0.0, 0.9))
+    return hypothesis.given, settings, automorphisms, polar(st.floats(rmin, 0.9))
 
 
 def test_automorphism_composition_property():
@@ -207,6 +207,26 @@ def test_automorphism_inverse_round_trip_property():
     def check(eta, w):
         assert abs(eta.inverse()(eta(w)) - w) <= 1e-13
         assert abs(eta(eta.inverse()(w)) - w) <= 1e-13
+
+    check()
+
+
+def test_map_round_trip_and_jacobian_properties():
+    # phi(psi(w)) = w and phi'(psi(w)) psi'(w) = 1 for every family, bare and
+    # post-composed with an automorphism
+    given, settings, automorphisms, points = _automorphism_properties(rmin=0.01)
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @settings
+    @given(st.sampled_from(list(DomainFamily)), st.none() | automorphisms, points)
+    def check(family, eta, w):
+        phi = ConformalMap.to_disc(family)
+        if eta is not None:
+            phi = compose_with_automorphism(phi, eta)
+        psi = phi.invert()
+        z = psi.eval(w)
+        assert abs(phi.eval(z) - w) <= 1e-12
+        assert abs(phi.derivative(z) * psi.derivative(w) - 1.0) <= 1e-12
 
     check()
 

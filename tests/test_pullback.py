@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from confweight import (CHECK_SPEC, ConformalMap, DiscGridSpec, DomainFamily,
-                        MoebiusAutomorphism, WeightField, compose_with_automorphism,
+                        MoebiusAutomorphism, compose_with_automorphism,
                         composition_inequality_check, disc_nodes, isometry_check,
                         make_bump_family, pairwise_sum, pull_back,
                         weighted_constant_check)
@@ -65,9 +65,8 @@ def test_pulled_back_checks_keep_their_bits(name):
     assert weighted_constant_check(m, 3.0, bumps, spec).hex() == wcc
     recs = composition_inequality_check(m, p, q, bumps, spec)
     assert [(r.lhs.hex(), r.rhs.hex()) for r in recs] == comp
-    # the pointwise density and the pulled-back product sum to the same bits
-    w, areas, phi_abs, psi_abs = pull_back(m, spec)
-    assert float(pairwise_sum(WeightField(m).disc_density(w) * areas)).hex() == mass
+    # the pulled-back weight (|phi'(psi)| |psi'|)^2 sums to its pinned mass
+    _, areas, phi_abs, psi_abs = pull_back(m, spec)
     assert float(pairwise_sum(phi_abs**2 * psi_abs**2 * areas)).hex() == mass
 
 

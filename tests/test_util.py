@@ -1,10 +1,11 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
 from confweight import DEFAULT_SEED, default_seed, fmt17, pairwise_sum
-from confweight.util import CSV_BLOCK_ROWS, as_complex_array, write_csv
+from confweight.util import CSV_BLOCK_ROWS, as_complex_array, fmt_g, write_csv
 
 
 def test_default_seed_value():
@@ -66,6 +67,27 @@ def test_pairwise_sum_block_identity_property():
 def test_fmt17_round_trip_values():
     for x in (0.1, -3.0, 1.0 / 3.0, 1e-300, 123456.789, np.pi):
         assert float(fmt17(x)) == x
+
+
+@pytest.mark.parametrize("x, text", [
+    (-4.0, "-4"), (0.5, "0.5"), (-0.0, "-0"), (1e-05, "1e-05"), (2e20, "2e+20"),
+    (0.123457, "0.123457"), (0.123456789, "0.123456789"), (1.23456789, "1.23456789"),
+    (1.0 / 3.0, "0.3333333333333333"), (math.inf, "inf")])
+def test_fmt_g_keeps_the_g_text_only_when_it_reads_back(x, text):
+    assert fmt_g(x) == text
+    assert float(fmt_g(x)) == x
+
+
+def test_fmt_g_reads_back_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(st.floats(allow_nan=False))
+    def check(x):
+        assert float(fmt_g(x)) == x
+
+    check()
 
 
 def test_as_complex_array_scalar_flag():

@@ -8,6 +8,46 @@ from confweight import poisson, verify
 from confweight.util import DEFAULT_SEED
 from confweight.verify import _check_maps
 
+_FAMILIES = ("disc", "exterior", "halfplane", "strip", "cardioid", "slitplane")
+
+
+def _each(*templates):
+    return [t.format(fam) for fam in _FAMILIES for t in templates]
+
+
+# the default-seed report's check names, in report order
+VERIFY_CHECK_NAMES = [
+    *_each("maps.round_trip.{}", "maps.derivative_fd.{}.to_disc",
+           "maps.derivative_fd.{}.from_disc", "maps.conformal_identity.{}",
+           "maps.boundary_image.{}"),
+    "maps.automorphism.preserves_disc", "maps.automorphism.derivative_bounds",
+    "maps.automorphism.inverse_round_trip", "maps.automorphism.composition",
+    *_each("weights.positivity.{}", "weights.continuity.{}", "weights.mass_identity.{}"),
+    "weights.equivalence.a=0", "weights.equivalence.a=0.5", "weights.equivalence.a=0.9",
+    *_each("quadrature.brennan_s2.{}"),
+    "quadrature.koebe_interior_converges", "quadrature.koebe_outside_diverges",
+    "quadrature.deterministic_reduction", "quadrature.log_divergence",
+    *_each("fields.isometry.{}"),
+    "fields.composition_inequality.cardioid", "fields.norm_homogeneity",
+    "exponents.admissible_chain", "exponents.endpoint_equality",
+    "exponents.conjugation_formula",
+    *_each("transfer.norm_identities.{}"),
+    "transfer.eigen_refinement", "transfer.disc_constant", "transfer.bump_bound_monotone",
+    *_each("poisson.exact_const.{}", "poisson.weak_residual.{}"),
+    "poisson.manufactured_orders.strip", "poisson.deterministic_resolve",
+    "poisson.linearity_negation", "poisson.weight_free_assembly",
+    "maps.quoted_cardioid_map_fails_boundary_oracle",
+]
+
+
+def test_verify_keeps_its_check_names(monkeypatch):
+    monkeypatch.delenv("CW_SEED", raising=False)
+    report = verify.run_verify()
+    assert report["seed"] == DEFAULT_SEED and report["passed"] is True
+    assert len(VERIFY_CHECK_NAMES) == 102
+    assert [c["name"] for c in report["checks"]] == VERIFY_CHECK_NAMES
+
+
 # 3626764237 put a slit-plane evaluation point close enough to the branch point
 # z = -1/4 that a plain central difference missed the 1e-7 tolerance
 SEEDS = [3626764237, *range(1, 17)]

@@ -5,8 +5,8 @@ import pytest
 
 from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
                         DomainMismatch, MoebiusAutomorphism, WeightField,
-                        compose_with_automorphism, disc_nodes,
-                        moebius_ratio_bounds, pairwise_sum, sample_interior,
+                        compose_with_automorphism, moebius_ratio_bounds,
+                        pairwise_sum, pull_back, sample_interior,
                         weight_equivalence_check)
 
 
@@ -57,16 +57,18 @@ def test_positivity(to_disc, rng):
 
 
 def test_disc_density_is_unity(to_disc, rng):
-    f = WeightField(to_disc)
+    # the pulled-back weight h(psi(w)) |psi'(w)|^2, pointwise off any grid
+    f, inv = WeightField(to_disc), to_disc.invert()
     r = 0.05 + 0.9 * rng.uniform(size=300)
     w = r * np.exp(2j * np.pi * rng.uniform(size=300))
-    assert np.abs(f.disc_density(w) - 1.0).max() < 1e-12
+    density = f.evaluate(inv.eval(w)) * np.abs(inv.derivative(w)) ** 2
+    assert np.abs(density - 1.0).max() < 1e-12
 
 
 def test_mass_identity(to_disc):
-    f = WeightField(to_disc)
-    w, areas = disc_nodes(DiscGridSpec(n_r=256, n_theta=256))
-    total = pairwise_sum(f.disc_density(w) * areas)
+    spec = DiscGridSpec(n_r=256, n_theta=256)
+    _, areas, phi_abs, psi_abs = pull_back(to_disc, spec)
+    total = pairwise_sum(phi_abs**2 * psi_abs**2 * areas)
     assert abs(total - math.pi) / math.pi < 1e-4
 
 
