@@ -15,6 +15,24 @@ cardioid   r < (1 + cos t)/2 (polar)      2 sqrt(z) - 1             (1 + w)^2 / 
 slitplane  C minus (-inf, -1/4]           2z/(1 + 2z + sqrt(1+4z))  w/(1 - w)^2
 ========== ============================== ========================= =====================
 
+A FROM_DISC map also has its real Jacobian J(w, psi) = |psi'(w)|^2, the
+conformal weight read from the disc side, in closed form in x = Re w and
+y = Im w:
+
+========== ===========================================
+family     J(w, psi)
+========== ===========================================
+disc       1
+exterior   1/(x^2 + y^2)^2
+halfplane  4/((1 - x)^2 + y^2)^2
+strip      1/((x^2 + (1 - y)^2)(x^2 + (1 + y)^2))
+cardioid   ((1 + x)^2 + y^2)/4
+slitplane  ((1 + x)^2 + y^2)/((1 - x)^2 + y^2)^3
+========== ===========================================
+
+Each singular factor is a sum of squares of (1 +- x) or (1 +- y), which are
+computed exactly near the singular point, so no factor cancels.
+
 Square roots are principal; the cardioid and slit-plane formulas therefore
 exclude the rays (-inf, 0] and (-inf, -1/4], which coincide with (part of)
 the domain boundary, so no interior point ever touches a cut.
@@ -114,6 +132,7 @@ class _FamilyOps:
     to_disc_prime: Callable
     from_disc: Callable
     from_disc_prime: Callable
+    jacobian: Callable  # |psi'(w)|^2 from x = Re w, y = Im w, in real arithmetic
     disc_contains: Callable
     boundary: Callable
 
@@ -182,6 +201,13 @@ def _slit_sqrt(z):
     return np.sqrt(1.0 + 4.0 * z)
 
 
+def _slit_jacobian(x, y):
+    # d * d * d, not d ** 3: with ** 3 a ladder block's allocations let glibc
+    # trim the heap after every block, for about 5x the page faults
+    d = (1.0 - x) ** 2 + y * y
+    return ((1.0 + x) ** 2 + y * y) / (d * d * d)
+
+
 _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
     DomainFamily.DISC: _FamilyOps(
         contains=lambda z: np.abs(z) < 1.0,
@@ -190,6 +216,7 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         to_disc_prime=lambda z: np.ones_like(z),
         from_disc=lambda w: w,
         from_disc_prime=lambda w: np.ones_like(w),
+        jacobian=lambda x, y: np.ones_like(x),
         disc_contains=_unit_disc_contains,
         boundary=_disc_boundary,
     ),
@@ -200,6 +227,7 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         to_disc_prime=lambda z: -1.0 / z**2,
         from_disc=lambda w: 1.0 / w,
         from_disc_prime=lambda w: -1.0 / w**2,
+        jacobian=lambda x, y: 1.0 / (x * x + y * y) ** 2,
         # 1/z maps the exterior onto the punctured disc; w = 0 has no preimage
         disc_contains=lambda w: (np.abs(w) < 1.0) & (w != 0),
         boundary=_exterior_boundary,
@@ -211,6 +239,7 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         to_disc_prime=lambda z: 2j / (z + 1j) ** 2,
         from_disc=lambda w: 1j * (1.0 + w) / (1.0 - w),
         from_disc_prime=lambda w: 2j / (1.0 - w) ** 2,
+        jacobian=lambda x, y: 4.0 / ((1.0 - x) ** 2 + y * y) ** 2,
         disc_contains=_unit_disc_contains,
         boundary=_halfplane_boundary,
     ),
@@ -222,6 +251,7 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         to_disc_prime=lambda z: 1.0 / np.cos(z) ** 2,
         from_disc=np.arctan,
         from_disc_prime=lambda w: 1.0 / ((1.0 - 1j * w) * (1.0 + 1j * w)),
+        jacobian=lambda x, y: 1.0 / ((x * x + (1.0 - y) ** 2) * (x * x + (1.0 + y) ** 2)),
         disc_contains=_unit_disc_contains,
         boundary=_strip_boundary,
     ),
@@ -233,6 +263,7 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         to_disc_prime=lambda z: 1.0 / np.sqrt(z),
         from_disc=lambda w: 0.25 * (1.0 + w) ** 2,
         from_disc_prime=lambda w: 0.5 * (1.0 + w),
+        jacobian=lambda x, y: 0.25 * ((1.0 + x) ** 2 + y * y),
         disc_contains=_unit_disc_contains,
         boundary=_cardioid_boundary,
     ),
@@ -244,6 +275,7 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         to_disc_prime=lambda z: 2.0 / (_slit_sqrt(z) * (1.0 + 2.0 * z + _slit_sqrt(z))),
         from_disc=lambda w: w / (1.0 - w) ** 2,
         from_disc_prime=lambda w: (1.0 + w) / (1.0 - w) ** 3,
+        jacobian=_slit_jacobian,
         disc_contains=_unit_disc_contains,
         boundary=_slitplane_boundary,
     ),
@@ -333,6 +365,28 @@ class ConformalMap:
             else:
                 out = ops.from_disc_prime(arr)
         return complex(out) if scalar else out
+
+    def jacobian(self, w):
+        """The real Jacobian J(w, psi) = |psi'(w)|^2 of a FROM_DISC map.
+
+        Evaluated in real arithmetic from the family's closed form, with no
+        complex derivative; through eta^{-1}(w) = e^{i t'}(w - a')/(1 - conj(a') w)
+        it gains the factor ((1 - |a'|^2) / |1 - conj(a') w|^2)^2.  Returns a
+        float for a scalar and a new float array otherwise.
+        """
+        if self.direction is not Direction.FROM_DISC:
+            raise ValueError("jacobian expects a FROM_DISC map")
+        arr, scalar = as_complex_array(w)
+        self._check_input(arr)
+        kernel = self._ops.jacobian
+        if self.automorphism is None:
+            out = kernel(arr.real, arr.imag)
+        else:
+            eta_inv = self.automorphism.inverse()
+            inner = eta_inv(arr)
+            scale = (1.0 - abs(eta_inv.a) ** 2) / np.abs(1.0 - np.conj(eta_inv.a) * arr) ** 2
+            out = kernel(inner.real, inner.imag) * scale**2
+        return float(out) if scalar else out
 
     def invert(self) -> "ConformalMap":
         """The inverse map (direction flipped, same disc automorphism)."""

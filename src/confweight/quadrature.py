@@ -240,12 +240,24 @@ def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = 
 
 def inverse_brennan(mapping: ConformalMap, alpha: float, spec: DiscGridSpec | None = None,
                     tol: float = 1e-6, max_levels: int = 8) -> QuadResult:
-    """Integral of |psi'|^alpha over the unit disc, psi the map from the disc."""
+    """Integral of |psi'|^alpha over the unit disc, psi the map from the disc.
+
+    The integrand is J(w, psi)^(alpha/2), with J = |psi'|^2 the map's real
+    Jacobian (``ConformalMap.jacobian``), so no complex derivative is taken.
+    A power that overflows is not warned about; the node it overflows at
+    raises IntegrandNotFinite.
+    """
     if not math.isfinite(alpha):
         raise InvalidExponents("alpha must be finite")
     inv = mapping.invert() if mapping.direction is Direction.TO_DISC else mapping
-    e = float(alpha)
-    return integrate_disc(lambda w: np.abs(inv.derivative(w)) ** e, spec, tol, max_levels)
+    e = 0.5 * float(alpha)
+
+    def integrand(w):
+        jac = inv.jacobian(w)  # a fresh array, so the power may overwrite it
+        with np.errstate(over="ignore"):
+            return np.power(jac, e, out=jac)
+
+    return integrate_disc(integrand, spec, tol, max_levels)
 
 
 def kpq_norm(mapping: ConformalMap, p: float, q: float, spec: DiscGridSpec | None = None,

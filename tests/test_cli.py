@@ -2,11 +2,15 @@ import hashlib
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import confweight
 from confweight import ConfweightError, ConformalMap, DomainFamily, integrate_disc
 from confweight.cli import build_parser, main
 from confweight.poisson import _radial_factor
@@ -298,6 +302,17 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "--tol" in err
+
+
+def test_overflowing_ladder_prints_only_the_error_line():
+    # J^(alpha/2) overflows above J = 1; numpy must not warn on stderr first
+    src = os.path.dirname(os.path.dirname(confweight.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "confweight.cli", "inverse-brennan", "--domain",
+                           "strip", "--alpha", "1e308"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert re.fullmatch(r"error: integrand is not finite at interior node \(\S+j\)\n",
+                        proc.stderr), proc.stderr
 
 
 def test_non_finite_json_value_exits_1(capsys, tmp_path):

@@ -231,6 +231,55 @@ def test_map_round_trip_and_jacobian_properties():
     check()
 
 
+def test_jacobian_is_the_squared_derivative_magnitude_property():
+    # the real kernels against |psi'|^2 from the complex derivative, for every
+    # family, bare and post-composed with an automorphism
+    given, settings, automorphisms, points = _automorphism_properties(rmin=0.01)
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @settings
+    @given(st.sampled_from(list(DomainFamily)), st.none() | automorphisms, points)
+    def check(family, eta, w):
+        phi = ConformalMap.to_disc(family)
+        if eta is not None:
+            phi = compose_with_automorphism(phi, eta)
+        psi = phi.invert()
+        want = abs(psi.derivative(w)) ** 2
+        assert abs(psi.jacobian(w) - want) <= 1e-13 * want
+
+    check()
+
+
+def test_jacobian_rejects_what_derivative_rejects(to_disc):
+    psi = to_disc.invert()
+    for w in (1.0, 0.6 + 0.8j, 2j, np.array([0.1, 1.5])):
+        with pytest.raises(PointOutsideDomain):
+            psi.derivative(w)
+        with pytest.raises(PointOutsideDomain):
+            psi.jacobian(w)
+    for w in (complex(np.nan, 0.0), np.array([0.1, np.inf])):
+        with pytest.raises(ValueError):
+            psi.jacobian(w)
+    with pytest.raises(ValueError, match="FROM_DISC"):
+        to_disc.jacobian(0.1)
+
+
+def test_jacobian_rejects_the_exterior_puncture():
+    psi = ConformalMap.from_disc(DomainFamily.EXTERIOR)
+    with pytest.raises(PointOutsideDomain):
+        psi.jacobian(0.0)
+    with pytest.raises(PointOutsideDomain):
+        psi.jacobian(np.array([0.5, 0.0]))
+
+
+def test_jacobian_keeps_shape_and_scalars(to_disc):
+    psi = to_disc.invert()
+    w = np.array([[0.1 + 0.2j, -0.3j], [0.5, -0.4 + 0.1j]])
+    jac = psi.jacobian(w)
+    assert jac.shape == w.shape and jac.dtype == float
+    assert isinstance(psi.jacobian(0.3 + 0.1j), float)
+
+
 def test_compose_with_automorphism_still_uniformizes(rng):
     base = ConformalMap.to_disc(DomainFamily.HALFPLANE)
     eta = MoebiusAutomorphism(a=0.5, rotation=0.3)

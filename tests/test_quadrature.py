@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from confweight import (ConformalMap, DiscGridSpec, DomainFamily, GridTooLarge,
-                        IntegrandNotFinite, InvalidExponents, Verdict,
-                        brennan_direct, classify, disc_nodes, integrate_disc,
-                        inverse_brennan, kpq_norm, pairwise_sum)
+                        IntegrandNotFinite, InvalidExponents, MoebiusAutomorphism, Verdict,
+                        brennan_direct, classify, compose_with_automorphism, disc_nodes,
+                        integrate_disc, inverse_brennan, kpq_norm, pairwise_sum)
 
 
 def test_grid_spec_validation():
@@ -134,7 +134,9 @@ def test_ladder_over_the_node_budget_fails_before_evaluating():
 
 def test_slitplane_level_and_ladder_peaks_do_not_grow_with_the_grid():
     # nodes are generated per row block, so neither the 64 MiB node array of a
-    # 2048^2 level nor anything else of whole-level size is ever held
+    # 2048^2 level nor anything else of whole-level size is ever held; the
+    # integrand is the real Jacobian raised in place, with no complex
+    # derivative temporaries (4.6 MiB peak on that path)
     slit = ConformalMap.to_disc(DomainFamily.SLITPLANE)
     for spec, levels in ((DiscGridSpec(2048, 2048), 1), (DiscGridSpec(), 8)):
         tracemalloc.start()
@@ -144,7 +146,49 @@ def test_slitplane_level_and_ladder_peaks_do_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
         assert res.levels_used == levels
-        assert peak <= 8 * 2**20
+        assert peak <= 3.5 * 2**20
+
+
+_ETA = MoebiusAutomorphism(a=0.3 - 0.4j, rotation=0.7)
+_MAPS = [(f, eta) for f in DomainFamily for eta in (None, _ETA)]
+_MAP_IDS = [f"{f.value}-{'bare' if eta is None else 'eta'}" for f, eta in _MAPS]
+
+
+def _map(family, eta):
+    phi = ConformalMap.to_disc(family)
+    return phi if eta is None else compose_with_automorphism(phi, eta)
+
+
+@pytest.mark.parametrize("family,eta", _MAPS, ids=_MAP_IDS)
+def test_ladders_match_the_complex_derivative_integrand(family, eta):
+    # the integrand before the real Jacobian: |psi'|^(2 - s) from the complex derivative
+    phi = _map(family, eta)
+    psi = phi.invert()
+    for s in (1.2, 3.0, 4.1):
+        got = brennan_direct(phi, s, max_levels=6)
+        old = integrate_disc(lambda w: np.abs(psi.derivative(w)) ** (2.0 - s), max_levels=6)
+        assert (got.verdict, got.levels_used) == (old.verdict, old.levels_used)
+        np.testing.assert_allclose(got.level_values, old.level_values, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("family,eta", _MAPS, ids=_MAP_IDS)
+def test_s2_is_exactly_pi_at_every_level(family, eta):
+    # J^0 is one at every node, so each level sums the areas alone
+    phi = _map(family, eta)
+    for k in range(6):
+        level = brennan_direct(phi, 2.0, DiscGridSpec().level(k), max_levels=1)
+        assert level.value.hex() == math.pi.hex()
+
+
+def test_ladders_never_take_the_complex_derivative(monkeypatch):
+    def refuse(self, z):
+        raise AssertionError("a ladder evaluated the complex derivative")
+    monkeypatch.setattr(ConformalMap, "derivative", refuse)
+    slit = compose_with_automorphism(ConformalMap.to_disc(DomainFamily.SLITPLANE), _ETA)
+    assert brennan_direct(slit, 3.0, tol=0.1).verdict is Verdict.CONVERGED
+    assert inverse_brennan(slit.invert(), -1.0, tol=0.1).levels_used >= 2
+    card = ConformalMap.to_disc(DomainFamily.CARDIOID)
+    assert kpq_norm(card, 2.0, 1.0).verdict is Verdict.CONVERGED
 
 
 def test_classify_converged_checked_first():
