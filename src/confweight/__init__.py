@@ -5,11 +5,11 @@ domains, integrates weight powers with refinement-based convergence
 verdicts, transfers Sobolev norms and Dirichlet problems between a domain
 and the unit disc, and estimates the associated embedding constants.
 """
-from .errors import (BranchCutViolation, ConfweightError, DomainMismatch,
-                     ExponentOutOfRange, GridTooCoarse, GridTooLarge,
-                     IntegrandNotFinite, InvalidExponents, IterationDivergence,
-                     KpqDivergent, PointOutsideDomain, RhsNotFinite,
-                     SingularTridiagonal, SolutionNotFinite)
+from .errors import (BranchCutViolation, ConfweightError, ExponentOutOfRange,
+                     GridTooCoarse, GridTooLarge, IntegrandNotFinite,
+                     InvalidExponents, IterationDivergence, KpqDivergent,
+                     PointOutsideDomain, RhsNotFinite, SingularTridiagonal,
+                     SolutionNotFinite)
 from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod,
                         ExponentBounds, disc_eigenvalue,
                         exponent_bounds, poincare_constant_disc, q_from_ps,
@@ -28,7 +28,6 @@ from .quadrature import (CHECK_SPEC, DiscGridSpec, QuadResult, Verdict,
                          inverse_brennan, kpq_norm, pull_back)
 from .util import DEFAULT_SEED, default_seed, fmt17, pairwise_sum
 from .verify import J0_FIRST_ZERO, quoted_formula_report, run_verify
-from .weights import WeightField, moebius_ratio_bounds, weight_equivalence_check
 
 __version__ = "1.0.0"
 
@@ -36,20 +35,18 @@ __all__ = [
     "BranchCutViolation", "CHECK_SPEC", "CompositionRecord", "ConformalMap",
     "ConfweightError", "ConstantEstimate", "ConvergenceRow", "DEFAULT_ALPHA0",
     "DEFAULT_SEED", "DirichletProblem", "Direction", "DiscGridSpec",
-    "DiscSolution", "DomainFamily", "DomainMismatch",
-    "EstimateMethod", "ExponentBounds", "ExponentOutOfRange", "GridTooCoarse",
-    "GridTooLarge", "IntegrandNotFinite", "InvalidExponents",
-    "IterationDivergence", "J0_FIRST_ZERO", "KpqDivergent",
+    "DiscSolution", "DomainFamily", "EstimateMethod", "ExponentBounds",
+    "ExponentOutOfRange", "GridTooCoarse", "GridTooLarge", "IntegrandNotFinite",
+    "InvalidExponents", "IterationDivergence", "J0_FIRST_ZERO", "KpqDivergent",
     "MoebiusAutomorphism", "PointOutsideDomain", "PolarGrid", "QuadResult",
     "ResidualReport", "RhsNotFinite", "RhsSpec", "SingularTridiagonal",
-    "SolutionNotFinite", "TestBump", "Verdict", "WeightField",
-    "boundary_image_check", "boundary_samples", "brennan_direct", "classify",
+    "SolutionNotFinite", "TestBump", "Verdict", "boundary_image_check", "boundary_samples", "brennan_direct", "classify",
     "compose_with_automorphism", "composition_inequality_check", "constant_rhs",
     "convergence_study", "default_seed", "disc_eigenvalue", "disc_nodes",
     "exponent_bounds", "fmt17", "integrate_disc", "inverse_brennan",
     "isometry_check", "kpq_norm", "lp_norm", "make_bump_family",
-    "moebius_ratio_bounds", "pairwise_sum", "poincare_constant_disc",
-    "pull_back", "q_from_ps", "quartic_rhs", "quoted_formula_report",
+    "pairwise_sum", "poincare_constant_disc", "pull_back", "q_from_ps",
+    "quartic_rhs", "quoted_formula_report",
     "round_trip_check", "run_verify", "sample_interior", "solve_dirichlet",
-    "weak_residual", "weight_equivalence_check", "weighted_constant_check",
+    "weak_residual", "weighted_constant_check",
 ]

@@ -36,7 +36,6 @@ from .quadrature import (NODE_BUDGET, QuadResult, Verdict, brennan_direct,
                          inverse_brennan, kpq_norm)
 from .util import default_seed, fmt17, fmt_g, open_target
 from .verify import run_verify
-from .weights import WeightField
 
 _FAMILY_NAMES = tuple(f.value for f in DomainFamily)
 
@@ -202,8 +201,7 @@ def _scalar_output(args, config: dict, payload: dict) -> None:
 
 
 def _cmd_weight(args) -> int:
-    field = WeightField(ConformalMap.to_disc(DomainFamily(args.domain)))
-    h = float(field.evaluate(args.at))
+    h = ConformalMap.to_disc(DomainFamily(args.domain)).jacobian(args.at)
     _scalar_output(args, _config_echo(args), {"h": h})
     return 0
 

@@ -13,10 +13,6 @@ class BranchCutViolation(PointOutsideDomain):
     """A point lies on the ray excluded by a square-root branch."""
 
 
-class DomainMismatch(ConfweightError):
-    """Two objects defined over different domain families were combined."""
-
-
 class IntegrandNotFinite(ConfweightError):
     """An integrand returned NaN or Inf at an interior quadrature node."""
 

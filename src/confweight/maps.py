@@ -15,8 +15,9 @@ cardioid   r < (1 + cos t)/2 (polar)      2 sqrt(z) - 1             (1 + w)^2 / 
 slitplane  C minus (-inf, -1/4]           2z/(1 + 2z + sqrt(1+4z))  w/(1 - w)^2
 ========== ============================== ========================= =====================
 
-A FROM_DISC map also has its real Jacobian J(w, psi) = |psi'(w)|^2, the
-conformal weight read from the disc side, in closed form in x = Re w and
+Every map has a real Jacobian.  A TO_DISC map's is the conformal weight
+h(z) = J(z, phi) = |phi'(z)|^2; a FROM_DISC map's, J(w, psi) = |psi'(w)|^2,
+is the weight read from the disc side, in closed form in x = Re w and
 y = Im w:
 
 ========== ===========================================
@@ -133,12 +134,8 @@ class _FamilyOps:
     from_disc: Callable
     from_disc_prime: Callable
     jacobian: Callable  # |psi'(w)|^2 from x = Re w, y = Im w, in real arithmetic
-    disc_contains: Callable
     boundary: Callable
-
-
-def _unit_disc_contains(w):
-    return np.abs(w) < 1.0
+    punctured: bool = False  # psi is singular at w = 0, which phi never reaches
 
 
 def _circle_samples(n):
@@ -217,7 +214,6 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         from_disc=lambda w: w,
         from_disc_prime=lambda w: np.ones_like(w),
         jacobian=lambda x, y: np.ones_like(x),
-        disc_contains=_unit_disc_contains,
         boundary=_disc_boundary,
     ),
     DomainFamily.EXTERIOR: _FamilyOps(
@@ -229,7 +225,7 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         from_disc_prime=lambda w: -1.0 / w**2,
         jacobian=lambda x, y: 1.0 / (x * x + y * y) ** 2,
         # 1/z maps the exterior onto the punctured disc; w = 0 has no preimage
-        disc_contains=lambda w: (np.abs(w) < 1.0) & (w != 0),
+        punctured=True,
         boundary=_exterior_boundary,
     ),
     DomainFamily.HALFPLANE: _FamilyOps(
@@ -240,7 +236,6 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         from_disc=lambda w: 1j * (1.0 + w) / (1.0 - w),
         from_disc_prime=lambda w: 2j / (1.0 - w) ** 2,
         jacobian=lambda x, y: 4.0 / ((1.0 - x) ** 2 + y * y) ** 2,
-        disc_contains=_unit_disc_contains,
         boundary=_halfplane_boundary,
     ),
     DomainFamily.STRIP: _FamilyOps(
@@ -252,7 +247,6 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         from_disc=np.arctan,
         from_disc_prime=lambda w: 1.0 / ((1.0 - 1j * w) * (1.0 + 1j * w)),
         jacobian=lambda x, y: 1.0 / ((x * x + (1.0 - y) ** 2) * (x * x + (1.0 + y) ** 2)),
-        disc_contains=_unit_disc_contains,
         boundary=_strip_boundary,
     ),
     DomainFamily.CARDIOID: _FamilyOps(
@@ -264,7 +258,6 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         from_disc=lambda w: 0.25 * (1.0 + w) ** 2,
         from_disc_prime=lambda w: 0.5 * (1.0 + w),
         jacobian=lambda x, y: 0.25 * ((1.0 + x) ** 2 + y * y),
-        disc_contains=_unit_disc_contains,
         boundary=_cardioid_boundary,
     ),
     DomainFamily.SLITPLANE: _FamilyOps(
@@ -276,7 +269,6 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         from_disc=lambda w: w / (1.0 - w) ** 2,
         from_disc_prime=lambda w: (1.0 + w) / (1.0 - w) ** 3,
         jacobian=_slit_jacobian,
-        disc_contains=_unit_disc_contains,
         boundary=_slitplane_boundary,
     ),
 }
@@ -314,7 +306,15 @@ class ConformalMap:
         """Membership of the map's input domain; a cut family's excludes its cut."""
         if self.direction is Direction.TO_DISC:
             return self._ops.contains(arr)
-        return self._ops.disc_contains(arr)
+        inside = np.abs(arr) < 1.0
+        if self._ops.punctured:
+            # the puncture is eta(0), where eta^{-1}(w) = 0; eta^{-1} is only
+            # evaluated inside the disc, where its denominator cannot vanish
+            inner = arr
+            if self.automorphism is not None:
+                inner = self.automorphism.inverse()(np.where(inside, arr, 0.0))
+            inside &= inner != 0
+        return inside
 
     def _check_input(self, arr: np.ndarray) -> None:
         inside = self._inside(arr)
@@ -352,40 +352,44 @@ class ConformalMap:
         """Complex derivative at interior points (chain rule through eta)."""
         arr, scalar = as_complex_array(z)
         self._check_input(arr)
+        out = self._derivative(arr)
+        return complex(out) if scalar else out
+
+    def _derivative(self, arr: np.ndarray) -> np.ndarray:
         ops = self._ops
         if self.direction is Direction.TO_DISC:
             out = ops.to_disc_prime(arr)
             if self.automorphism is not None:
                 out = out * self.automorphism.derivative(ops.to_disc(arr))
+        elif self.automorphism is not None:
+            eta_inv = self.automorphism.inverse()
+            out = ops.from_disc_prime(eta_inv(arr)) * eta_inv.derivative(arr)
         else:
-            if self.automorphism is not None:
-                eta_inv = self.automorphism.inverse()
-                inner = eta_inv(arr)
-                out = ops.from_disc_prime(inner) * eta_inv.derivative(arr)
-            else:
-                out = ops.from_disc_prime(arr)
-        return complex(out) if scalar else out
+            out = ops.from_disc_prime(arr)
+        return out
 
-    def jacobian(self, w):
-        """The real Jacobian J(w, psi) = |psi'(w)|^2 of a FROM_DISC map.
+    def jacobian(self, z):
+        """The real Jacobian J = |f'|^2 of the map f at interior points.
 
-        Evaluated in real arithmetic from the family's closed form, with no
+        For a TO_DISC map phi this is the conformal weight h(z) = J(z, phi),
+        |phi'(z)|^2 from the complex derivative (chain rule through eta
+        included).  For a FROM_DISC map psi it is J(w, psi) = |psi'(w)|^2,
+        evaluated in real arithmetic from the family's closed form with no
         complex derivative; through eta^{-1}(w) = e^{i t'}(w - a')/(1 - conj(a') w)
         it gains the factor ((1 - |a'|^2) / |1 - conj(a') w|^2)^2.  Returns a
         float for a scalar and a new float array otherwise.
         """
-        if self.direction is not Direction.FROM_DISC:
-            raise ValueError("jacobian expects a FROM_DISC map")
-        arr, scalar = as_complex_array(w)
+        arr, scalar = as_complex_array(z)
         self._check_input(arr)
-        kernel = self._ops.jacobian
-        if self.automorphism is None:
-            out = kernel(arr.real, arr.imag)
+        if self.direction is Direction.TO_DISC:
+            out = np.abs(self._derivative(arr)) ** 2
+        elif self.automorphism is None:
+            out = self._ops.jacobian(arr.real, arr.imag)
         else:
             eta_inv = self.automorphism.inverse()
             inner = eta_inv(arr)
             scale = (1.0 - abs(eta_inv.a) ** 2) / np.abs(1.0 - np.conj(eta_inv.a) * arr) ** 2
-            out = kernel(inner.real, inner.imag) * scale**2
+            out = self._ops.jacobian(inner.real, inner.imag) * scale**2
         return float(out) if scalar else out
 
     def invert(self) -> "ConformalMap":

@@ -41,6 +41,9 @@ from .util import pairwise_sum
 _GROWTH_SLACK = 0.9  # an increment counts as sustained when >= 0.9x its predecessor
 _BLOCK_NODES = 1 << 16  # nodes per row block of a level (bounds its temporaries)
 NODE_BUDGET = 1 << 24  # largest level a ladder (or CLI grid) may reach: 4096 x 4096
+# uniform t-cells map through g(t) = 1 - (1 - t)^3, packing radial cells
+# against r = 1 where the pulled-back integrands are singular
+_RADIAL_GRADING = 3.0
 
 
 class Verdict(str, enum.Enum):
@@ -55,24 +58,16 @@ def _power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class DiscGridSpec:
-    """Base polar quadrature grid; refinement doubles both counts per level.
-
-    ``radial_grading`` gamma >= 1 maps uniform t-cells through
-    g(t) = 1 - (1 - t)^gamma, packing radial cells against r = 1 where the
-    pulled-back integrands are singular.
-    """
+    """Base polar quadrature grid; refinement doubles both counts per level."""
 
     n_r: int = 16
     n_theta: int = 16
-    radial_grading: float = 3.0
 
     def __post_init__(self):
         if not (_power_of_two(self.n_r) and self.n_r >= 8):
             raise ValueError("n_r must be a power of two, at least 8")
         if not (_power_of_two(self.n_theta) and self.n_theta >= 8):
             raise ValueError("n_theta must be a power of two, at least 8")
-        if not (math.isfinite(self.radial_grading) and self.radial_grading >= 1.0):
-            raise ValueError("radial_grading must be a finite exponent >= 1")
 
     def level(self, k: int) -> "DiscGridSpec":
         return replace(self, n_r=self.n_r << k, n_theta=self.n_theta << k)
@@ -95,7 +90,7 @@ def disc_nodes(spec: DiscGridSpec, rows: int | None = None
     blocks of at most ``rows`` rows, each generated only when it is reached.
     """
     t = np.linspace(0.0, 1.0, spec.n_r + 1)
-    edges = 1.0 - (1.0 - t) ** spec.radial_grading
+    edges = 1.0 - (1.0 - t) ** _RADIAL_GRADING
     r = 0.5 * (edges[:-1] + edges[1:])
     dr = np.diff(edges)
     dtheta = 2.0 * np.pi / spec.n_theta

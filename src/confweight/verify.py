@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from . import weights as weights_module
 from .exponents import (disc_eigenvalue, exponent_bounds, poincare_constant_disc,
                         q_from_ps, weighted_constant_check)
 from .fields import (PolarGrid, TestBump, composition_inequality_check,
@@ -35,7 +34,6 @@ from .poisson import (DirichletProblem, constant_rhs, convergence_study,
                       quartic_rhs, solve_dirichlet, weak_residual)
 from .quadrature import Verdict, brennan_direct, integrate_disc, pull_back
 from .util import default_seed, pairwise_sum
-from .weights import WeightField, moebius_ratio_bounds, weight_equivalence_check
 
 # first positive zero of the Bessel function J0; lambda_1(disc) = j01^2
 J0_FIRST_ZERO = 2.404825557695773
@@ -70,7 +68,7 @@ def _check_maps(add, rng):
         ex = to_disc.eval(z + fd_step) - to_disc.eval(z - fd_step)
         ey = to_disc.eval(z + 1j * fd_step) - to_disc.eval(z - 1j * fd_step)
         det = (ex.real * ey.imag - ey.real * ex.imag) / (2.0 * fd_step) ** 2
-        hval = np.abs(to_disc.derivative(z)) ** 2
+        hval = to_disc.jacobian(z)
         rel = float(np.max(np.abs(det - hval) / hval))
         add(f"maps.conformal_identity.{fam.value}", rel <= 1e-6, max_rel=rel)
 
@@ -99,20 +97,20 @@ def _check_automorphisms(add, rng):
 
 def _check_weights(add, rng):
     for fam in _FAMILIES:
-        field = WeightField(ConformalMap.to_disc(fam))
-        pts = sample_interior(field.map, 10_000, rng=rng)
-        vals = field.evaluate(pts)
+        to_disc = ConformalMap.to_disc(fam)
+        pts = sample_interior(to_disc, 10_000, rng=rng)
+        vals = to_disc.jacobian(pts)
         add(f"weights.positivity.{fam.value}", bool(np.all(vals > 0.0)),
             min_value=float(np.min(vals)))
 
-        probe = sample_interior(field.map, 200, rng=rng, rmax=0.9)
+        probe = sample_interior(to_disc, 200, rng=rng, rmax=0.9)
         step = 1e-8 * (1.0 + np.abs(probe))
-        base = field.evaluate(probe)
-        rel_step = float(np.max(np.abs(field.evaluate(probe + step) - base) / base))
+        base = to_disc.jacobian(probe)
+        rel_step = float(np.max(np.abs(to_disc.jacobian(probe + step) - base) / base))
         add(f"weights.continuity.{fam.value}", rel_step <= 1e-3, max_rel_step=rel_step)
 
         # the pulled-back weight h(psi(w))|psi'(w)|^2 = (|phi'(psi(w))| |psi'(w)|)^2
-        _, areas, phi_abs, psi_abs = pull_back(field.map)
+        _, areas, phi_abs, psi_abs = pull_back(to_disc)
         total = float(pairwise_sum(phi_abs**2 * psi_abs**2 * areas))
         rel_mass = abs(total - math.pi) / math.pi
         add(f"weights.mass_identity.{fam.value}", rel_mass <= 1e-4,
@@ -121,13 +119,16 @@ def _check_weights(add, rng):
     base_map = ConformalMap.to_disc(DomainFamily.HALFPLANE)
     for a in (0.0, 0.5, 0.9):
         eta = MoebiusAutomorphism(a=a, rotation=0.3)
-        tilted = WeightField(compose_with_automorphism(base_map, eta))
-        lo, hi = moebius_ratio_bounds(a)
-        rmin, rmax = weight_equivalence_check(WeightField(base_map), tilted,
-                                              samples=500, rng=rng)
+        tilted = compose_with_automorphism(base_map, eta)
+        # the ratio is |eta'|^2 at the image point, so it lies in [m^2, 1/m^2]
+        m = eta.derivative_magnitude_bounds()[0]
+        lo, hi = m**2, (1.0 / m) ** 2
+        z = sample_interior(base_map, 500, rng)
+        ratio = tilted.jacobian(z) / base_map.jacobian(z)
+        rmin, rmax = float(ratio.min()), float(ratio.max())
         ok = (lo - 1e-12 <= rmin) and (rmax <= hi + 1e-12)
-        add(f"weights.equivalence.a={a:g}", ok, ratio_min=float(rmin),
-            ratio_max=float(rmax), bound_low=float(lo), bound_high=float(hi))
+        add(f"weights.equivalence.a={a:g}", ok, ratio_min=rmin, ratio_max=rmax,
+            bound_low=float(lo), bound_high=float(hi))
 
 
 def _check_quadrature(add):
@@ -277,18 +278,18 @@ def _check_poisson(add, rng):
 
     # assembly must pull back f only; the weight is never consulted
     calls = {"count": 0}
-    orig_method = weights_module.WeightField.evaluate
+    orig_method = ConformalMap.jacobian
 
     def spy_method(self, z):
         calls["count"] += 1
         return orig_method(self, z)
 
-    weights_module.WeightField.evaluate = spy_method
+    ConformalMap.jacobian = spy_method
     try:
         solve_dirichlet(DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID),
                                          quartic_rhs()), PolarGrid(64, 64))
     finally:
-        weights_module.WeightField.evaluate = orig_method
+        ConformalMap.jacobian = orig_method
     add("poisson.weight_free_assembly", calls["count"] == 0,
         weight_queries=calls["count"])
 
@@ -302,9 +303,8 @@ def quoted_formula_report() -> list[dict]:
     1/(2 sqrt|z|) (its true Jacobian is 1/(4|z|)), and its boundary image is
     not the unit circle; the shipped map is the corrected 2 sqrt(z) - 1.
     """
-    strip_field = WeightField(ConformalMap.to_disc(DomainFamily.STRIP))
     z = 0.5 + 0.0j
-    computed = float(strip_field.evaluate(z))
+    computed = ConformalMap.to_disc(DomainFamily.STRIP).jacobian(z)
     quoted = 1.0 / ((z.real**2 + z.imag**2) ** 2 + z.real**2 - z.imag**2 + 1.0)
     strip_entry = {
         "family": "strip",
@@ -319,7 +319,7 @@ def quoted_formula_report() -> list[dict]:
     zc = 0.0625 + 0.0j
     quoted_map_jacobian = float(np.abs(0.5 / np.sqrt(zc)) ** 2)
     quoted_weight = 1.0 / (2.0 * math.sqrt(abs(zc)))
-    shipped = float(WeightField(ConformalMap.to_disc(DomainFamily.CARDIOID)).evaluate(zc))
+    shipped = ConformalMap.to_disc(DomainFamily.CARDIOID).jacobian(zc)
     cardioid_entry = {
         "family": "cardioid",
         "at": [zc.real, zc.imag],

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from confweight import (ConformalMap, DiscGridSpec, DomainFamily, Verdict,
-                        WeightField, brennan_direct, composition_inequality_check,
+                        brennan_direct, composition_inequality_check,
                         default_seed, exponent_bounds, isometry_check,
                         kpq_norm, make_bump_family, pairwise_sum,
                         poincare_constant_disc, pull_back, q_from_ps,
@@ -35,14 +35,14 @@ def test_criterion_1_weight_formulas():
     start = time.perf_counter()
     rng = np.random.default_rng(default_seed())
 
-    ext = WeightField(ConformalMap.to_disc(DomainFamily.EXTERIOR))
-    z = sample_interior(ext.map, 100, rng=rng)
-    ext_dev = float(np.max(np.abs(ext.evaluate(z) - 1.0 / np.abs(z) ** 4)))
+    ext = ConformalMap.to_disc(DomainFamily.EXTERIOR)
+    z = sample_interior(ext, 100, rng=rng)
+    ext_dev = float(np.max(np.abs(ext.jacobian(z) - 1.0 / np.abs(z) ** 4)))
 
-    hp = WeightField(ConformalMap.to_disc(DomainFamily.HALFPLANE))
-    z = sample_interior(hp.map, 100, rng=rng)
+    hp = ConformalMap.to_disc(DomainFamily.HALFPLANE)
+    z = sample_interior(hp, 100, rng=rng)
     hp_dev = float(np.max(np.abs(
-        hp.evaluate(z) - 4.0 / (z.real**2 + (z.imag + 1.0) ** 2) ** 2)))
+        hp.jacobian(z) - 4.0 / (z.real**2 + (z.imag + 1.0) ** 2) ** 2)))
 
     strip_rep, card_rep = quoted_formula_report()
     strip_ok = (strip_rep["mismatch"]

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and every
+public name is used by the package itself, not only by its tests."""
 import ast
 from pathlib import Path
 
@@ -36,3 +37,25 @@ def test_no_unused_module_imports(path):
 def test_the_walk_sees_an_unused_import():
     src = "import os\nfrom x import y as z, w\n__all__ = ['w']\n"
     assert _unused_imports(src) == ["os (line 1)", "z (line 2)"]
+
+
+def _referenced_names(sources: list[str]) -> set[str]:
+    """Names read as an ``ast.Name`` or an attribute anywhere in ``sources``."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used_by_the_package():
+    sources = [p.read_text() for p in MODULES if p.name != "__init__.py"]
+    assert sorted(set(confweight.__all__) - _referenced_names(sources)) == []
+
+
+def test_the_walk_sees_an_unreferenced_name():
+    src = "from .m import a, b\ndef c():\n    return a + x.b\ndef d():\n    pass\n"
+    assert {"a", "b", "c", "d"} - _referenced_names([src]) == {"c", "d"}

@@ -152,6 +152,14 @@ def test_automorphism_rejects_bad_parameter():
         MoebiusAutomorphism(a=1.0, rotation=0.0)
 
 
+@pytest.mark.parametrize("a", [complex("nan"), complex("inf"), float("nan")])
+def test_automorphism_rejects_non_finite_parameters(a):
+    with pytest.raises(ValueError, match="must be finite"):
+        MoebiusAutomorphism(a)
+    with pytest.raises(ValueError, match="must be finite"):
+        MoebiusAutomorphism(0.5, rotation=a.real)
+
+
 def test_automorphism_derivative_and_bounds(rng):
     eta = MoebiusAutomorphism(a=0.5, rotation=0.7)
     w = 0.999 * np.exp(2j * np.pi * rng.uniform(size=256))
@@ -260,8 +268,44 @@ def test_jacobian_rejects_what_derivative_rejects(to_disc):
     for w in (complex(np.nan, 0.0), np.array([0.1, np.inf])):
         with pytest.raises(ValueError):
             psi.jacobian(w)
-    with pytest.raises(ValueError, match="FROM_DISC"):
-        to_disc.jacobian(0.1)
+
+
+_TILT = MoebiusAutomorphism(0.3 - 0.2j, 0.7)
+
+
+@pytest.mark.parametrize("eta", [None, _TILT], ids=["bare", "tilted"])
+def test_weight_is_the_squared_derivative_bit_for_bit(to_disc, eta, rng):
+    # a TO_DISC map's Jacobian is the conformal weight h = |phi'|^2, taken
+    # from the same complex derivative
+    phi = to_disc if eta is None else compose_with_automorphism(to_disc, eta)
+    z = sample_interior(to_disc, 256, rng=rng)
+    assert np.array_equal(phi.jacobian(z), np.abs(phi.derivative(z)) ** 2)
+    for zk in z[:8]:
+        h = phi.jacobian(complex(zk))
+        assert type(h) is float
+        assert h == np.abs(phi.derivative(complex(zk))) ** 2
+
+
+@pytest.mark.parametrize("eta", [None, _TILT], ids=["bare", "tilted"])
+def test_weight_rejects_what_derivative_rejects(eta):
+    cases = [("disc", 1.5, PointOutsideDomain),
+             ("exterior", np.array([2.0, 0.5j]), PointOutsideDomain),
+             ("halfplane", -1j, PointOutsideDomain),
+             ("strip", np.array([0.1, 1.0 + 1j]), PointOutsideDomain),
+             ("cardioid", -0.1, BranchCutViolation),
+             ("cardioid", np.array([0.1, 0.0]), BranchCutViolation),
+             ("slitplane", -1.0, BranchCutViolation),
+             ("slitplane", np.array([0.1j, -0.25]), BranchCutViolation),
+             ("halfplane", complex(np.nan, 1.0), ValueError),
+             ("strip", np.array([0.1, np.nan]), ValueError)]
+    for family, z, error in cases:
+        phi = ConformalMap.to_disc(family)
+        if eta is not None:
+            phi = compose_with_automorphism(phi, eta)
+        with pytest.raises(error):
+            phi.derivative(z)
+        with pytest.raises(error):
+            phi.jacobian(z)
 
 
 def test_jacobian_rejects_the_exterior_puncture():
@@ -270,6 +314,29 @@ def test_jacobian_rejects_the_exterior_puncture():
         psi.jacobian(0.0)
     with pytest.raises(PointOutsideDomain):
         psi.jacobian(np.array([0.5, 0.0]))
+
+
+# the exterior family's psi = 1/u is singular at u = eta^{-1}(w) = 0, i.e. at w = eta(0)
+_ETA = MoebiusAutomorphism(0.3 - 0.4j, 0.7)
+_EXTERIOR_PSI = compose_with_automorphism(ConformalMap.to_disc(DomainFamily.EXTERIOR),
+                                          _ETA).invert()
+
+
+@pytest.mark.parametrize("method", ["eval", "derivative", "jacobian"])
+def test_composed_exterior_puncture_sits_at_eta_of_zero(method):
+    psi = _EXTERIOR_PSI
+    puncture = _ETA(0.0)
+    assert psi.contains(0.0) and np.all(psi.contains(np.array([0.0, 0.5])))
+    assert np.isfinite(getattr(psi, method)(0.0))
+    assert np.all(np.isfinite(getattr(psi, method)(np.array([0.0, 0.5]))))
+    # 1/conj(a') is where eta^{-1} divides by zero, outside the disc
+    pole = 1.0 / np.conj(_ETA.inverse().a)
+    assert not psi.contains(puncture)
+    assert not np.any(psi.contains(np.array([puncture, 1.5, pole])))
+    with pytest.raises(PointOutsideDomain):
+        getattr(psi, method)(puncture)
+    with pytest.raises(PointOutsideDomain):
+        getattr(psi, method)(np.array([0.5, puncture]))
 
 
 def test_jacobian_keeps_shape_and_scalars(to_disc):

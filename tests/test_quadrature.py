@@ -16,15 +16,12 @@ def test_grid_spec_validation():
         DiscGridSpec(n_r=12, n_theta=16)  # not a power of two
     with pytest.raises(ValueError):
         DiscGridSpec(n_r=4, n_theta=16)   # too small
-    with pytest.raises(ValueError):
-        DiscGridSpec(n_r=16, n_theta=16, radial_grading=0.5)
 
 
 def test_grid_spec_levels():
     spec = DiscGridSpec(n_r=16, n_theta=16)
     lvl3 = spec.level(2)
     assert (lvl3.n_r, lvl3.n_theta) == (64, 64)
-    assert lvl3.radial_grading == spec.radial_grading
 
 
 def test_disc_nodes_partition_unity():
@@ -37,7 +34,7 @@ def test_disc_nodes_partition_unity():
 @pytest.mark.parametrize("n_r,n_theta", [(16, 16), (2048, 8)])
 def test_disc_node_weights_equal_the_outer_product(n_r, n_theta):
     spec = DiscGridSpec(n_r=n_r, n_theta=n_theta)
-    edges = 1.0 - (1.0 - np.linspace(0.0, 1.0, n_r + 1)) ** spec.radial_grading
+    edges = 1.0 - (1.0 - np.linspace(0.0, 1.0, n_r + 1)) ** 3.0
     r, dr = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
     outer = (r * dr)[:, None] * np.full(n_theta, 2.0 * np.pi / n_theta)[None, :]
     _, weights = disc_nodes(spec)

@@ -88,3 +88,18 @@ def test_poisson_checks_solve_each_disc_grid_once(monkeypatch):
     # digest taken when every family solved and tested its own three grids
     digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
     assert digest == "27ea7f98bea0d9c7016393d01cf62a3515f3851ce338a75d599435014132f8a7"
+
+
+def test_weight_checks_and_quoted_report_keep_their_bits():
+    # digests taken when the weight was evaluated through its own wrapper class
+    # rather than ConformalMap.jacobian
+    checks = []
+    verify._check_weights(
+        lambda name, passed, **detail: checks.append(
+            {"name": name, "passed": bool(passed), "detail": detail}),
+        np.random.default_rng(DEFAULT_SEED))
+    digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
+    assert digest == "1da90f0706c3974c9292022d9da48c97717c949fb360310dd123c7810836294d"
+    report = json.dumps(verify.quoted_formula_report(), sort_keys=True).encode()
+    assert (hashlib.sha256(report).hexdigest()
+            == "83ba08a7df40de23064ef84f246597f593f3bd84efc5d0f339864cb6cde82a31")

@@ -1,67 +1,60 @@
+"""The conformal weight h(z) = J(z, phi), the Jacobian of a TO_DISC map."""
 import math
 
 import numpy as np
 import pytest
 
-from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
-                        DomainMismatch, MoebiusAutomorphism, WeightField,
-                        compose_with_automorphism, moebius_ratio_bounds,
-                        pairwise_sum, pull_back, sample_interior,
-                        weight_equivalence_check)
+from confweight import (ConformalMap, DiscGridSpec, MoebiusAutomorphism,
+                        compose_with_automorphism, pairwise_sum, pull_back,
+                        sample_interior)
 
 
-def field(name):
-    return WeightField(ConformalMap.to_disc(name))
-
-
-def test_requires_to_disc_direction():
-    with pytest.raises(ValueError):
-        WeightField(ConformalMap.from_disc(DomainFamily.HALFPLANE))
+def weight(name):
+    return ConformalMap.to_disc(name).jacobian
 
 
 def test_known_point_values():
-    assert field("exterior").evaluate(2.0 + 0.0j) == pytest.approx(0.0625, abs=1e-15)
-    assert field("halfplane").evaluate(1j) == pytest.approx(0.25, abs=1e-15)
-    assert field("strip").evaluate(0.0 + 0.0j) == pytest.approx(1.0, abs=1e-15)
-    assert field("disc").evaluate(0.3 + 0.4j) == 1.0
+    assert weight("exterior")(2.0 + 0.0j) == pytest.approx(0.0625, abs=1e-15)
+    assert weight("halfplane")(1j) == pytest.approx(0.25, abs=1e-15)
+    assert weight("strip")(0.0 + 0.0j) == pytest.approx(1.0, abs=1e-15)
+    assert weight("disc")(0.3 + 0.4j) == 1.0
     # cardioid weight is 1/|z| away from the cusp
-    assert field("cardioid").evaluate(0.0625 + 0.0j) == pytest.approx(16.0, rel=1e-12)
-    assert field("slitplane").evaluate(0.0 + 0.0j) == pytest.approx(1.0, rel=1e-12)
+    assert weight("cardioid")(0.0625 + 0.0j) == pytest.approx(16.0, rel=1e-12)
+    assert weight("slitplane")(0.0 + 0.0j) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_exterior_closed_form(rng):
-    f = field("exterior")
-    z = sample_interior(f.map, 200, rng=rng)
+    m = ConformalMap.to_disc("exterior")
+    z = sample_interior(m, 200, rng=rng)
     expected = 1.0 / np.abs(z) ** 4
-    assert np.abs(f.evaluate(z) - expected).max() < 1e-12
+    assert np.abs(m.jacobian(z) - expected).max() < 1e-12
 
 
 def test_halfplane_closed_form(rng):
-    f = field("halfplane")
-    z = sample_interior(f.map, 200, rng=rng)
+    m = ConformalMap.to_disc("halfplane")
+    z = sample_interior(m, 200, rng=rng)
     expected = 4.0 / np.abs(z + 1j) ** 4
-    assert np.abs(f.evaluate(z) - expected).max() < 1e-12
+    assert np.abs(m.jacobian(z) - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("z", [0.5 + 0.0j, 0.3 + 10.0j, -0.7 + 0.2j])
 def test_strip_real_closed_form(z):
     # h = |sec z|^4 and |cos z|^2 = (cos 2x + cosh 2y)/2
     expected = 4.0 / (math.cos(2.0 * z.real) + math.cosh(2.0 * z.imag)) ** 2
-    assert field("strip").evaluate(z) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert weight("strip")(z) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_positivity(to_disc, rng):
-    f = WeightField(to_disc)
     z = sample_interior(to_disc, 10_000, rng=rng)
-    assert np.all(f.evaluate(z) > 0.0)
+    assert np.all(to_disc.jacobian(z) > 0.0)
 
 
 def test_disc_density_is_unity(to_disc, rng):
     # the pulled-back weight h(psi(w)) |psi'(w)|^2, pointwise off any grid
-    f, inv = WeightField(to_disc), to_disc.invert()
+    inv = to_disc.invert()
     r = 0.05 + 0.9 * rng.uniform(size=300)
     w = r * np.exp(2j * np.pi * rng.uniform(size=300))
-    density = f.evaluate(inv.eval(w)) * np.abs(inv.derivative(w)) ** 2
+    density = to_disc.jacobian(inv.eval(w)) * np.abs(inv.derivative(w)) ** 2
     assert np.abs(density - 1.0).max() < 1e-12
 
 
@@ -72,41 +65,24 @@ def test_mass_identity(to_disc):
     assert abs(total - math.pi) / math.pi < 1e-4
 
 
+def _ratio_range(a, rotation, samples, rng):
+    base = ConformalMap.to_disc("halfplane")
+    tilted = compose_with_automorphism(base, MoebiusAutomorphism(a=a, rotation=rotation))
+    z = sample_interior(base, samples, rng=rng)
+    ratio = tilted.jacobian(z) / base.jacobian(z)
+    return ratio.min(), ratio.max()
+
+
 def test_equivalence_rotation_only(rng):
-    base = field("halfplane")
-    eta = MoebiusAutomorphism(a=0.0, rotation=1.2)
-    other = WeightField(compose_with_automorphism(base.map, eta))
-    lo, hi = weight_equivalence_check(base, other, samples=300, rng=rng)
+    lo, hi = _ratio_range(0.0, 1.2, 300, rng)
     assert lo == pytest.approx(1.0, abs=1e-12)
     assert hi == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("a", [0.5, 0.9])
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
 def test_equivalence_within_moebius_bounds(a, rng):
-    base = field("halfplane")
-    eta = MoebiusAutomorphism(a=a, rotation=0.3)
-    other = WeightField(compose_with_automorphism(base.map, eta))
-    lo, hi = weight_equivalence_check(base, other, samples=500, rng=rng)
-    blo, bhi = moebius_ratio_bounds(a)
-    assert blo - 1e-12 <= lo <= hi <= bhi + 1e-12
+    # the ratio is |eta'|^2 at the image point, so it lies in [m^2, 1/m^2]
+    lo, hi = _ratio_range(a, 0.3, 500, rng)
+    m = MoebiusAutomorphism(a).derivative_magnitude_bounds()[0]
+    assert m**2 - 1e-12 <= lo <= hi <= (1.0 / m) ** 2 + 1e-12
 
-
-def test_moebius_ratio_bound_values():
-    assert moebius_ratio_bounds(0.0) == (1.0, 1.0)
-    lo, hi = moebius_ratio_bounds(0.5)
-    assert lo == pytest.approx(1.0 / 9.0)
-    assert hi == pytest.approx(9.0)
-    lo, hi = moebius_ratio_bounds(0.9)
-    assert lo == pytest.approx(1.0 / 361.0)
-    assert hi == pytest.approx(361.0)
-
-
-@pytest.mark.parametrize("a", [complex("nan"), complex("inf"), float("nan")])
-def test_moebius_ratio_bounds_rejects_non_finite(a):
-    with pytest.raises(ValueError, match="must be finite"):
-        moebius_ratio_bounds(a)
-
-
-def test_equivalence_family_mismatch(rng):
-    with pytest.raises(DomainMismatch):
-        weight_equivalence_check(field("halfplane"), field("strip"), rng=rng)
