@@ -26,7 +26,7 @@ from .poisson import (ConvergenceRow, DirichletProblem, DiscSolution,
 from .quadrature import (CHECK_SPEC, DiscGridSpec, QuadResult, Verdict,
                          brennan_direct, classify, disc_nodes, integrate_disc,
                          inverse_brennan, kpq_norm, pull_back)
-from .util import DEFAULT_SEED, default_seed, fmt17, pairwise_sum
+from .util import DEFAULT_SEED, default_seed, pairwise_sum
 from .verify import J0_FIRST_ZERO, quoted_formula_report, run_verify
 
 __version__ = "1.0.0"
@@ -43,7 +43,7 @@ __all__ = [
     "SolutionNotFinite", "TestBump", "Verdict", "boundary_image_check", "boundary_samples", "brennan_direct", "classify",
     "compose_with_automorphism", "composition_inequality_check", "constant_rhs",
     "convergence_study", "default_seed", "disc_eigenvalue", "disc_nodes",
-    "exponent_bounds", "fmt17", "integrate_disc", "inverse_brennan",
+    "exponent_bounds", "integrate_disc", "inverse_brennan",
     "isometry_check", "kpq_norm", "lp_norm", "make_bump_family",
     "pairwise_sum", "poincare_constant_disc", "pull_back", "q_from_ps",
     "quartic_rhs", "quoted_formula_report",

@@ -12,8 +12,10 @@ One subcommand per module entry point:
     verify           full cross-module invariant suite
 
 Output is one JSON object (floats as shortest round-trip decimals, keys
-sorted) or a CSV table (17 significant digits, config echoed on `#` lines).
-Every run echoes its fully resolved configuration.  Exit codes: 0 for
+sorted) or a CSV table from ``util.write_csv``, the one CSV writer (float
+cells with 17 significant digits, other cells as ``str``, config echoed on
+`#` lines).  A non-finite number is refused in both formats.  Every run
+echoes its fully resolved configuration.  Exit codes: 0 for
 success / Converged, 1 for Divergent, Inconclusive or infeasible inputs,
 2 for usage errors.  Complex values are written as "re,im".
 """
@@ -34,7 +36,7 @@ from .maps import ConformalMap, DomainFamily
 from .poisson import DirichletProblem, RhsSpec, solve_dirichlet
 from .quadrature import (NODE_BUDGET, QuadResult, Verdict, brennan_direct,
                          inverse_brennan, kpq_norm)
-from .util import default_seed, fmt17, fmt_g, open_target
+from .util import default_seed, fmt_g, open_target, write_csv
 from .verify import run_verify
 
 _FAMILY_NAMES = tuple(f.value for f in DomainFamily)
@@ -129,15 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path):
-    with open_target(out_path) as fh:
-        fh.write(text)
-
-
 def _emit_json(config: dict, payload: dict, out_path) -> None:
     doc = dict(payload)
     doc["config"] = config
-    _emit(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n", out_path)
+    text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    with open_target(out_path) as fh:
+        fh.write(text)
 
 
 def _csv_preamble(config: dict) -> str:
@@ -145,17 +144,10 @@ def _csv_preamble(config: dict) -> str:
     return "".join(f"# {key}={config[key]}\n" for key in sorted(config))
 
 
-def _emit_csv(config: dict, header: list[str], rows, out_path) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(fmt17(v) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
-    _emit(_csv_preamble(config) + "\n".join(lines) + "\n", out_path)
-
-
-def _config_echo(args, skip=("output", "out_path")) -> dict:
+def _config_echo(args) -> dict:
     cfg = {}
     for key, val in sorted(vars(args).items()):
-        if key in skip or val is None:
+        if key in ("output", "out_path") or val is None:
             continue
         if isinstance(val, complex):
             val = f"{fmt_g(val.real)},{fmt_g(val.imag)}"
@@ -189,19 +181,25 @@ def _verdict_exit(res: QuadResult) -> int:
 
 
 def _scalar_output(args, config: dict, payload: dict) -> None:
+    # checked before --out opens, so neither format writes a partial report
+    for key, val in payload.items():
+        for v in val if isinstance(val, list) else [val]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{key} is not finite: {v}")
     if (args.output or "json") == "json":
         _emit_json(config, payload, args.out_path)
     else:
         keys = sorted(payload)
-        flat = []
-        for k in keys:
-            v = payload[k]
-            flat.append(" ".join(map(str, v)) if isinstance(v, list) else v)
-        _emit_csv(config, keys, [flat], args.out_path)
+        cells = [" ".join(map(str, v)) if isinstance(v, list) else v
+                 for v in (payload[k] for k in keys)]
+        write_csv(args.out_path, keys, [[c] for c in cells], _csv_preamble(config))
 
 
 def _cmd_weight(args) -> int:
-    h = ConformalMap.to_disc(DomainFamily(args.domain)).jacobian(args.at)
+    # at extreme points |phi'|^2 underflows to 0 (correctly rounded) or is not
+    # finite, which _scalar_output refuses; neither is worth a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = ConformalMap.to_disc(DomainFamily(args.domain)).jacobian(args.at)
     _scalar_output(args, _config_echo(args), {"h": h})
     return 0
 
@@ -287,7 +285,8 @@ def _cmd_verify(args) -> int:
         rows = [(c["name"], "pass" if c["passed"] else "FAIL") for c in report["checks"]]
         rows += [(f"mismatch.{m['family']}", "pass" if m["mismatch"] else "FAIL")
                  for m in report["mismatch_reports"]]
-        _emit_csv(_config_echo(args), ["check", "status"], rows, args.out_path)
+        write_csv(args.out_path, ["check", "status"], list(zip(*rows)),
+                  _csv_preamble(_config_echo(args)))
     return 0 if report["passed"] else 1
 
 
@@ -317,7 +316,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except (ConfweightError, ValueError, OSError) as exc:
-        # ValueError covers grid/seed/--tol validation and non-finite JSON,
+        # ValueError covers grid/seed/--tol validation and non-finite results,
         # OSError a bad --out path
         print(f"error: {exc}", file=sys.stderr)
         return 1

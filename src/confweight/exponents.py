@@ -26,6 +26,8 @@ from .util import pairwise_sum
 # integrability floor used by default: |psi'|^alpha is known integrable on
 # the disc down to alpha0 = 2 - 3.752 for every simply connected domain
 DEFAULT_ALPHA0 = -1.752
+# relative change of the Rayleigh quotient at which disc_eigenvalue stops
+_EIGEN_TOL = 1e-10
 
 
 def q_from_ps(p: float, s: float) -> float:
@@ -86,7 +88,7 @@ class ConstantEstimate:
     iterations: int
 
 
-def disc_eigenvalue(grid: PolarGrid, tol: float = 1e-10,
+def disc_eigenvalue(grid: PolarGrid, tol: float = _EIGEN_TOL,
                     max_iterations: int = 10_000) -> tuple[float, int]:
     """Smallest Dirichlet eigenvalue of -Laplacian on the disc, discretized.
 
@@ -113,9 +115,7 @@ def disc_eigenvalue(grid: PolarGrid, tol: float = 1e-10,
 
 
 def poincare_constant_disc(r: float, grid: PolarGrid,
-                           bumps: list[TestBump] | None = None,
-                           tol: float = 1e-10,
-                           max_iterations: int = 10_000) -> ConstantEstimate:
+                           bumps: list[TestBump] | None = None) -> ConstantEstimate:
     """Disc constant of ||f||_{L_r} <= K ||grad f||_{L_2} for zero-trace f.
 
     r = 2 is solved exactly (to discretization) as K = 1/sqrt(lambda_1) by
@@ -127,10 +127,10 @@ def poincare_constant_disc(r: float, grid: PolarGrid,
     if not (math.isfinite(r) and r >= 1.0):
         raise ExponentOutOfRange(f"r must be at least 1, got {r}")
     if r == 2.0:
-        lam, its = disc_eigenvalue(grid, tol, max_iterations)
+        lam, its = disc_eigenvalue(grid)
         return ConstantEstimate(value=1.0 / math.sqrt(lam),
                                 method=EstimateMethod.EIGEN_RAYLEIGH,
-                                tolerance=tol, iterations=its)
+                                tolerance=_EIGEN_TOL, iterations=its)
     if bumps is None:
         bumps = make_bump_family(64)
     best = 0.0

@@ -143,9 +143,8 @@ def solve_radial(f: np.ndarray) -> np.ndarray:
     """Solve v'' + v'/r = f on the nodes r_i = (i+1/2)/n, v(1) = 0, n = len(f).
 
     Two Thomas sweeps with the cached pivots of ``_radial_factor(n)``.  The
-    forward sweep multiplies by the reciprocal pivots, as numpy's complex
-    division by a real pivot does, so the bits equal those of the mode-0
-    column of a 2-D Fourier solve.
+    forward sweep multiplies by the stored reciprocal pivots rather than
+    dividing by the pivots, which keeps the pinned bits of every solve.
     """
     lo, inv_den, cp = _radial_factor(len(f))
     v = np.array(f, dtype=float)
@@ -287,9 +286,8 @@ def _restrict_once(column: np.ndarray) -> np.ndarray:
     return 0.5 * (column[0::2] + column[1::2])
 
 
-def convergence_study(problem: DirichletProblem, levels: int = 4,
-                      base: PolarGrid | None = None) -> list[ConvergenceRow]:
-    """Solve on a ladder of doubled grids and report max errors and orders.
+def convergence_study(problem: DirichletProblem, levels: int = 4) -> list[ConvergenceRow]:
+    """Solve on a ladder of doubled grids from 32x32 and report max errors and orders.
 
     Each level's ring column is scored: constant right-hand sides against
     the exact transferred solution v = c(|w|^2 - 1)/4, anything else against
@@ -298,9 +296,7 @@ def convergence_study(problem: DirichletProblem, levels: int = 4,
     """
     if levels < 3:
         raise ValueError("need at least 3 levels")
-    if base is None:
-        base = PolarGrid(32, 32)
-    grids = [PolarGrid(base.n_r << k, base.n_theta << k) for k in range(levels)]
+    grids = [PolarGrid(32 << k, 32 << k) for k in range(levels)]
     columns = [solve_dirichlet(problem, g).column for g in grids]
 
     if problem.rhs.kind == "const":

@@ -255,7 +255,7 @@ def inverse_brennan(mapping: ConformalMap, alpha: float, spec: DiscGridSpec | No
     return integrate_disc(integrand, spec, tol, max_levels)
 
 
-def kpq_norm(mapping: ConformalMap, p: float, q: float, spec: DiscGridSpec | None = None,
+def kpq_norm(mapping: ConformalMap, p: float, q: float,
              tol: float = 1e-6, max_levels: int = 8) -> QuadResult:
     """The dilatation norm K_{p,q} = (int |phi'|^{(p-2)q/(p-q)})^{(p-q)/(pq)}.
 
@@ -267,7 +267,7 @@ def kpq_norm(mapping: ConformalMap, p: float, q: float, spec: DiscGridSpec | Non
     if not (math.isfinite(p) and math.isfinite(q)) or not 1.0 <= q < p:
         raise InvalidExponents(f"need 1 <= q < p, got p={p}, q={q}")
     s = (p - 2.0) * q / (p - q)
-    res = brennan_direct(mapping, s, spec, tol, max_levels)
+    res = brennan_direct(mapping, s, tol=tol, max_levels=max_levels)
     ex = (p - q) / (p * q)
     levels = tuple(v**ex for v in res.level_values)
     err = abs(levels[-1] - levels[-2]) if len(levels) >= 2 else 0.0

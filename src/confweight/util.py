@@ -42,11 +42,6 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(flat[0])
 
 
-def fmt17(x: float) -> str:
-    """Format with 17 significant digits (enough to round-trip binary64)."""
-    return format(float(x), ".17g")
-
-
 def fmt_g(x: float) -> str:
     """The ``%g`` text of x when it reads back as x, else the shortest round trip."""
     text = format(float(x), "g")
@@ -64,12 +59,18 @@ def open_target(target):
 
 
 def write_csv(target, header, columns, preamble: str = "") -> None:
-    """Write ``preamble``, a header line, then float columns as rows of fmt17 cells.
+    """Write ``preamble``, a header line, then the columns as rows.
 
-    Rows are streamed CSV_BLOCK_ROWS at a time through one "%.17g" template;
-    a path target is opened only when the first line is written."""
+    Float cells take 17 significant digits ("%.17g", enough to round-trip
+    binary64) and any other cell (str, bool, int) its ``str``.  Rows are
+    streamed CSV_BLOCK_ROWS at a time through one template; a path target
+    is opened only when the first line is written."""
     cols = [np.ravel(c) for c in columns]
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    cells = ["%.17g" if c.dtype.kind == "f" else "%s" for c in cols]
+    if "%s" in cells:
+        # in one object array floats stay Python floats; numpy's own text would differ
+        cols = [c.astype(object) for c in cols]
+    row = ",".join(cells) + "\n"
     with open_target(target) as fh:
         fh.write(preamble + ",".join(header) + "\n")
         for start in range(0, cols[0].size, CSV_BLOCK_ROWS):

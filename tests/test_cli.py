@@ -383,6 +383,33 @@ def test_solve_csv_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,exit_code,digest", [
+    (("verify",), 0, "51f684f2d0ab2532690b9936878f2349b6d6a87c2c3ec9431753308b3ab393b0"),
+    (("weight", "--domain", "exterior", "--at", "2,0.5"), 0,
+     "77f95417646ef7d50f9e52817223c0087d8bf85fb5e3a01df1104ba921d71334"),
+    (("brennan", "--domain", "slitplane", "--s", "3.0", "--tol", "0.1"), 0,
+     "9d40d56f8f84bdc5acf031cd3f4db2046a48bdd2bb6ac3e5fb9ccea11a640263"),
+    (("inverse-brennan", "--domain", "strip", "--alpha", "-1.7", "--tol", "0.01",
+      "--levels", "4"), 0, "7c48bc0a65c3aafe404471871ac29fceee04c9e0d5d4a70f3d1d467b1993872d"),
+    (("kpq", "--domain", "cardioid", "--p", "2", "--q", "1"), 0,
+     "c4b7bde0fba2840ac7751b00c580f00a8919d70907a6e409dc3c3ffec2273bb9"),
+    (("exponents", "--p", "1.9", "--alpha0", "-1.752"), 0,
+     "865e2d3101360238b9be010cf64a520a29d412caa3462c3d319efc87eb44b900"),
+    (("exponents", "--p", "3", "--s", "3"), 0,
+     "4270cf308643ca1e8b898614c1cb8db1afc35710fec389c2f3c7da5a0c8f2ec8"),
+    (("constant", "--r", "2", "--nr", "64", "--ntheta", "64"), 0,
+     "14b10c686fe90ec200190cc0b1c41a6b4fb4371c2722c369251cac4ce7d4cdd3"),
+    (("constant", "--r", "3", "--nr", "64", "--ntheta", "64", "--bumps", "8"), 0,
+     "0cfd470c15b6865d8f1f3c0c1802799f4e3eda20d8273a51816ac7d5d395eb72"),
+])
+def test_verify_and_scalar_csv_bytes_are_pinned(capsys, argv, exit_code, digest):
+    # digests taken when these tables had a per-cell writer of their own; one writer
+    # for every table must not move a byte
+    code, out, _ = run(capsys, *argv, "--output", "csv")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv,digest", [
     (("--domain", "cardioid", "--f", "quartic"),
      "73bbbbafbf2ad9bebb887c9c15d85fad056ea338b46e38f3428101501693b4ca"),
@@ -435,3 +462,34 @@ def test_solve_csv_streams_rows_to_out(tmp_path):
         tracemalloc.stop()
     assert code == 0 and (tmp_path / "u.csv").stat().st_size > 4_000_000
     assert peak < 6.5 * 2**20
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("domain,at,refused", [
+    # h overflows at the cardioid's cusp and is nan where phi' is inf/inf
+    ("cardioid", "1e-320,0", "inf"),
+    ("strip", "0.1,1e308", "nan"),
+    ("exterior", "1e308,1e308", "nan"),
+    # |phi'|^2 underflows; 0.0 is h correctly rounded
+    ("exterior", "1e200,0", None),
+    ("strip", "0,400", None),
+    ("halfplane", "1e200,1", None),
+    ("slitplane", "1e300,0", None),
+])
+def test_weight_in_the_far_field_is_zero_or_refused(capsys, recwarn, tmp_path, output,
+                                                    domain, at, refused):
+    argv = ("weight", "--domain", domain, "--at", at, "--output", output)
+    code, out, err = run(capsys, *argv)
+    if refused is None:
+        assert (code, err) == (0, "")
+        if output == "json":
+            assert json.loads(out)["h"] == 0.0
+        else:
+            assert out.splitlines()[-2:] == ["h", "0"]
+    else:
+        assert (code, out, err) == (1, "", f"error: h is not finite: {refused}\n")
+        target = tmp_path / "h.out"
+        target.write_text("kept")
+        assert run(capsys, *argv, "--out", str(target))[0] == 1
+        assert target.read_text() == "kept"
+    assert len(recwarn) == 0

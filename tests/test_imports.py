@@ -59,3 +59,44 @@ def test_every_public_name_is_used_by_the_package():
 def test_the_walk_sees_an_unreferenced_name():
     src = "from .m import a, b\ndef c():\n    return a + x.b\ndef d():\n    pass\n"
     assert {"a", "b", "c", "d"} - _referenced_names([src]) == {"c", "d"}
+
+
+def _unset_options(package: list[str], callers: list[str]) -> list[str]:
+    """``function.parameter`` for each defaulted parameter defined in ``package``
+    that no call in ``callers`` passes, by keyword or by position.  Calls are
+    matched to functions by name, and ``self``/``cls`` are skipped."""
+    options = []
+    for source in package:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = node.args.posonlyargs + node.args.args
+                first = len(params) - len(node.args.defaults)
+                bound = 1 if params and params[0].arg in ("self", "cls") else 0
+                options += [(node.name, p.arg, i - bound)
+                            for i, p in enumerate(params[first:], first)]
+                options += [(node.name, p.arg, None) for p, d in
+                            zip(node.args.kwonlyargs, node.args.kw_defaults) if d]
+    passed = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                seen = passed.setdefault(name, set())
+                seen.update(k.arg for k in node.keywords)
+                seen.update(range(len(node.args)))
+    return sorted(f"{func}.{arg}" for func, arg, pos in options
+                  if not passed.get(func, set()) & {arg, pos})
+
+
+def test_every_option_is_set_by_some_call():
+    # a default that no call overrides is a constant in disguise
+    package = [p.read_text() for p in MODULES]
+    tests = [p.read_text() for p in Path(__file__).parent.glob("*.py")]
+    assert _unset_options(package, package + tests) == []
+
+
+def test_the_walk_sees_an_option_no_call_sets():
+    src = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+           "class K:\n    def m(self, x=0, y=0):\n        pass\n"
+           "f(0, 5)\nK().m(1)\nf(0, d=4)\n")
+    assert _unset_options([src], [src]) == ["f.c", "m.y"]

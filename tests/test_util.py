@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from confweight import DEFAULT_SEED, default_seed, fmt17, pairwise_sum
+from confweight import DEFAULT_SEED, default_seed, pairwise_sum
 from confweight.util import CSV_BLOCK_ROWS, as_complex_array, fmt_g, write_csv
 
 
@@ -64,9 +64,11 @@ def test_pairwise_sum_block_identity_property():
     check()
 
 
-def test_fmt17_round_trip_values():
-    for x in (0.1, -3.0, 1.0 / 3.0, 1e-300, 123456.789, np.pi):
-        assert float(fmt17(x)) == x
+def test_write_csv_float_cells_round_trip():
+    vals = np.array([0.1, -3.0, 1.0 / 3.0, 1e-300, 123456.789, np.pi])
+    buf = io.StringIO()
+    write_csv(buf, ("v",), (vals,))
+    assert [float(cell) for cell in buf.getvalue().splitlines()[1:]] == vals.tolist()
 
 
 @pytest.mark.parametrize("x, text", [
@@ -108,20 +110,25 @@ def test_default_seed_rejects_garbage(monkeypatch):
         default_seed()
 
 
-def _fmt17_table(header, columns) -> str:
-    """The reference CSV: one fmt17 call per cell, one row at a time."""
-    rows = zip(*(np.ravel(c) for c in columns))
-    return ",".join(header) + "\n" + "".join(",".join(fmt17(v) for v in row) + "\n"
+def _cell(v) -> str:
+    """The reference cell: 17 significant digits for a float, else its str."""
+    return format(v, ".17g") if isinstance(v, float) else str(v)
+
+
+def _reference_table(header, columns) -> str:
+    """The reference CSV: one _cell call per cell, one row at a time."""
+    rows = zip(*(np.ravel(c).tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join(",".join(_cell(v) for v in row) + "\n"
                                              for row in rows)
 
 
-def test_write_csv_cells_match_fmt17_for_special_values():
+def test_write_csv_cells_match_the_reference_for_special_values():
     vals = np.array([-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                      0.1, 1.0 / 3.0, np.nan, np.inf, -np.inf, 1e-300, 123456.789])
     cols = (vals, vals[::-1], -vals)
     buf = io.StringIO()
     write_csv(buf, ("a", "b", "c"), cols)
-    assert buf.getvalue() == _fmt17_table(("a", "b", "c"), cols)
+    assert buf.getvalue() == _reference_table(("a", "b", "c"), cols)
     lines = buf.getvalue().splitlines()
     assert lines[1] == "-0,123456.789,0"
     assert lines[3] == "4.9406564584124654e-324,-inf,-4.9406564584124654e-324"
@@ -137,7 +144,7 @@ def test_write_csv_row_counts_around_the_block(rows):
     buf = io.StringIO()
     write_csv(buf, ("x", "y", "u"), (z.real, z.imag, u))
     text = buf.getvalue()
-    assert text == _fmt17_table(("x", "y", "u"), (z.real, z.imag, u))
+    assert text == _reference_table(("x", "y", "u"), (z.real, z.imag, u))
     assert text.count("\n") == 1 + rows
 
 
@@ -153,7 +160,7 @@ def test_write_csv_writes_blocks_straight_to_the_target():
     grid = np.arange(2.0 * CSV_BLOCK_ROWS + 1).reshape(-1, 1)  # 2-d columns ravel
     write_csv(buf, ("i", "j"), (grid, -grid))
     assert writes == [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS, 1]  # the header, then each block
-    assert buf.getvalue() == _fmt17_table(("i", "j"), (grid, -grid))
+    assert buf.getvalue() == _reference_table(("i", "j"), (grid, -grid))
 
 
 def test_write_csv_opens_a_path(tmp_path):
@@ -162,3 +169,26 @@ def test_write_csv_opens_a_path(tmp_path):
     assert path.read_bytes() == b"v\n0.5\n2\n"
     write_csv(str(path), ("v",), (np.array([]),))
     assert path.read_bytes() == b"v\n"
+
+
+@pytest.mark.parametrize("column, cells", [
+    (["pass", "FAIL", "mismatch.strip"], ["pass", "FAIL", "mismatch.strip"]),
+    ([True, False], ["True", "False"]),
+    ([0, -7, 2**40], ["0", "-7", "1099511627776"]),
+])
+def test_write_csv_writes_a_non_float_column_as_str(column, cells):
+    vals = np.array([0.1, -0.0, 1.0 / 3.0])[:len(column)]
+    buf = io.StringIO()
+    write_csv(buf, ("k", "v"), (column, vals))
+    assert buf.getvalue() == _reference_table(("k", "v"), (column, vals))
+    assert [line.split(",")[0] for line in buf.getvalue().splitlines()[1:]] == cells
+
+
+def test_write_csv_one_mixed_row():
+    # float cells keep 17 digits beside str, bool and int cells, as numpy's text would not
+    row = ([0.1], ["Converged"], [False], [8], ["3.0 2.5"], [float("inf")])
+    header = ("value", "verdict", "flag", "levels", "level_values", "bound")
+    buf = io.StringIO()
+    write_csv(buf, header, row, "# k=v\n")
+    assert buf.getvalue() == "# k=v\n" + _reference_table(header, row)
+    assert buf.getvalue().splitlines()[2] == "0.10000000000000001,Converged,False,8,3.0 2.5,inf"
