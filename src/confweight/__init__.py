@@ -12,10 +12,9 @@ from .errors import (BranchCutViolation, ConfweightError, ExponentOutOfRange,
                      SolutionNotFinite)
 from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod,
                         ExponentBounds, disc_eigenvalue,
-                        exponent_bounds, poincare_constant_disc, q_from_ps,
-                        weighted_constant_check)
+                        exponent_bounds, poincare_constant_disc, q_from_ps)
 from .fields import (CompositionRecord, PolarGrid, TestBump,
-                     composition_inequality_check, isometry_check, lp_norm,
+                     composition_inequality_check, lp_norm,
                      make_bump_family)
 from .maps import (ConformalMap, Direction, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
@@ -44,9 +43,9 @@ __all__ = [
     "compose_with_automorphism", "composition_inequality_check", "constant_rhs",
     "convergence_study", "default_seed", "disc_eigenvalue", "disc_nodes",
     "exponent_bounds", "integrate_disc", "inverse_brennan",
-    "isometry_check", "kpq_norm", "lp_norm", "make_bump_family",
+    "kpq_norm", "lp_norm", "make_bump_family",
     "pairwise_sum", "poincare_constant_disc", "pull_back", "q_from_ps",
     "quartic_rhs", "quoted_formula_report",
     "round_trip_check", "run_verify", "sample_interior", "solve_dirichlet",
-    "weak_residual", "weighted_constant_check",
+    "weak_residual",
 ]

@@ -34,7 +34,7 @@ from .exponents import (DEFAULT_ALPHA0, exponent_bounds, poincare_constant_disc,
 from .fields import PolarGrid, make_bump_family
 from .maps import ConformalMap, DomainFamily
 from .poisson import DirichletProblem, RhsSpec, solve_dirichlet
-from .quadrature import (NODE_BUDGET, QuadResult, Verdict, brennan_direct,
+from .quadrature import (BUMP_BUDGET, NODE_BUDGET, QuadResult, Verdict, brennan_direct,
                          inverse_brennan, kpq_norm)
 from .util import default_seed, fmt_g, open_target, write_csv
 from .verify import run_verify
@@ -239,6 +239,9 @@ def _cmd_exponents(args) -> int:
 def _cmd_constant(args) -> int:
     grid = PolarGrid(args.nr, args.ntheta)
     _check_budget("--nr x --ntheta", grid.n_r * grid.n_theta)
+    if args.bumps > BUMP_BUDGET:
+        raise ConfweightError(f"--bumps asks for {args.bumps} bumps, over the bump budget "
+                              f"of {BUMP_BUDGET}")
     bumps = None
     if args.r != 2.0:
         rng = np.random.default_rng(default_seed())
@@ -256,6 +259,8 @@ def _cmd_solve(args) -> int:
     grid = PolarGrid(args.nr, args.ntheta)
     _check_budget("--nr x --ntheta", grid.n_r * grid.n_theta)
     if args.export == "lattice":
+        if args.lattice_n < 1:
+            raise ValueError(f"--lattice-n must be at least 1, got {args.lattice_n}")
         _check_budget("--lattice-n squared", args.lattice_n ** 2)
     config = _config_echo(args)
     solution = solve_dirichlet(problem, grid)

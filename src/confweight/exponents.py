@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExponentOutOfRange, IterationDivergence
-from .fields import PolarGrid, TestBump, lp_norm, make_bump_family
+from .fields import (PolarGrid, TestBump, _bump_tables, _pulled_back_checks, lp_norm,
+                     make_bump_family)
 from .maps import ConformalMap
 from .poisson import solve_radial
-from .quadrature import DiscGridSpec, pull_back
+from .quadrature import CHECK_SPEC, DiscGridSpec
 from .util import pairwise_sum
 
 # integrability floor used by default: |psi'|^alpha is known integrable on
@@ -160,24 +161,5 @@ def weighted_constant_check(mapping: ConformalMap, r: float,
     """
     if not (math.isfinite(r) and r >= 1.0):
         raise ExponentOutOfRange(f"r must be at least 1, got {r}")
-    if not bumps:
-        raise ValueError("need at least one bump")
-    w, areas, phi_abs, psi_abs = pull_back(mapping, spec)
-    density = phi_abs**2 * psi_abs**2
-    factor2 = (phi_abs * psi_abs) ** 2
-    del phi_abs, psi_abs  # the bump loop holds only the two products
-    worst = 0.0
-    for b in bumps:
-        val_r = np.abs(b.value(w)) ** r
-        lhs_norm = float(pairwise_sum(val_r * density * areas)) ** (1.0 / r)
-        rhs_norm = float(pairwise_sum(val_r * areas)) ** (1.0 / r)
-        g2 = np.abs(b.gradient(w)) ** 2
-        lhs_energy = math.sqrt(pairwise_sum(g2 * factor2 * areas))
-        rhs_energy = math.sqrt(pairwise_sum(g2 * areas))
-        for lhs, rhs in ((lhs_norm, rhs_norm), (lhs_energy, rhs_energy)):
-            if rhs == 0.0:
-                dev = 0.0 if lhs == 0.0 else math.inf
-            else:
-                dev = abs(lhs - rhs) / rhs
-            worst = max(worst, dev)
-    return worst
+    spec = CHECK_SPEC if spec is None else spec
+    return _pulled_back_checks(mapping, spec, [], _bump_tables(bumps, spec, r))[2]

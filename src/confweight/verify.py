@@ -8,7 +8,10 @@ isometry, composition inequalities, exponent arithmetic, the transfer
 identities, the eigenvalue route to the disc constant, and the Dirichlet
 solver's exact solutions, linearity and weight-free assembly.  The mass,
 isometry, composition and transfer checks sum on the 512x512 check grid
-CHECK_SPEC.
+CHECK_SPEC.  The mass, isometry and transfer checks share one pull-back per
+family (_family_pass), and each of their bumps is evaluated once per group,
+on the grid rows its support meets.  The sums keep the bits of whole-grid
+evaluation.
 
 The report is a plain dict of JSON-ready values.  All randomness flows from
 one seeded generator consumed in a fixed order, and every reduction is
@@ -23,17 +26,16 @@ import math
 
 import numpy as np
 
-from .exponents import (disc_eigenvalue, exponent_bounds, poincare_constant_disc,
-                        q_from_ps, weighted_constant_check)
-from .fields import (PolarGrid, TestBump, composition_inequality_check,
-                     isometry_check, lp_norm, make_bump_family)
+from .exponents import disc_eigenvalue, exponent_bounds, poincare_constant_disc, q_from_ps
+from .fields import (PolarGrid, TestBump, _bump_tables, _pulled_back_checks,
+                     composition_inequality_check, lp_norm, make_bump_family)
 from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
                    compose_with_automorphism, round_trip_check, sample_interior)
 from .poisson import (DirichletProblem, constant_rhs, convergence_study,
                       quartic_rhs, solve_dirichlet, weak_residual)
-from .quadrature import Verdict, brennan_direct, integrate_disc, pull_back
-from .util import default_seed, pairwise_sum
+from .quadrature import CHECK_SPEC, Verdict, brennan_direct, integrate_disc
+from .util import default_seed
 
 # first positive zero of the Bessel function J0; lambda_1(disc) = j01^2
 J0_FIRST_ZERO = 2.404825557695773
@@ -95,40 +97,64 @@ def _check_automorphisms(add, rng):
     add("maps.automorphism.composition", comp_err <= 1e-12, max_error=comp_err)
 
 
+def _family_pass(rng):
+    """Draw the fields and transfer bumps, then pull each family back once.
+
+    Each bump's tables are built once, on its support rows, before the
+    family loop; one pull-back per family then gives its mass, isometry gap
+    and transfer defect.  Returns both bump lists and those three sums per
+    family.
+    """
+    fields_bumps = make_bump_family(3, rng=rng)
+    transfer_bumps = make_bump_family(3, rng=rng)
+    energies = _bump_tables(fields_bumps, CHECK_SPEC)
+    transfers = _bump_tables(transfer_bumps, CHECK_SPEC, 3.0)
+    sums = {fam: _pulled_back_checks(ConformalMap.to_disc(fam), CHECK_SPEC,
+                                     energies, transfers) for fam in _FAMILIES}
+    return fields_bumps, transfer_bumps, sums
+
+
 def _check_weights(add, rng):
+    """Weight positivity, continuity, mass and equivalence; returns _family_pass's result.
+
+    The mass identity is summed by the family pass, whose bumps are drawn
+    after this group's points, so the group reports once the pass has run.
+    """
+    sampled = []
     for fam in _FAMILIES:
         to_disc = ConformalMap.to_disc(fam)
-        pts = sample_interior(to_disc, 10_000, rng=rng)
-        vals = to_disc.jacobian(pts)
-        add(f"weights.positivity.{fam.value}", bool(np.all(vals > 0.0)),
-            min_value=float(np.min(vals)))
-
+        vals = to_disc.jacobian(sample_interior(to_disc, 10_000, rng=rng))
         probe = sample_interior(to_disc, 200, rng=rng, rmax=0.9)
         step = 1e-8 * (1.0 + np.abs(probe))
         base = to_disc.jacobian(probe)
         rel_step = float(np.max(np.abs(to_disc.jacobian(probe + step) - base) / base))
-        add(f"weights.continuity.{fam.value}", rel_step <= 1e-3, max_rel_step=rel_step)
-
-        # the pulled-back weight h(psi(w))|psi'(w)|^2 = (|phi'(psi(w))| |psi'(w)|)^2
-        _, areas, phi_abs, psi_abs = pull_back(to_disc)
-        total = float(pairwise_sum(phi_abs**2 * psi_abs**2 * areas))
-        rel_mass = abs(total - math.pi) / math.pi
-        add(f"weights.mass_identity.{fam.value}", rel_mass <= 1e-4,
-            integral=total, rel_error=float(rel_mass))
+        sampled.append((bool(np.all(vals > 0.0)), float(np.min(vals)), rel_step))
 
     base_map = ConformalMap.to_disc(DomainFamily.HALFPLANE)
+    ratios = []
     for a in (0.0, 0.5, 0.9):
         eta = MoebiusAutomorphism(a=a, rotation=0.3)
         tilted = compose_with_automorphism(base_map, eta)
         # the ratio is |eta'|^2 at the image point, so it lies in [m^2, 1/m^2]
         m = eta.derivative_magnitude_bounds()[0]
-        lo, hi = m**2, (1.0 / m) ** 2
         z = sample_interior(base_map, 500, rng)
         ratio = tilted.jacobian(z) / base_map.jacobian(z)
-        rmin, rmax = float(ratio.min()), float(ratio.max())
+        ratios.append((a, m**2, (1.0 / m) ** 2, float(ratio.min()), float(ratio.max())))
+
+    fields_bumps, transfer_bumps, sums = _family_pass(rng)
+    for fam, (positive, min_value, rel_step) in zip(_FAMILIES, sampled):
+        add(f"weights.positivity.{fam.value}", positive, min_value=min_value)
+        add(f"weights.continuity.{fam.value}", rel_step <= 1e-3, max_rel_step=rel_step)
+        # the pulled-back weight h(psi(w))|psi'(w)|^2 = (|phi'(psi(w))| |psi'(w)|)^2
+        total = sums[fam][0]
+        rel_mass = abs(total - math.pi) / math.pi
+        add(f"weights.mass_identity.{fam.value}", rel_mass <= 1e-4,
+            integral=total, rel_error=float(rel_mass))
+    for a, lo, hi, rmin, rmax in ratios:
         ok = (lo - 1e-12 <= rmin) and (rmax <= hi + 1e-12)
         add(f"weights.equivalence.a={a:g}", ok, ratio_min=rmin, ratio_max=rmax,
             bound_low=float(lo), bound_high=float(hi))
+    return fields_bumps, transfer_bumps, sums
 
 
 def _check_quadrature(add):
@@ -161,10 +187,9 @@ def _check_quadrature(add):
         verdict=log_case.verdict.value)
 
 
-def _check_fields(add, rng):
-    bumps = make_bump_family(3, rng=rng)
+def _check_fields(add, bumps, sums):
     for fam in _FAMILIES:
-        dev = isometry_check(ConformalMap.to_disc(fam), bumps)
+        dev = sums[fam][1]
         tol = 1e-12 if fam is DomainFamily.DISC else 1e-6
         add(f"fields.isometry.{fam.value}", dev <= tol, deviation=float(dev))
 
@@ -210,10 +235,9 @@ def _check_exponents(add):
         q_33=float(q_from_ps(3.0, 3.0)), q_44=float(q_from_ps(4.0, 4.0)))
 
 
-def _check_transfer(add, rng):
-    bumps = make_bump_family(3, rng=rng)
+def _check_transfer(add, rng, bumps, sums):
     for fam in _FAMILIES:
-        dev = weighted_constant_check(ConformalMap.to_disc(fam), 3.0, bumps)
+        dev = sums[fam][2]
         tol = 1e-12 if fam is DomainFamily.DISC else 1e-6
         add(f"transfer.norm_identities.{fam.value}", dev <= tol, deviation=float(dev))
 
@@ -357,11 +381,11 @@ def run_verify() -> dict:
 
     _check_maps(add, rng)
     _check_automorphisms(add, rng)
-    _check_weights(add, rng)
+    fields_bumps, transfer_bumps, sums = _check_weights(add, rng)
     _check_quadrature(add)
-    _check_fields(add, rng)
+    _check_fields(add, fields_bumps, sums)
     _check_exponents(add)
-    _check_transfer(add, rng)
+    _check_transfer(add, rng, transfer_bumps, sums)
     _check_poisson(add, rng)
     _check_quoted_cardioid(add)
 

@@ -15,12 +15,12 @@ import pytest
 
 from confweight import (ConformalMap, DiscGridSpec, DomainFamily, Verdict,
                         brennan_direct, composition_inequality_check,
-                        default_seed, exponent_bounds, isometry_check,
+                        default_seed, exponent_bounds,
                         kpq_norm, make_bump_family, pairwise_sum,
                         poincare_constant_disc, pull_back, q_from_ps,
-                        quoted_formula_report, run_verify, sample_interior,
-                        weighted_constant_check)
-from confweight.fields import PolarGrid
+                        quoted_formula_report, run_verify, sample_interior)
+from confweight.exponents import weighted_constant_check
+from confweight.fields import PolarGrid, isometry_check
 
 ALL = tuple(DomainFamily)
 

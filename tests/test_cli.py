@@ -99,6 +99,62 @@ def test_grid_at_the_node_budget_reaches_the_solver(capsys, monkeypatch, argv):
     assert code == 1 and err == "error: reached the solver\n"
 
 
+@pytest.mark.parametrize("r", ["3", "2"])
+def test_bumps_over_the_bump_budget_exit_1_before_any_bump_is_built(capsys, monkeypatch, r):
+    # 10^9 TestBumps of ~192 B each would need ~190 GB
+    def builds(*args, **kwargs):
+        raise AssertionError("a family over the bump budget was built")
+
+    monkeypatch.setattr("confweight.cli.make_bump_family", builds)
+    monkeypatch.setattr("confweight.cli.poincare_constant_disc", builds)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "constant", "--r", r, "--bumps", "1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: --bumps asks for 1000000000 bumps, over the bump budget of 4096\n"
+    assert peak < 2**20
+
+
+def test_bumps_at_the_bump_budget_are_built(capsys, monkeypatch):
+    sizes = []
+
+    def built(count, rng):
+        sizes.append(count)
+        raise ConfweightError("built")
+
+    monkeypatch.setattr("confweight.cli.make_bump_family", built)
+    code, _, err = run(capsys, "constant", "--r", "3", "--bumps", "4096")
+    assert (code, err, sizes) == (1, "error: built\n", [4096])
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_empty_lattice_exits_1_before_the_solve_and_the_out_file(capsys, monkeypatch,
+                                                                  tmp_path, n):
+    def solves(*args, **kwargs):
+        raise AssertionError("an empty lattice reached the solver")
+
+    monkeypatch.setattr("confweight.cli.solve_dirichlet", solves)
+    target = tmp_path / "u.csv"
+    code, out, err = run(capsys, *SOLVE, *LATTICE, "--lattice-n", n, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: --lattice-n must be at least 1, got {n}\n"
+    assert not target.exists()
+    target.write_text("kept\n")
+    assert run(capsys, *SOLVE, *LATTICE, "--lattice-n", n, "--out", str(target))[0] == 1
+    assert target.read_text() == "kept\n"
+
+
+def test_one_point_lattice_is_written(capsys):
+    code, out, _ = run(capsys, *SOLVE, *LATTICE, "--window=-0.5,0.5,-0.5,0.5",
+                       "--lattice-n", "1", "--nr", "16", "--ntheta", "16")
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert code == 0 and rows[0] == "x,y,u" and len(rows) == 2
+    assert [float(c) for c in rows[1].split(",")[:2]] == [-0.5, -0.5]
+
+
 def test_brennan_converged_exit(capsys):
     code, out, _ = run(capsys, "brennan", "--domain", "slitplane",
                        "--s", "3.0", "--tol", "0.1")

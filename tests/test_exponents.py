@@ -7,8 +7,8 @@ from confweight import (ConformalMap, ConstantEstimate, DomainFamily,
                         EstimateMethod, ExponentOutOfRange,
                         IterationDivergence, PolarGrid, disc_eigenvalue,
                         exponent_bounds, make_bump_family,
-                        poincare_constant_disc, q_from_ps,
-                        weighted_constant_check)
+                        poincare_constant_disc, q_from_ps)
+from confweight.exponents import weighted_constant_check
 
 J01 = 2.404825557695773
 

@@ -6,9 +6,11 @@ import pytest
 
 from confweight import (CHECK_SPEC, ConformalMap, DiscGridSpec, DomainFamily,
                         MoebiusAutomorphism, compose_with_automorphism,
-                        composition_inequality_check, disc_nodes, isometry_check,
-                        make_bump_family, pairwise_sum, pull_back,
-                        weighted_constant_check)
+                        composition_inequality_check, disc_nodes,
+                        make_bump_family, pairwise_sum, pull_back)
+from confweight.exponents import weighted_constant_check
+from confweight.fields import TestBump as Bump
+from confweight.fields import _bump_tables, _row_sum, isometry_check
 
 # float.hex of the checks on a 64 x 64 grid with make_bump_family(3, seed 5),
 # taken before the checks shared pull_back: isometry, weighted constant at
@@ -112,3 +114,58 @@ def test_slit_plane_pull_back_keeps_its_temporaries_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 18 * 2**20
+
+
+_GRIDS = [CHECK_SPEC, DiscGridSpec(n_r=64, n_theta=2048)]
+
+
+def _assert_support_rows_keep_the_bits(spec, bumps):
+    # each restricted table against the same product formed on every row
+    w, areas = disc_nodes(spec)
+    _, _, phi_abs, psi_abs = pull_back(ConformalMap.to_disc(DomainFamily.STRIP), spec)
+    density = phi_abs**2 * psi_abs**2
+    for b, t in zip(bumps, _bump_tables(bumps, spec, 3.0)):
+        grad2 = np.abs(b.gradient(w)) ** 2
+        power = np.abs(b.value(w)) ** 3.0
+        off = np.ones(spec.n_r, dtype=bool)
+        off[t.rows] = False
+        for whole, part in ((grad2, t.grad2), (power, t.power)):
+            assert np.array_equal(whole[t.rows], part)
+            # exactly +0.0 off the support rows, so the zero rows change no sum
+            assert not whole[off].any() and not np.signbit(whole[off]).any()
+            assert (_row_sum(part, t.rows, areas, density).hex()
+                    == pairwise_sum(whole * density * areas).hex())
+        assert t.energy.hex() == pairwise_sum(grad2 * areas).hex()
+        assert t.norm.hex() == (float(pairwise_sum(power * areas)) ** (1.0 / 3.0)).hex()
+
+
+@pytest.mark.parametrize("spec", _GRIDS, ids=["512x512", "64x2048"])
+@pytest.mark.parametrize("bump", [
+    Bump(0.05 - 0.03j, 0.2, 1.3),        # |c| < rho: the support holds the origin
+    Bump(0.6 * np.exp(2.2j), 0.3, 0.7),  # |c| + rho = 0.9, the family's outer limit
+], ids=["origin", "outer"])
+def test_support_row_tables_have_the_bits_of_whole_grid_products(spec, bump):
+    rows = _bump_tables([bump], spec)[0].rows
+    assert rows.stop - rows.start < spec.n_r  # the support leaves rows out
+    _assert_support_rows_keep_the_bits(spec, [bump])
+    # the composition check sums its own support rows
+    m = ConformalMap.to_disc(DomainFamily.CARDIOID)
+    w, areas, phi_prime, psi_abs = pull_back(m, spec)
+    g = np.abs(bump.gradient(w))
+    rhs = float(pairwise_sum(g**2.0 * areas)) ** 0.5
+    lhs = float(pairwise_sum((g * phi_prime) ** 1.5 * psi_abs**2 * areas)) ** (1.0 / 1.5)
+    (rec,) = composition_inequality_check(m, 2.0, 1.5, [bump], spec)
+    assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex())
+
+
+def test_support_row_tables_keep_the_bits_of_seeded_families():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=12, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(_GRIDS), st.integers(0, 2**32 - 1))
+    def check(spec, seed):
+        bumps = make_bump_family(3, rng=np.random.default_rng(seed))
+        _assert_support_rows_keep_the_bits(spec, bumps)
+
+    check()

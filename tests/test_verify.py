@@ -1,10 +1,12 @@
 import hashlib
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from confweight import poisson, verify
+from confweight import exponents, fields, poisson, quadrature, verify
 from confweight.util import DEFAULT_SEED
 from confweight.verify import _check_maps
 
@@ -103,3 +105,60 @@ def test_weight_checks_and_quoted_report_keep_their_bits():
     report = json.dumps(verify.quoted_formula_report(), sort_keys=True).encode()
     assert (hashlib.sha256(report).hexdigest()
             == "83ba08a7df40de23064ef84f246597f593f3bd84efc5d0f339864cb6cde82a31")
+
+
+def test_verify_pulls_each_family_back_once_and_tabulates_each_bump_once(monkeypatch):
+    pulls = []
+    original_pull_back = quadrature.pull_back
+
+    def counted_pull_back(mapping, spec=None):
+        pulls.append(mapping.family.value)
+        return original_pull_back(mapping, spec)
+
+    for module in (quadrature, fields, exponents, verify):
+        if hasattr(module, "pull_back"):
+            monkeypatch.setattr(module, "pull_back", counted_pull_back)
+
+    # bump evaluations on the check grid, outside the composition check
+    calls = Counter()
+    inside = []
+    original_composition = verify.composition_inequality_check
+
+    def composition(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original_composition(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(verify, "composition_inequality_check", composition)
+    for method in ("gradient", "value"):
+        def spy(self, w, _method=method, _original=getattr(fields.TestBump, method)):
+            if not inside and np.shape(w)[-1] == quadrature.CHECK_SPEC.n_theta:
+                calls[_method, self] += 1
+            return _original(self, w)
+        monkeypatch.setattr(fields.TestBump, method, spy)
+
+    monkeypatch.delenv("CW_SEED", raising=False)
+    assert verify.run_verify()["passed"] is True
+    # six families, then the cardioid composition check
+    assert pulls == [*_FAMILIES, "cardioid"]
+    gradients = {b for m, b in calls if m == "gradient"}
+    values = {b for m, b in calls if m == "value"}
+    # three fields bumps and three transfer bumps, each evaluated once per group
+    assert len(gradients) == 6 and len(values) == 3 and values < gradients
+    assert set(calls.values()) == {1}
+
+
+def test_verify_peaks_below_the_parent_under_tracemalloc(monkeypatch):
+    # a cold run peaked at 26.9 MiB when every check pulled back and evaluated its
+    # bumps on the whole grid, and at 16.4 MiB with one pull-back per family and
+    # support-row bump tables; caching the nine tables whole would add 18 MiB
+    monkeypatch.delenv("CW_SEED", raising=False)
+    tracemalloc.start()
+    try:
+        verify.run_verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
