@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nr", type=int, default=128)
     p.add_argument("--ntheta", type=int, default=128)
     p.add_argument("--bumps", type=int, default=64,
-                   help="bump-family size for r != 2 lower bounds")
+                   help="bump-family size for the r != 2 estimate from below "
+                        "(needs --nr and --ntheta of at least 32)")
 
     p = sub.add_parser("solve", help="Dirichlet solve by conformal transfer")
     common(p)

@@ -5,8 +5,8 @@ gradient composition bounds: the conjugation q(p, s) = ps/(p + s - 2) and the
 (q, r) ranges determined by an integrability floor alpha0 of the inverse-map
 derivative.  The analytic side estimates the disc constant K of the
 inequality ||f||_{L_r} <= K ||grad f||_{L_2}: exactly (via the first
-Laplacian eigenvalue) for r = 2, and as a certified lower bound from a bump
-family otherwise.
+Laplacian eigenvalue) for r = 2, and otherwise from below by a bump family,
+tabulated one bump at a time on a grid of at least 32 nodes per direction.
 """
 from __future__ import annotations
 
@@ -16,12 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentOutOfRange, IterationDivergence
-from .fields import (PolarGrid, TestBump, _bump_tables, _pulled_back_checks, lp_norm,
-                     make_bump_family)
-from .maps import ConformalMap
+from .errors import ExponentOutOfRange, GridTooCoarse, IterationDivergence
+from .fields import PolarGrid, TestBump, _bump_tables, make_bump_family
 from .poisson import solve_radial
-from .quadrature import CHECK_SPEC, DiscGridSpec
 from .util import pairwise_sum
 
 # integrability floor used by default: |psi'|^alpha is known integrable on
@@ -29,6 +26,7 @@ from .util import pairwise_sum
 DEFAULT_ALPHA0 = -1.752
 # relative change of the Rayleigh quotient at which disc_eigenvalue stops
 _EIGEN_TOL = 1e-10
+_BUMP_MIN_NODES = 32  # bump-route grid floor per direction; 8 x 8 read 3.1 K(3)
 
 
 def q_from_ps(p: float, s: float) -> float:
@@ -122,8 +120,10 @@ def poincare_constant_disc(r: float, grid: PolarGrid,
     r = 2 is solved exactly (to discretization) as K = 1/sqrt(lambda_1) by
     inverse power iteration on the discrete Dirichlet Laplacian.  Other r
     have no elementary sharp constant; the estimate is then the maximum of
-    ||b||_r / ||grad b||_2 over a seeded bump family, a certified lower
-    bound that never claims sharpness.
+    ||b||_r / ||grad b||_2 over a seeded bump family, which bounds K from
+    below in exact arithmetic but never claims sharpness.  The midpoint rule
+    lifts it above K on coarse grids, so below 32 nodes per direction, where
+    bumps of radius >= 0.1 are not resolved, it raises GridTooCoarse.
     """
     if not (math.isfinite(r) and r >= 1.0):
         raise ExponentOutOfRange(f"r must be at least 1, got {r}")
@@ -132,34 +132,14 @@ def poincare_constant_disc(r: float, grid: PolarGrid,
         return ConstantEstimate(value=1.0 / math.sqrt(lam),
                                 method=EstimateMethod.EIGEN_RAYLEIGH,
                                 tolerance=_EIGEN_TOL, iterations=its)
+    if grid.n_r < _BUMP_MIN_NODES or grid.n_theta < _BUMP_MIN_NODES:
+        raise GridTooCoarse(f"the bump route needs at least {_BUMP_MIN_NODES} nodes per "
+                            f"direction, got {grid.n_r}x{grid.n_theta}")
     if bumps is None:
         bumps = make_bump_family(64)
     best = 0.0
-    nodes = grid.nodes
-    for b in bumps:
-        denom = lp_norm(grid, np.abs(b.gradient(nodes)), 2.0)
-        if denom == 0.0:
-            continue
-        num = lp_norm(grid, b.value(nodes), r)
-        best = max(best, num / denom)
+    for t in _bump_tables(bumps, grid.nodes, grid.cell_areas, r):
+        if t.energy != 0.0:
+            best = max(best, t.norm / t.energy ** 0.5)
     return ConstantEstimate(value=best, method=EstimateMethod.BUMP_FAMILY_MAX,
                             tolerance=0.0, iterations=len(bumps))
-
-
-def weighted_constant_check(mapping: ConformalMap, r: float,
-                            bumps: list[TestBump],
-                            spec: DiscGridSpec | None = None) -> float:
-    """Max relative defect of the two transfer identities, over the bumps.
-
-    For g on the disc and f = g o phi on the domain, both
-    ||f||_{L_r(Omega, h)} = ||g||_{L_r(D)} and
-    ||grad f||_{L_2(Omega)} = ||grad g||_{L_2(D)}
-    hold exactly in exact arithmetic; each side is quadratured independently
-    on a shared node set (CHECK_SPEC by default) and compared.  The weighted
-    norm carries the density h(psi)|psi'|^2 and the energy the factor
-    (|phi'(psi)||psi'|)^2: equal in exact arithmetic, formed separately.
-    """
-    if not (math.isfinite(r) and r >= 1.0):
-        raise ExponentOutOfRange(f"r must be at least 1, got {r}")
-    spec = CHECK_SPEC if spec is None else spec
-    return _pulled_back_checks(mapping, spec, [], _bump_tables(bumps, spec, r))[2]

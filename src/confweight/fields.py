@@ -2,8 +2,9 @@
 
 Test functions are closed-form bumps evaluated analytically (value and
 gradient), so composing them with a conformal map costs no interpolation
-error; the pullback checks below then run at pure quadrature accuracy.
-Sampled values on a uniform polar grid are plain arrays at
+error; the pulled-back checks below then run at pure quadrature accuracy.
+``_bump_tables`` alone integrates a bump on a disc grid, on its support
+rows.  Sampled values on a uniform polar grid are plain arrays at
 ``PolarGrid.nodes``, which ``lp_norm`` integrates; the solver's solutions
 are radial, and ``poisson`` keeps each as its ring column.
 """
@@ -13,12 +14,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidExponents, KpqDivergent
 from .maps import ConformalMap
-from .quadrature import CHECK_SPEC, DiscGridSpec, Verdict, disc_nodes, kpq_norm, pull_back
+from .quadrature import DiscGridSpec, Verdict, kpq_norm, pull_back
 from .util import default_seed, pairwise_sum
 
 
@@ -165,7 +167,7 @@ def _row_sum(table: np.ndarray, rows: slice, areas: np.ndarray,
 
 @dataclass(frozen=True)
 class _BumpTable:
-    """One bump on its support rows of a check grid, with its disc-side sums."""
+    """One bump on its support rows of a disc grid, with its disc-side sums."""
 
     rows: slice
     grad2: np.ndarray          # |grad b|^2 on rows
@@ -175,18 +177,15 @@ class _BumpTable:
     norm: float | None         # ||b||_{L_r(D)}
 
 
-def _bump_tables(bumps: list[TestBump], spec: DiscGridSpec,
-                 r: float | None = None) -> list[_BumpTable]:
+def _bump_tables(bumps: list[TestBump], w: np.ndarray, areas: np.ndarray,
+                 r: float | None = None) -> Iterator[_BumpTable]:
     """Each bump's |grad b|^2, and |b|^r when ``r`` is given, on its support rows.
 
-    The tables hold the rows of the ``spec`` grid that ``_support_rows``
-    picks, with the disc-side sums, which no map changes.
+    ``w`` and ``areas`` are a polar grid's nodes and cell areas, ring radii
+    ascending down the rows.  Each table, built when the caller reaches it,
+    holds the rows ``_support_rows`` picks and the disc-side sums.
     """
-    if not bumps:
-        raise ValueError("need at least one bump")
-    w, areas = disc_nodes(spec)
     radii = np.abs(w[:, 0])
-    tables = []
     for b in bumps:
         rows = _support_rows(b, radii)
         grad2 = np.abs(b.gradient(w[rows])) ** 2
@@ -194,8 +193,7 @@ def _bump_tables(bumps: list[TestBump], spec: DiscGridSpec,
         if r is not None:
             power = np.abs(b.value(w[rows])) ** r
             norm = _row_sum(power, rows, areas) ** (1.0 / r)
-        tables.append(_BumpTable(rows, grad2, _row_sum(grad2, rows, areas), r, power, norm))
-    return tables
+        yield _BumpTable(rows, grad2, _row_sum(grad2, rows, areas), r, power, norm)
 
 
 def _gap(lhs: float, rhs: float) -> float:
@@ -209,40 +207,26 @@ def _pulled_back_checks(mapping: ConformalMap, spec: DiscGridSpec,
                         ) -> tuple[float, float, float]:
     """Mass, worst isometry gap and worst transfer defect from one pull-back.
 
-    The mass is the disc integral of the pulled-back weight h(psi)|psi'|^2.
+    Every sum carries the one density h(psi) J(., psi) from ``pull_back``,
+    identically one in exact arithmetic.  The mass is its disc integral.
     The isometry gap compares each of ``energies``' Dirichlet energies with
-    the one weighted by the factor (|phi'(psi)||psi'|)^2.  The transfer
-    defect compares each of ``transfers``' L_r norms and energies with the
-    ones weighted by the density and the factor: equal to the density in
-    exact arithmetic, the factor is formed separately.
+    the density-weighted one; the transfer defect compares each of
+    ``transfers``' L_r norms and energies with the density-weighted ones.
     """
-    areas, phi_abs, psi_abs = pull_back(mapping, spec)[1:]
-    density = phi_abs**2 * psi_abs**2
-    factor = (phi_abs * psi_abs) ** 2
-    del phi_abs, psi_abs  # the bump loops hold only the two products
+    areas, density, jac = pull_back(mapping, spec)[1:]
+    density *= jac
+    del jac  # the bump loops hold only the density
     mass = pairwise_sum(density * areas)
     iso = 0.0
     for t in energies:
-        iso = max(iso, _gap(_row_sum(t.grad2, t.rows, areas, factor), t.energy))
+        iso = max(iso, _gap(_row_sum(t.grad2, t.rows, areas, density), t.energy))
     transfer = 0.0
     for t in transfers:
         lhs_norm = _row_sum(t.power, t.rows, areas, density) ** (1.0 / t.r)
-        lhs_energy = math.sqrt(_row_sum(t.grad2, t.rows, areas, factor))
+        lhs_energy = math.sqrt(_row_sum(t.grad2, t.rows, areas, density))
         transfer = max(transfer, _gap(lhs_norm, t.norm),
                        _gap(lhs_energy, math.sqrt(t.energy)))
     return mass, iso, transfer
-
-
-def isometry_check(mapping: ConformalMap, bumps: list[TestBump],
-                   spec: DiscGridSpec | None = None) -> float:
-    """Max relative gap between the domain-side and disc Dirichlet energies.
-
-    Both energies are evaluated on the same fixed node set (CHECK_SPEC by
-    default), so the reported gap isolates the conformal factor
-    |phi'(psi(w))*psi'(w)|^2 from shared quadrature error.
-    """
-    spec = CHECK_SPEC if spec is None else spec
-    return _pulled_back_checks(mapping, spec, _bump_tables(bumps, spec), [])[1]
 
 
 @dataclass(frozen=True)
@@ -264,7 +248,7 @@ def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
     The constant comes from kpq_norm; a non-converged constant integral
     raises KpqDivergent since the bound is then vacuous.  Both norms are
     summed on one node set, CHECK_SPEC by default.  Equality cases
-    (p = q = 2) belong to isometry_check instead.
+    (p = q = 2) belong to the isometry check of ``verify`` instead.
     """
     if not bumps:
         raise ValueError("need at least one bump")
@@ -273,16 +257,11 @@ def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
         raise KpqDivergent(f"K_({p},{q}) integral verdict {kres.verdict.value} "
                            f"on {mapping.family.value}")
     big_k = kres.value
-    w, areas, phi_prime, psi_abs = pull_back(mapping, spec)
-    jac2 = psi_abs**2
-    del psi_abs
-    radii = np.abs(w[:, 0])
+    w, areas, h, jac = pull_back(mapping, spec)
     out = []
-    for b in bumps:
-        rows = _support_rows(b, radii)
-        g = np.abs(b.gradient(w[rows]))
-        rhs = _row_sum(g**p, rows, areas) ** (1.0 / p)
-        lhs = _row_sum((g * phi_prime[rows]) ** q, rows, areas, jac2) ** (1.0 / q)
+    for t in _bump_tables(bumps, w, areas):
+        rhs = _row_sum(t.grad2 ** (p / 2.0), t.rows, areas) ** (1.0 / p)
+        lhs = _row_sum((t.grad2 * h[t.rows]) ** (q / 2.0), t.rows, areas, jac) ** (1.0 / q)
         out.append(CompositionRecord(lhs=lhs, rhs=rhs, constant=big_k,
                                      passed=lhs <= big_k * rhs * (1.0 + slack)))
     return out

@@ -24,6 +24,9 @@ grid sizes are powers of two, so summing the block sums pairwise follows the
 same halving tree as summing the whole level, and every level value is
 bit-identical to a whole-grid evaluation.  A ladder may not reach a level
 above the 2^24-node budget (4096 x 4096 cells).
+
+``pull_back`` gives the matched-node checks h(psi(w)) and J(w, psi), both
+real Jacobians (``ConformalMap.jacobian``); their product is one.
 """
 from __future__ import annotations
 
@@ -200,25 +203,25 @@ CHECK_SPEC = DiscGridSpec().level(5)
 
 def pull_back(mapping: ConformalMap, spec: DiscGridSpec | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes w, area weights, |phi'(psi(w))| and |psi'(w)| on a disc grid.
+    """Nodes w, area weights, h(psi(w)) and J(w, psi) on a disc grid.
 
-    phi is the TO_DISC ``mapping`` and psi its inverse; the pulled-back
-    conformal weight is the product (|phi'(psi)| * |psi'|)^2, identically one
-    in exact arithmetic.  ``spec`` defaults to CHECK_SPEC.  The magnitudes are
-    filled in row blocks, so the maps' complex temporaries stay block-sized.
+    phi is the TO_DISC ``mapping`` and psi its inverse; h = J(., phi) and
+    J(., psi) are ``ConformalMap.jacobian``, and their product, the pulled-back
+    weight, is one in exact arithmetic.  ``spec`` defaults to CHECK_SPEC.  Row
+    blocks keep the maps' complex temporaries block-sized.
     """
     if mapping.direction is not Direction.TO_DISC:
         raise ValueError("mapping must send its domain to the disc")
     spec = CHECK_SPEC if spec is None else spec
     w, areas = disc_nodes(spec)
     inv = mapping.invert()
-    phi_abs, psi_abs = np.empty(w.shape), np.empty(w.shape)
+    h, jac = np.empty(w.shape), np.empty(w.shape)
     rows = max(1, _BLOCK_NODES // spec.n_theta)
     for i in range(0, spec.n_r, rows):
         block = w[i:i + rows]
-        phi_abs[i:i + rows] = np.abs(mapping.derivative(inv.eval(block)))
-        psi_abs[i:i + rows] = np.abs(inv.derivative(block))
-    return w, areas, phi_abs, psi_abs
+        h[i:i + rows] = mapping.jacobian(inv.eval(block))
+        jac[i:i + rows] = inv.jacobian(block)
+    return w, areas, h, jac
 
 
 def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = None,

@@ -34,7 +34,7 @@ from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
                    compose_with_automorphism, round_trip_check, sample_interior)
 from .poisson import (DirichletProblem, constant_rhs, convergence_study,
                       quartic_rhs, solve_dirichlet, weak_residual)
-from .quadrature import CHECK_SPEC, Verdict, brennan_direct, integrate_disc
+from .quadrature import CHECK_SPEC, Verdict, brennan_direct, disc_nodes, integrate_disc
 from .util import default_seed
 
 # first positive zero of the Bessel function J0; lambda_1(disc) = j01^2
@@ -100,15 +100,17 @@ def _check_automorphisms(add, rng):
 def _family_pass(rng):
     """Draw the fields and transfer bumps, then pull each family back once.
 
-    Each bump's tables are built once, on its support rows, before the
-    family loop; one pull-back per family then gives its mass, isometry gap
-    and transfer defect.  Returns both bump lists and those three sums per
-    family.
+    Each bump's tables are built once, on its support rows of one shared
+    node grid, before the family loop; one pull-back per family then gives
+    its mass, isometry gap and transfer defect.  Returns both bump lists
+    and those three sums per family.
     """
     fields_bumps = make_bump_family(3, rng=rng)
     transfer_bumps = make_bump_family(3, rng=rng)
-    energies = _bump_tables(fields_bumps, CHECK_SPEC)
-    transfers = _bump_tables(transfer_bumps, CHECK_SPEC, 3.0)
+    w, areas = disc_nodes(CHECK_SPEC)
+    energies = list(_bump_tables(fields_bumps, w, areas))
+    transfers = list(_bump_tables(transfer_bumps, w, areas, 3.0))
+    del w, areas  # freed before the pull-backs build their own nodes
     sums = {fam: _pulled_back_checks(ConformalMap.to_disc(fam), CHECK_SPEC,
                                      energies, transfers) for fam in _FAMILIES}
     return fields_bumps, transfer_bumps, sums
@@ -145,7 +147,7 @@ def _check_weights(add, rng):
     for fam, (positive, min_value, rel_step) in zip(_FAMILIES, sampled):
         add(f"weights.positivity.{fam.value}", positive, min_value=min_value)
         add(f"weights.continuity.{fam.value}", rel_step <= 1e-3, max_rel_step=rel_step)
-        # the pulled-back weight h(psi(w))|psi'(w)|^2 = (|phi'(psi(w))| |psi'(w)|)^2
+        # the pulled-back weight h(psi(w)) J(w, psi), identically one
         total = sums[fam][0]
         rel_mass = abs(total - math.pi) / math.pi
         add(f"weights.mass_identity.{fam.value}", rel_mass <= 1e-4,

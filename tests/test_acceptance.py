@@ -19,8 +19,7 @@ from confweight import (ConformalMap, DiscGridSpec, DomainFamily, Verdict,
                         kpq_norm, make_bump_family, pairwise_sum,
                         poincare_constant_disc, pull_back, q_from_ps,
                         quoted_formula_report, run_verify, sample_interior)
-from confweight.exponents import weighted_constant_check
-from confweight.fields import PolarGrid, isometry_check
+from confweight.fields import PolarGrid
 
 ALL = tuple(DomainFamily)
 
@@ -62,8 +61,8 @@ def test_criterion_2_mass_identity():
     level6 = DiscGridSpec(n_r=16, n_theta=16).level(5)  # 512 x 512
     worst = 0.0
     for fam in ALL:
-        _, areas, phi_abs, psi_abs = pull_back(ConformalMap.to_disc(fam), level6)
-        total = pairwise_sum(phi_abs**2 * psi_abs**2 * areas)
+        _, areas, h, jac = pull_back(ConformalMap.to_disc(fam), level6)
+        total = pairwise_sum(h * jac * areas)
         worst = max(worst, abs(total - math.pi) / math.pi)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-4 and elapsed < 30.0
@@ -71,12 +70,12 @@ def test_criterion_2_mass_identity():
                      f"{elapsed:.1f}s")
 
 
-def test_criterion_3_energy_isometry():
+def test_criterion_3_energy_isometry(family_checks):
     rng = np.random.default_rng(default_seed())
     bumps = make_bump_family(5, rng=rng)
     worst = 0.0
     for name in ("halfplane", "strip", "cardioid", "slitplane"):
-        worst = max(worst, isometry_check(ConformalMap.to_disc(name), bumps))
+        worst = max(worst, family_checks(ConformalMap.to_disc(name), energies=bumps)[1])
     ok = worst <= 1e-6
     _announce(3, ok, f"max energy deviation {worst:.2e} over 4 families x 5 bumps")
 
@@ -131,7 +130,7 @@ def _bessel_j0_first_zero() -> float:
     return 0.5 * (lo + hi)
 
 
-def test_criterion_6_poincare_constant_and_transfer():
+def test_criterion_6_poincare_constant_and_transfer(family_checks):
     j01 = _bessel_j0_first_zero()
     assert abs(_bessel_j0(j01)) < 1e-14  # oracle self-check
 
@@ -140,7 +139,7 @@ def test_criterion_6_poincare_constant_and_transfer():
 
     rng = np.random.default_rng(default_seed())
     bumps = make_bump_family(5, rng=rng)
-    worst = max(weighted_constant_check(ConformalMap.to_disc(fam), 3.0, bumps)
+    worst = max(family_checks(ConformalMap.to_disc(fam), transfers=bumps)[2]
                 for fam in ALL)
     ok = rel <= 0.01 and worst <= 1e-6
     _announce(6, ok, f"K estimate {est.value:.6f} vs 1/j01 {1.0 / j01:.6f} "

@@ -240,6 +240,22 @@ def test_constant_bump_route_seeded(capsys, monkeypatch):
     assert json.loads(out)["value"] != base["value"]
 
 
+@pytest.mark.parametrize("n", ["8", "16"])
+def test_constant_bump_route_exits_1_on_a_coarse_grid(capsys, n):
+    # at 8^2 the bump route printed 1.21, 3.1 times the sharp K(3) = 0.3878
+    code, out, err = run(capsys, "constant", "--r", "3", "--nr", n, "--ntheta", n)
+    assert (code, out) == (1, "")
+    assert err == (f"error: the bump route needs at least 32 nodes per direction, "
+                   f"got {n}x{n}\n")
+
+
+def test_constant_bump_route_stays_below_k3_at_32(capsys, monkeypatch):
+    monkeypatch.delenv("CW_SEED", raising=False)
+    code, out, _ = run(capsys, "constant", "--r", "3", "--nr", "32", "--ntheta", "32")
+    assert code == 0
+    assert 0.0 < json.loads(out)["value"] < 0.3878
+
+
 def test_solve_csv_against_exact(capsys):
     code, out, _ = run(capsys, "solve", "--domain", "strip", "--f", "const:-4",
                        "--nr", "64", "--ntheta", "64")

@@ -1,14 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from confweight import (ConformalMap, ConstantEstimate, DomainFamily,
-                        EstimateMethod, ExponentOutOfRange,
-                        IterationDivergence, PolarGrid, disc_eigenvalue,
-                        exponent_bounds, make_bump_family,
+                        EstimateMethod, ExponentOutOfRange, GridTooCoarse,
+                        IterationDivergence, PolarGrid, TestBump, disc_eigenvalue,
+                        exponent_bounds, lp_norm, make_bump_family,
                         poincare_constant_disc, q_from_ps)
-from confweight.exponents import weighted_constant_check
 
 J01 = 2.404825557695773
 
@@ -111,6 +111,62 @@ def test_poincare_constant_bump_route(rng):
     assert more.value >= est.value
 
 
+def _whole_grid_bound(r, grid, bumps):
+    # reference: lp_norm of each bump on every node of the grid
+    best = 0.0
+    for b in bumps:
+        denom = lp_norm(grid, np.abs(b.gradient(grid.nodes)), 2.0)
+        if denom != 0.0:
+            best = max(best, lp_norm(grid, b.value(grid.nodes), r) / denom)
+    return best
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+@pytest.mark.parametrize("r", [1.0, 1.5, 3.0, 6.0])
+def test_bump_route_has_the_bits_of_whole_grid_norms(n, r):
+    grid = PolarGrid(n, n)
+    for seed in (0, 1, 2):
+        bumps = make_bump_family(8, rng=np.random.default_rng(seed))
+        est = poincare_constant_disc(r, grid, bumps=bumps)
+        assert est.value.hex() == _whole_grid_bound(r, grid, bumps).hex()
+
+
+def test_bump_route_skips_a_flat_bump():
+    bumps = [TestBump(0.2j, 0.3, 0.0), TestBump(-0.1, 0.4)]
+    grid = PolarGrid(64, 32)
+    est = poincare_constant_disc(3.0, grid, bumps=bumps)
+    assert est.value.hex() == _whole_grid_bound(3.0, grid, bumps).hex()
+    assert est.value > 0.0 and est.iterations == 2
+
+
+def test_bump_route_builds_one_table_at_a_time():
+    # 64 bumps at 256^2, the grid's nodes included: 3.6 MiB one table at a
+    # time, 4.6 MiB with whole-grid norms, 26.6 MiB with every table held
+    grid = PolarGrid(256, 256)
+    bumps = make_bump_family(64, rng=np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        poincare_constant_disc(3.0, grid, bumps=bumps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(8, 8), (16, 16), (31, 256), (256, 31)])
+def test_bump_route_refuses_a_coarse_grid_before_any_bump_is_evaluated(
+        monkeypatch, n_r, n_theta):
+    def evaluated(self, w):
+        raise AssertionError("a bump was evaluated")
+
+    monkeypatch.setattr(TestBump, "value", evaluated)
+    monkeypatch.setattr(TestBump, "gradient", evaluated)
+    with pytest.raises(GridTooCoarse, match=f"at least 32 .* got {n_r}x{n_theta}"):
+        poincare_constant_disc(3.0, PolarGrid(n_r, n_theta))
+    # the eigen route has no bumps to resolve
+    assert poincare_constant_disc(2.0, PolarGrid(n_r, n_theta)).value > 0.0
+
+
 def test_poincare_constant_domain():
     with pytest.raises(ExponentOutOfRange):
         poincare_constant_disc(0.5, PolarGrid(32, 32))
@@ -121,10 +177,9 @@ def test_eigen_iteration_budget_enforced():
         disc_eigenvalue(PolarGrid(64, 64), tol=1e-30, max_iterations=3)
 
 
-def test_weighted_constant_check_families(bumps):
-    disc_dev = weighted_constant_check(ConformalMap.to_disc(DomainFamily.DISC),
-                                       3.0, bumps)
+def test_weighted_constant_check_families(bumps, family_checks):
+    disc_dev = family_checks(ConformalMap.to_disc(DomainFamily.DISC), transfers=bumps)[2]
     assert disc_dev <= 1e-12
     for name in ("halfplane", "slitplane"):
-        dev = weighted_constant_check(ConformalMap.to_disc(name), 3.0, bumps)
+        dev = family_checks(ConformalMap.to_disc(name), transfers=bumps)[2]
         assert dev <= 1e-6

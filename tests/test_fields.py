@@ -8,7 +8,6 @@ from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
                         InvalidExponents, KpqDivergent, PolarGrid, TestBump,
                         composition_inequality_check, lp_norm,
                         make_bump_family)
-from confweight.fields import isometry_check
 
 
 def test_polar_grid_node_layout():
@@ -112,17 +111,18 @@ def test_lp_norm_homogeneity():
         assert lp_norm(g, -4.2 * f, p) == pytest.approx(4.2 * lp_norm(g, f, p), rel=1e-13)
 
 
-def test_isometry_check_families(bumps):
+def test_isometry_check_families(bumps, family_checks):
     disc = ConformalMap.to_disc(DomainFamily.DISC)
-    assert isometry_check(disc, bumps) <= 1e-12
+    assert family_checks(disc, energies=bumps)[1] <= 1e-12
     for name in ("halfplane", "cardioid"):
         m = ConformalMap.to_disc(name)
-        assert isometry_check(m, bumps) <= 1e-6
+        assert family_checks(m, energies=bumps)[1] <= 1e-6
 
 
-def test_isometry_check_needs_bumps():
-    with pytest.raises(ValueError):
-        isometry_check(ConformalMap.to_disc(DomainFamily.DISC), [])
+def test_composition_check_needs_bumps():
+    with pytest.raises(ValueError, match="at least one bump"):
+        composition_inequality_check(ConformalMap.to_disc(DomainFamily.CARDIOID),
+                                     2.0, 1.5, [])
 
 
 def test_composition_inequality_cardioid(bumps):
@@ -151,7 +151,7 @@ def test_composition_validates_exponents(bumps):
         composition_inequality_check(m, 2.0, 2.0, bumps)
 
 
-def test_isometry_matched_spec_override(bumps):
+def test_isometry_matched_spec_override(bumps, family_checks):
     m = ConformalMap.to_disc(DomainFamily.HALFPLANE)
-    coarse = isometry_check(m, bumps[:1], spec=DiscGridSpec(n_r=64, n_theta=64))
+    coarse = family_checks(m, energies=bumps[:1], spec=DiscGridSpec(n_r=64, n_theta=64))[1]
     assert coarse <= 1e-6

@@ -61,6 +61,31 @@ def test_the_walk_sees_an_unreferenced_name():
     assert {"a", "b", "c", "d"} - _referenced_names([src]) == {"c", "d"}
 
 
+def _unreferenced_definitions(sources: list[str]) -> list[str]:
+    """Public module-level functions and classes of ``sources`` that none of them reads.
+
+    Methods are left out: a method may be the reference its tests compare
+    against.
+    """
+    defined = {node.name for source in sources for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    return sorted(defined - _referenced_names(sources))
+
+
+def test_every_public_definition_is_used_by_the_package():
+    # a public function only tests call is API kept for its own tests
+    sources = [p.read_text() for p in MODULES if p.name != "__init__.py"]
+    assert _unreferenced_definitions(sources) == []
+
+
+def test_the_walk_sees_an_unreferenced_definition():
+    src = ("def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\n"
+           "class K:\n    def method(self):\n        pass\nclass Seen:\n    pass\n"
+           "used()\nSeen()\n")
+    assert _unreferenced_definitions([src]) == ["K", "unused"]
+
+
 def _unset_options(package: list[str], callers: list[str]) -> list[str]:
     """``function.parameter`` for each defaulted parameter defined in ``package``
     that no call in ``callers`` passes, by keyword or by position.  Calls are

@@ -5,23 +5,24 @@ import numpy as np
 import pytest
 
 from confweight import (CHECK_SPEC, ConformalMap, DiscGridSpec, DomainFamily,
-                        MoebiusAutomorphism, compose_with_automorphism,
-                        composition_inequality_check, disc_nodes,
-                        make_bump_family, pairwise_sum, pull_back)
-from confweight.exponents import weighted_constant_check
+                        MoebiusAutomorphism, PolarGrid, compose_with_automorphism,
+                        composition_inequality_check, disc_nodes, make_bump_family,
+                        pairwise_sum, poincare_constant_disc, pull_back)
 from confweight.fields import TestBump as Bump
-from confweight.fields import _bump_tables, _row_sum, isometry_check
+from confweight.fields import _bump_tables, _pulled_back_checks, _row_sum
 
 # float.hex of the checks on a 64 x 64 grid with make_bump_family(3, seed 5),
-# taken before the checks shared pull_back: isometry, weighted constant at
-# r = 3, composition (p, q) and its (lhs, rhs) per bump, and the mass sum
+# taken before the checks shared pull_back: isometry, transfer defect at
+# r = 3, composition (p, q) and its (lhs, rhs) per bump, and the mass sum.
+# The cardioid isometry gap was 0 when its energies carried the factor
+# (|phi'(psi)| |psi'|)^2; the density h(psi) J(., psi) moved it by 2^-53.
 _PINS = {
     "strip": ("0x1.f47b2d2370797p-53", "0x0.0p+0", (3.0, 2.0),
               [("0x1.2993a115ee367p+1", "0x1.a062e0b5a1eefp+1"),
                ("0x1.6e2e65054bfb9p+0", "0x1.555a7046c318dp+1"),
                ("0x1.028a3ab6ede1fp+1", "0x1.e82098ad712bdp+1")],
               "0x1.921fb54442d18p+1"),
-    "cardioid": ("0x0.0p+0", "0x1.8160e12eef4fep-53", (2.0, 1.5),
+    "cardioid": ("0x1.f47b2d2370797p-53", "0x1.8160e12eef4fep-53", (2.0, 1.5),
                  [("0x1.10703abb2b6efp+0", "0x1.2993a115ee367p+1"),
                   ("0x1.21db82153b0cbp-1", "0x1.6e2e65054bfb9p+0"),
                   ("0x1.a7ae4ca1ce86cp-1", "0x1.028a3ab6ede1fp+1")],
@@ -40,50 +41,51 @@ def test_check_spec_is_the_512_grid():
 
 
 def test_pull_back_defaults_to_check_spec():
-    w, areas, phi_abs, psi_abs = pull_back(ConformalMap.to_disc(DomainFamily.HALFPLANE))
-    assert w.shape == areas.shape == phi_abs.shape == psi_abs.shape == (512, 512)
+    w, areas, h, jac = pull_back(ConformalMap.to_disc(DomainFamily.HALFPLANE))
+    assert w.shape == areas.shape == h.shape == jac.shape == (512, 512)
     assert np.array_equal(w, disc_nodes(CHECK_SPEC)[0])
 
 
 @pytest.mark.parametrize("call", [
-    lambda m, b, spec: pull_back(m, spec),
-    lambda m, b, spec: isometry_check(m, b, spec),
-    lambda m, b, spec: weighted_constant_check(m, 3.0, b, spec),
-    lambda m, b, spec: composition_inequality_check(m, 3.0, 2.0, b, spec),
+    lambda m, b, spec, checks: pull_back(m, spec),
+    lambda m, b, spec, checks: checks(m, energies=b, spec=spec),
+    lambda m, b, spec, checks: checks(m, transfers=b, spec=spec),
+    lambda m, b, spec, checks: composition_inequality_check(m, 3.0, 2.0, b, spec),
 ], ids=["pull_back", "isometry", "weighted_constant", "composition"])
-def test_a_map_from_the_disc_is_rejected(call):
+def test_a_map_from_the_disc_is_rejected(call, family_checks):
     bumps = make_bump_family(1, rng=np.random.default_rng(5))
     with pytest.raises(ValueError, match="send its domain to the disc"):
-        call(ConformalMap.from_disc(DomainFamily.CARDIOID), bumps, DiscGridSpec())
+        call(ConformalMap.from_disc(DomainFamily.CARDIOID), bumps, DiscGridSpec(),
+             family_checks)
 
 
 @pytest.mark.parametrize("name", sorted(_PINS))
-def test_pulled_back_checks_keep_their_bits(name):
-    iso, wcc, (p, q), comp, mass = _PINS[name]
+def test_pulled_back_checks_keep_their_bits(name, family_checks):
+    iso, transfer, (p, q), comp, mass = _PINS[name]
     spec = DiscGridSpec(n_r=64, n_theta=64)
     bumps = make_bump_family(3, rng=np.random.default_rng(5))
     m = ConformalMap.to_disc(name)
-    assert isometry_check(m, bumps, spec).hex() == iso
-    assert weighted_constant_check(m, 3.0, bumps, spec).hex() == wcc
+    sums = family_checks(m, energies=bumps, transfers=bumps, spec=spec)
+    assert [s.hex() for s in sums] == [mass, iso, transfer]
     recs = composition_inequality_check(m, p, q, bumps, spec)
     assert [(r.lhs.hex(), r.rhs.hex()) for r in recs] == comp
-    # the pulled-back weight (|phi'(psi)| |psi'|)^2 sums to its pinned mass
-    _, areas, phi_abs, psi_abs = pull_back(m, spec)
-    assert float(pairwise_sum(phi_abs**2 * psi_abs**2 * areas)).hex() == mass
+    # the pulled-back weight h(psi) J(., psi) sums to its pinned mass
+    _, areas, h, jac = pull_back(m, spec)
+    assert float(pairwise_sum(h * jac * areas)).hex() == mass
 
 
-@pytest.mark.parametrize("check, bound_mib", [
-    (lambda m, b: isometry_check(m, b), 24.0),
-    (lambda m, b: weighted_constant_check(m, 3.0, b), 28.0),
+@pytest.mark.parametrize("group, bound_mib", [
+    ("energies", 24.0),
+    ("transfers", 28.0),
 ], ids=["isometry", "weighted_constant"])
-def test_bump_loops_do_not_hold_the_derivative_arrays(check, bound_mib):
-    # at CHECK_SPEC one derivative array is 2 MiB; holding both through the
-    # bump loop lifts the peaks from 22.1 / 26.1 MiB to 26.1 / 30.1 MiB
+def test_bump_loops_do_not_hold_the_derivative_arrays(group, bound_mib, family_checks):
+    # at CHECK_SPEC one Jacobian array is 2 MiB; holding both through the
+    # bump loop lifted the peaks from 22.1 / 26.1 MiB to 26.1 / 30.1 MiB
     m = ConformalMap.to_disc(DomainFamily.STRIP)
     bumps = make_bump_family(3, rng=np.random.default_rng(5))
     tracemalloc.start()
     try:
-        check(m, bumps)
+        family_checks(m, **{group: bumps})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -96,10 +98,34 @@ def test_bump_loops_do_not_hold_the_derivative_arrays(check, bound_mib):
                          ids=["plain", "eta"])
 def test_blocked_pull_back_has_the_bits_of_a_whole_grid_evaluation(to_disc, eta, spec):
     m = to_disc if eta is None else compose_with_automorphism(to_disc, eta)
-    w, areas, phi_abs, psi_abs = pull_back(m, spec)
+    w, areas, h, jac = pull_back(m, spec)
     inv = m.invert()
-    assert np.array_equal(phi_abs, np.abs(m.derivative(inv.eval(w))))
-    assert np.array_equal(psi_abs, np.abs(inv.derivative(w)))
+    assert np.array_equal(h, m.jacobian(inv.eval(w)))
+    assert np.array_equal(jac, inv.jacobian(w))
+
+
+def test_pulled_back_checks_take_no_complex_derivative(monkeypatch, family_checks):
+    # both Jacobians are real: h = |phi'|^2 and J(., psi) from psi's closed form
+    calls = []
+    original = ConformalMap.derivative
+
+    def spy(self, z):
+        calls.append(self.family.value)
+        return original(self, z)
+
+    monkeypatch.setattr(ConformalMap, "derivative", spy)
+    spec = DiscGridSpec(n_r=64, n_theta=64)
+    bumps = make_bump_family(3, rng=np.random.default_rng(5))
+    for fam in DomainFamily:
+        m = ConformalMap.to_disc(fam)
+        pull_back(m, spec)
+        family_checks(m, energies=bumps, transfers=bumps, spec=spec)
+    composition_inequality_check(ConformalMap.to_disc(DomainFamily.CARDIOID), 2.0, 1.5,
+                                 bumps, spec)
+    poincare_constant_disc(3.0, PolarGrid(64, 64), bumps)
+    assert calls == []
+    ConformalMap.to_disc(DomainFamily.STRIP).derivative(0.1)  # the spy is live
+    assert calls == ["strip"]
 
 
 def test_slit_plane_pull_back_keeps_its_temporaries_block_sized():
@@ -121,10 +147,9 @@ _GRIDS = [CHECK_SPEC, DiscGridSpec(n_r=64, n_theta=2048)]
 
 def _assert_support_rows_keep_the_bits(spec, bumps):
     # each restricted table against the same product formed on every row
-    w, areas = disc_nodes(spec)
-    _, _, phi_abs, psi_abs = pull_back(ConformalMap.to_disc(DomainFamily.STRIP), spec)
-    density = phi_abs**2 * psi_abs**2
-    for b, t in zip(bumps, _bump_tables(bumps, spec, 3.0)):
+    w, areas, h, jac = pull_back(ConformalMap.to_disc(DomainFamily.STRIP), spec)
+    density = h * jac
+    for b, t in zip(bumps, _bump_tables(bumps, w, areas, 3.0)):
         grad2 = np.abs(b.gradient(w)) ** 2
         power = np.abs(b.value(w)) ** 3.0
         off = np.ones(spec.n_r, dtype=bool)
@@ -145,15 +170,17 @@ def _assert_support_rows_keep_the_bits(spec, bumps):
     Bump(0.6 * np.exp(2.2j), 0.3, 0.7),  # |c| + rho = 0.9, the family's outer limit
 ], ids=["origin", "outer"])
 def test_support_row_tables_have_the_bits_of_whole_grid_products(spec, bump):
-    rows = _bump_tables([bump], spec)[0].rows
-    assert rows.stop - rows.start < spec.n_r  # the support leaves rows out
+    w, areas = disc_nodes(spec)
+    (table,) = _bump_tables([bump], w, areas)
+    assert table.rows.stop - table.rows.start < spec.n_r  # the support leaves rows out
     _assert_support_rows_keep_the_bits(spec, [bump])
-    # the composition check sums its own support rows
+    # the composition check sums the same support-row table
     m = ConformalMap.to_disc(DomainFamily.CARDIOID)
-    w, areas, phi_prime, psi_abs = pull_back(m, spec)
-    g = np.abs(bump.gradient(w))
-    rhs = float(pairwise_sum(g**2.0 * areas)) ** 0.5
-    lhs = float(pairwise_sum((g * phi_prime) ** 1.5 * psi_abs**2 * areas)) ** (1.0 / 1.5)
+    inv = m.invert()
+    h, jac = m.jacobian(inv.eval(w)), inv.jacobian(w)
+    grad2 = np.abs(bump.gradient(w)) ** 2
+    rhs = float(pairwise_sum(grad2 * areas)) ** 0.5
+    lhs = float(pairwise_sum((grad2 * h) ** 0.75 * jac * areas)) ** (1.0 / 1.5)
     (rec,) = composition_inequality_check(m, 2.0, 1.5, [bump], spec)
     assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex())
 
