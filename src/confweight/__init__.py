@@ -5,11 +5,11 @@ domains, integrates weight powers with refinement-based convergence
 verdicts, transfers Sobolev norms and Dirichlet problems between a domain
 and the unit disc, and estimates the associated embedding constants.
 """
-from .errors import (BranchCutViolation, ConfweightError, ExponentOutOfRange,
-                     GridTooCoarse, GridTooLarge, IntegrandNotFinite,
-                     InvalidExponents, IterationDivergence, KpqDivergent,
-                     PointOutsideDomain, RhsNotFinite, SingularTridiagonal,
-                     SolutionNotFinite)
+from .errors import (BranchCutViolation, ConfweightError, EstimateNotUsable,
+                     ExponentOutOfRange, GridTooCoarse, GridTooLarge,
+                     IntegrandNotFinite, InvalidExponents, IterationDivergence,
+                     KpqDivergent, PointOutsideDomain, RhsNotFinite,
+                     SingularTridiagonal, SolutionNotFinite)
 from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod,
                         ExponentBounds, disc_eigenvalue,
                         exponent_bounds, poincare_constant_disc, q_from_ps)
@@ -35,6 +35,7 @@ __all__ = [
     "ConfweightError", "ConstantEstimate", "ConvergenceRow", "DEFAULT_ALPHA0",
     "DEFAULT_SEED", "DirichletProblem", "Direction", "DiscGridSpec",
     "DiscSolution", "DomainFamily", "EstimateMethod", "ExponentBounds",
+    "EstimateNotUsable",
     "ExponentOutOfRange", "GridTooCoarse", "GridTooLarge", "IntegrandNotFinite",
     "InvalidExponents", "IterationDivergence", "J0_FIRST_ZERO", "KpqDivergent",
     "MoebiusAutomorphism", "PointOutsideDomain", "PolarGrid", "QuadResult",

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentOutOfRange, GridTooCoarse, IterationDivergence
+from .errors import (EstimateNotUsable, ExponentOutOfRange, GridTooCoarse,
+                     IterationDivergence)
 from .fields import PolarGrid, TestBump, _bump_tables, make_bump_family
 from .poisson import solve_radial
 from .util import pairwise_sum
@@ -123,7 +124,9 @@ def poincare_constant_disc(r: float, grid: PolarGrid,
     ||b||_r / ||grad b||_2 over a seeded bump family, which bounds K from
     below in exact arithmetic but never claims sharpness.  The midpoint rule
     lifts it above K on coarse grids, so below 32 nodes per direction, where
-    bumps of radius >= 0.1 are not resolved, it raises GridTooCoarse.
+    bumps of radius >= 0.1 are not resolved, it raises GridTooCoarse.  A
+    bump whose sums overflow, or a family in which none gives a nonzero
+    finite ratio (sums that underflow), raises EstimateNotUsable.
     """
     if not (math.isfinite(r) and r >= 1.0):
         raise ExponentOutOfRange(f"r must be at least 1, got {r}")
@@ -138,8 +141,15 @@ def poincare_constant_disc(r: float, grid: PolarGrid,
     if bumps is None:
         bumps = make_bump_family(64)
     best = 0.0
-    for t in _bump_tables(bumps, grid.nodes, grid.cell_areas, r):
-        if t.energy != 0.0:
-            best = max(best, t.norm / t.energy ** 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in _bump_tables(bumps, grid.nodes, grid.cell_areas, r):
+            if not (math.isfinite(t.norm) and math.isfinite(t.energy)):
+                raise EstimateNotUsable(f"a bump's sums overflow: ||b||_r = {t.norm}, "
+                                        f"||grad b||_2^2 = {t.energy}")
+            if t.energy != 0.0:
+                best = max(best, t.norm / t.energy ** 0.5)
+    if not 0.0 < best < math.inf:
+        raise EstimateNotUsable(f"no bump gave a nonzero finite ratio (best {best}); "
+                                "their sums underflow or miss the grid")
     return ConstantEstimate(value=best, method=EstimateMethod.BUMP_FAMILY_MAX,
                             tolerance=0.0, iterations=len(bumps))

@@ -17,8 +17,10 @@ at r = 1 to second order.  The pivots depend only on n_r: they are
 eliminated once and cached (O(n_r) bytes), so a solve is two Thomas sweeps
 over a length-n_r vector, and the solution is that vector, its ring column:
 off-node values interpolate it linearly in r, the weak residual differences
-it radially, convergence studies restrict it, and only the pushed-forward
-CSV export spreads it along theta.
+it radially, convergence studies restrict it, and even the pushed-forward
+CSV export does not spread it along theta: it hands the writer the column
+and each row's ring index, so each ring's u is formatted once.  A lattice
+export hands over x and y the same way, as their distinct values.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .errors import (GridTooCoarse, PointOutsideDomain, RhsNotFinite,
                      SingularTridiagonal, SolutionNotFinite)
 from .fields import PolarGrid, TestBump
 from .maps import ConformalMap, Direction
-from .util import as_complex_array, fmt_g, pairwise_sum, write_csv
+from .util import IndexedColumn, as_complex_array, fmt_g, pairwise_sum, write_csv
 
 
 @dataclass(frozen=True)
@@ -198,17 +200,21 @@ class DiscSolution:
 
         With ``lattice`` (complex points), rows cover exactly the points the
         domain membership predicate accepts; without it, x+iy = psi(w) over
-        the grid nodes with the nodal solution values.  Every column exists
-        before ``target`` is opened, so a failure leaves a path as it was.
+        the grid nodes with the nodal solution values.  Columns that repeat
+        (pushed-forward u, lattice x and y) go to the writer as IndexedColumns.
+        Every column exists before ``target`` is opened, so a failure leaves a
+        path as it was.
         """
         if lattice is None:
             z = self.mapping.invert().eval(self.grid.nodes)
-            vals = np.broadcast_to(self.column[:, None], z.shape)
+            rings = np.broadcast_to(np.arange(self.grid.n_r)[:, None], z.shape)
+            cols = (z.real, z.imag, IndexedColumn(self.column, rings))
         else:
             pts = np.ravel(np.asarray(lattice, dtype=complex))
             z = pts[self.mapping.contains(pts)]
             vals = self.eval_domain(z) if z.size else np.empty(0)
-        write_csv(target, ("x", "y", "u"), (z.real, z.imag, vals), preamble)
+            cols = (IndexedColumn.distinct(z.real), IndexedColumn.distinct(z.imag), vals)
+        write_csv(target, ("x", "y", "u"), cols, preamble)
 
 
 def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:

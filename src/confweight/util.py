@@ -1,9 +1,13 @@
-"""Small shared helpers: seeds, deterministic reductions, float formatting."""
+"""Small shared helpers: seeds, deterministic reductions, float formatting, CSV.
+
+``write_csv``, the one CSV writer, also takes a column as an ``IndexedColumn``
+(distinct values plus each row's index) and formats each distinct value once."""
 from __future__ import annotations
 
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,23 +62,57 @@ def open_target(target):
         yield target or sys.stdout
 
 
+@dataclass(frozen=True)
+class IndexedColumn:
+    """A CSV column given as its distinct ``values`` and each row's ``index`` into them."""
+
+    values: np.ndarray
+    index: np.ndarray
+
+    @classmethod
+    def distinct(cls, x: np.ndarray) -> "IndexedColumn":
+        """The float column ``x`` over its distinct bit patterns, so -0.0 and 0.0 stay apart."""
+        bits = np.ravel(x).view(np.int64)
+        distinct = np.unique(bits)  # return_inverse would hold several more columns
+        return cls(distinct.view(float), np.searchsorted(distinct, bits))
+
+
+def _cell_format(col: np.ndarray) -> str:
+    return "%.17g" if col.dtype.kind == "f" else "%s"
+
+
+def _texts(values) -> np.ndarray:
+    """The cell text of each value, formatted once, in an object array to index by row."""
+    values = np.ravel(values)
+    fmt = _cell_format(values)
+    return np.array([fmt % (v,) for v in values.tolist()], dtype=object)
+
+
 def write_csv(target, header, columns, preamble: str = "") -> None:
     """Write ``preamble``, a header line, then the columns as rows.
 
     Float cells take 17 significant digits ("%.17g", enough to round-trip
-    binary64) and any other cell (str, bool, int) its ``str``.  Rows are
-    streamed CSV_BLOCK_ROWS at a time through one template; a path target
-    is opened only when the first line is written."""
-    cols = [np.ravel(c) for c in columns]
-    cells = ["%.17g" if c.dtype.kind == "f" else "%s" for c in cols]
-    if "%s" in cells:
-        # in one object array floats stay Python floats; numpy's own text would differ
-        cols = [c.astype(object) for c in cols]
+    binary64) and any other cell (str, bool, int) its ``str``.  An
+    IndexedColumn formats each distinct value once and every row reuses that
+    text.  Rows are streamed CSV_BLOCK_ROWS at a time through one template;
+    texts and cells of other kinds meet the floats one block at a time, and
+    a path target is opened only when the first line is written."""
+    cols, texts = [], []
+    for c in columns:
+        indexed = isinstance(c, IndexedColumn)
+        cols.append(np.reshape(c.index if indexed else c, -1))  # a view where one exists
+        texts.append(_texts(c.values) if indexed else None)
+    cells = [_cell_format(c) if t is None else "%s" for c, t in zip(cols, texts)]
     row = ",".join(cells) + "\n"
     with open_target(target) as fh:
         fh.write(preamble + ",".join(header) + "\n")
         for start in range(0, cols[0].size, CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in cols])
+            parts = [c[start:start + CSV_BLOCK_ROWS] for c in cols]
+            # in an object block floats stay Python floats beside texts and other
+            # cells; stacked into one numpy dtype they would take numpy's own text
+            block = np.empty((parts[0].size, len(parts)), dtype=object)
+            for j, (part, t) in enumerate(zip(parts, texts)):
+                block[:, j] = part if t is None else t[part]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 

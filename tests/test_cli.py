@@ -455,6 +455,23 @@ def test_solve_csv_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,rows,digest", [
+    # 12288 rows: three whole blocks and a part, with rings of 96 rows split across blocks
+    (("--domain", "strip", "--f", "const:-4", "--nr", "128", "--ntheta", "96"), 12288,
+     "776cfcff0c299fdf9330ce31b4663633eedca895a90661122595a0ca49813cad"),
+    (("--domain", "disc", "--f", "quartic", "--nr", "32", "--ntheta", "32", "--export",
+      "lattice", "--window=-1,1,-1,1", "--lattice-n", "113"), 9841,
+     "f91ed1ab2ac40fc566ac2fe6a9a4b09f02409a1d6589a9040890de11a1bdc65b"),
+])
+def test_solve_csv_bytes_are_pinned_across_row_blocks(capsys, argv, rows, digest):
+    # digests taken from the writer that formatted every cell; more than two blocks of
+    # rows, where each 16^2 table above fits in one
+    code, out, _ = run(capsys, "solve", *argv)
+    assert code == 0
+    assert out.split("x,y,u\n", 1)[1].count("\n") == rows
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv,exit_code,digest", [
     (("verify",), 0, "51f684f2d0ab2532690b9936878f2349b6d6a87c2c3ec9431753308b3ab393b0"),
     (("weight", "--domain", "exterior", "--at", "2,0.5"), 0,

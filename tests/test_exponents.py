@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from confweight import (ConformalMap, ConstantEstimate, DomainFamily,
-                        EstimateMethod, ExponentOutOfRange, GridTooCoarse,
+                        EstimateMethod, EstimateNotUsable, ExponentOutOfRange,
+                        GridTooCoarse,
                         IterationDivergence, PolarGrid, TestBump, disc_eigenvalue,
                         exponent_bounds, lp_norm, make_bump_family,
                         poincare_constant_disc, q_from_ps)
@@ -137,6 +138,34 @@ def test_bump_route_skips_a_flat_bump():
     est = poincare_constant_disc(3.0, grid, bumps=bumps)
     assert est.value.hex() == _whole_grid_bound(3.0, grid, bumps).hex()
     assert est.value > 0.0 and est.iterations == 2
+
+
+@pytest.mark.parametrize("amplitude", [1e200, 1e150, -1e200])
+def test_bump_route_refuses_sums_that_overflow(recwarn, amplitude):
+    # the ratio does not depend on the amplitude; inf/inf once read as 0.0
+    with pytest.raises(EstimateNotUsable, match="overflow: .*= inf"):
+        poincare_constant_disc(3.0, PolarGrid(64, 64), [TestBump(0j, 0.5, amplitude)])
+    with pytest.raises(EstimateNotUsable, match="overflow"):
+        poincare_constant_disc(3.0, PolarGrid(64, 64),
+                               [TestBump(0.1, 0.5), TestBump(0j, 0.5, amplitude)])
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("bumps", [[TestBump(0j, 0.5, 1e-200)], [TestBump(0j, 0.5, 1e-160)],
+                                   [TestBump(0j, 0.5, 0.0), TestBump(0.3, 0.2, 1e-200)]])
+def test_bump_route_refuses_a_family_without_a_usable_ratio(recwarn, bumps):
+    # both sums underflow to 0, or only ||b||_r does
+    with pytest.raises(EstimateNotUsable, match="no bump gave a nonzero finite ratio"):
+        poincare_constant_disc(3.0, PolarGrid(64, 64), bumps)
+    assert len(recwarn) == 0
+
+
+def test_bump_route_keeps_the_usable_ratios_beside_an_underflowing_bump():
+    grid = PolarGrid(64, 64)
+    one = poincare_constant_disc(3.0, grid, [TestBump(0j, 0.5)])
+    assert one.value == pytest.approx(0.2201054136936772, rel=1e-15)
+    both = poincare_constant_disc(3.0, grid, [TestBump(0j, 0.5, 1e-200), TestBump(0j, 0.5)])
+    assert both.value == one.value and both.iterations == 2
 
 
 def test_bump_route_builds_one_table_at_a_time():

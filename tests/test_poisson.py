@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from confweight import (ConformalMap, DirichletProblem, DiscSolution,
                         convergence_study, disc_eigenvalue, pairwise_sum,
                         quartic_rhs, solve_dirichlet, weak_residual)
 from confweight.poisson import _eliminate, _radial_factor, solve_radial
+from confweight.util import CSV_BLOCK_ROWS, write_csv
 
 _ETA = MoebiusAutomorphism(0.3 - 0.2j, rotation=0.7)
 
@@ -509,3 +511,94 @@ def test_pinned_lattice_cells_move_by_rounding_only():
     old = _bilinear_eval(solution, problem.mapping.eval(z))
     assert z.size == 81
     assert np.max(np.abs(solution.eval_domain(z) - old)) <= 2.2e-16
+
+
+def _csv(solution, lattice=None) -> str:
+    buf = io.StringIO()
+    solution.to_csv(buf, lattice=lattice)
+    return buf.getvalue()
+
+
+def _plain_csv(z, u) -> str:
+    """The writer's text of plain float columns x, y, u: every cell formatted."""
+    buf = io.StringIO()
+    write_csv(buf, ("x", "y", "u"), (np.ravel(z).real, np.ravel(z).imag, u))
+    return buf.getvalue()
+
+
+def _lattice(window, n):
+    """The points of ``solve --export lattice``: the same expression, so the same bits."""
+    xmin, xmax, ymin, ymax = window
+    xs, ys = np.linspace(xmin, xmax, n), np.linspace(ymin, ymax, n)
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
+
+
+def _solution(family, n_r=32, n_theta=32):
+    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily(family)), quartic_rhs())
+    return solve_dirichlet(problem, PolarGrid(n_r, n_theta))
+
+
+@pytest.mark.parametrize("family", ["strip", "cardioid", "halfplane"])
+@pytest.mark.parametrize("n_r, n_theta", [(128, 64), (64, 130), (97, 100)])
+def test_pushforward_csv_is_the_text_of_plain_columns(family, n_r, n_theta):
+    # each ring's u is formatted once; the rows must read as if every cell were
+    solution = _solution(family, n_r, n_theta)
+    z = solution.mapping.invert().eval(solution.grid.nodes)
+    assert z.size >= 2 * CSV_BLOCK_ROWS
+    assert _csv(solution) == _plain_csv(z, np.repeat(solution.column, n_theta))
+
+
+# strip and disc keep rows with y <= 0; the half plane drops them
+_LATTICE_FAMILIES = ("strip", "disc", "halfplane")
+
+
+@pytest.mark.parametrize("family", _LATTICE_FAMILIES)
+@pytest.mark.parametrize("window, n", [((-1.0, 1.0, -1.0, 1.0), 91),
+                                       ((-0.0, 0.9, -0.9, 0.5), 95),
+                                       ((0.0, -0.0, -0.0, 0.6), 7)])
+def test_lattice_csv_is_the_text_of_plain_columns(family, window, n):
+    solution = _solution(family)
+    lattice = _lattice(window, n)
+    z = lattice[solution.mapping.contains(lattice)]
+    assert z.size > 0 and (family != "halfplane" or z.imag.min() > 0.0)
+    assert _csv(solution, lattice) == _plain_csv(z, solution.eval_domain(z))
+
+
+def test_lattice_csv_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    solutions = {family: _solution(family) for family in _LATTICE_FAMILIES}
+    end = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1.5, 1.5))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(_LATTICE_FAMILIES), st.tuples(end, end, end, end),
+                      st.integers(1, 40))
+    def check(family, window, n):
+        solution = solutions[family]
+        lattice = _lattice(window, n)
+        z = lattice[solution.mapping.contains(lattice)]
+        try:
+            u = solution.eval_domain(z) if z.size else np.empty(0)
+        except PointOutsideDomain:
+            # a point a rounding away from the boundary maps onto |w| = 1
+            with pytest.raises(PointOutsideDomain):
+                _csv(solution, lattice)
+            return
+        assert _csv(solution, lattice) == _plain_csv(z, u)
+
+    check()
+
+
+@pytest.mark.parametrize("family, lattice", [
+    ("strip", None), ("halfplane", _lattice((-2.0, 2.0, 0.01, 4.0), 512))])
+def test_to_csv_at_512_squared_holds_no_whole_column_of_objects(family, lattice):
+    # 10.8 MiB for the strip and 13.0 MiB for the lattice; a float column cast whole to
+    # objects adds 8 MiB, and np.unique's return_inverse on both lattice axes 7 MiB
+    solution = _solution(family, 512, 512)
+    tracemalloc.start()
+    try:
+        solution.to_csv(os.devnull, lattice=lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

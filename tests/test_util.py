@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from confweight import DEFAULT_SEED, default_seed, pairwise_sum
-from confweight.util import CSV_BLOCK_ROWS, as_complex_array, fmt_g, write_csv
+from confweight.util import (CSV_BLOCK_ROWS, IndexedColumn, as_complex_array, fmt_g,
+                            write_csv)
 
 
 def test_default_seed_value():
@@ -192,3 +193,79 @@ def test_write_csv_one_mixed_row():
     write_csv(buf, header, row, "# k=v\n")
     assert buf.getvalue() == "# k=v\n" + _reference_table(header, row)
     assert buf.getvalue().splitlines()[2] == "0.10000000000000001,Converged,False,8,3.0 2.5,inf"
+
+
+def _expanded(column: IndexedColumn) -> np.ndarray:
+    return np.ravel(column.values)[np.ravel(column.index)]
+
+
+SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1.0 / 3.0])
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_indexed_column_writes_the_text_of_its_expanded_column(rows):
+    # indices repeat and come out of order; -0.0 sits beside 0.0
+    rng = np.random.default_rng(rows)
+    col = IndexedColumn(SPECIAL, rng.integers(0, SPECIAL.size, rows))
+    plain = rng.standard_normal(rows)
+    names = [f"k{i}" for i in range(rows)]
+    buf = io.StringIO()
+    write_csv(buf, ("u", "x", "k", "v"), (col, plain, names, col))
+    expanded = _expanded(col)
+    assert buf.getvalue() == _reference_table(("u", "x", "k", "v"),
+                                              (expanded, plain, names, expanded))
+    assert buf.getvalue().count("\n") == 1 + rows
+
+
+def test_indexed_column_beside_float_columns_only():
+    index = np.arange(2 * CSV_BLOCK_ROWS + 3)[::-1] % SPECIAL.size
+    col = IndexedColumn(SPECIAL, index.reshape(-1, 1))  # 2-d indices ravel
+    x = np.linspace(-1.0, 1.0, index.size)
+    buf = io.StringIO()
+    write_csv(buf, ("x", "u"), (x, col))
+    assert buf.getvalue() == _reference_table(("x", "u"), (x, _expanded(col)))
+    lines = buf.getvalue().splitlines()
+    assert {line.split(",")[1] for line in lines[1:]} == {
+        "-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324", "0.10000000000000001",
+        "0.33333333333333331"}
+
+
+def test_indexed_column_formats_each_value_once():
+    formatted = []
+
+    class Value(float):
+        def __str__(self):
+            formatted.append(float(self))
+            return f"v{float(self):g}"
+
+    values = np.array([Value(1.5), Value(-2.0)], dtype=object)
+    col = IndexedColumn(values, np.array([1, 0, 0, 1, 1] * CSV_BLOCK_ROWS))
+    buf = io.StringIO()
+    write_csv(buf, ("v",), (col,))
+    assert sorted(formatted) == [-2.0, 1.5]
+    assert buf.getvalue().splitlines()[1:6] == ["v-2", "v1.5", "v1.5", "v-2", "v-2"]
+
+
+def test_indexed_column_with_str_values():
+    col = IndexedColumn(np.array(["pass", "FAIL"]), np.array([0, 1, 1, 0]))
+    buf = io.StringIO()
+    write_csv(buf, ("verdict", "v"), (col, np.array([0.1, -0.0, 2.0, 0.5])))
+    assert buf.getvalue() == "verdict,v\npass,0.10000000000000001\nFAIL,-0\nFAIL,2\npass,0.5\n"
+
+
+def test_a_tuple_column_is_a_plain_column():
+    # verify's columns come from zip and are tuples; a pair of them is not values and indices
+    cols = tuple(zip(*[("a", 0.5), ("b", -0.0)]))
+    buf = io.StringIO()
+    write_csv(buf, ("k", "v"), cols)
+    assert buf.getvalue() == "k,v\na,0.5\nb,-0\n"
+
+
+def test_distinct_keeps_every_bit_pattern():
+    x = np.array([0.0, -0.0, 1.0, -0.0, 5e-324, 0.0, np.inf, 1.0, -np.inf])
+    z = np.full(x.size, 2j)
+    z.real = x
+    col = IndexedColumn.distinct(z.real)  # a strided view
+    assert col.values.size == 6
+    assert _expanded(col).view(np.int64).tolist() == x.view(np.int64).tolist()
+    assert IndexedColumn.distinct(np.empty(0)).values.size == 0
