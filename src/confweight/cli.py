@@ -197,9 +197,9 @@ def _scalar_output(args, config: dict, payload: dict) -> None:
 
 
 def _cmd_weight(args) -> int:
-    # at extreme points |phi'|^2 underflows to 0 (correctly rounded) or is not
-    # finite, which _scalar_output refuses; neither is worth a RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # at extreme points h underflows to 0 (correctly rounded) or overflows,
+    # which _scalar_output refuses; neither is worth a RuntimeWarning
+    with np.errstate(over="ignore"):
         h = ConformalMap.to_disc(DomainFamily(args.domain)).jacobian(args.at)
     _scalar_output(args, _config_echo(args), {"h": h})
     return 0

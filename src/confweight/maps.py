@@ -2,7 +2,7 @@
 
 Each family fixes a domain Omega and an analytic bijection phi: Omega -> D
 (direction ``TO_DISC``) together with its inverse psi = phi^{-1}
-(direction ``FROM_DISC``) and both derivatives:
+(direction ``FROM_DISC``):
 
 ========== ============================== ========================= =====================
 family     Omega                          phi(z)                    psi(w)
@@ -15,24 +15,27 @@ cardioid   r < (1 + cos t)/2 (polar)      2 sqrt(z) - 1             (1 + w)^2 / 
 slitplane  C minus (-inf, -1/4]           2z/(1 + 2z + sqrt(1+4z))  w/(1 - w)^2
 ========== ============================== ========================= =====================
 
-Every map has a real Jacobian.  A TO_DISC map's is the conformal weight
-h(z) = J(z, phi) = |phi'(z)|^2; a FROM_DISC map's, J(w, psi) = |psi'(w)|^2,
-is the weight read from the disc side, in closed form in x = Re w and
-y = Im w:
+Every map has a real Jacobian, closed-form in the real and imaginary parts
+x, y of its argument: a TO_DISC map's is the conformal weight
+h(z) = J(z, phi) = |phi'(z)|^2, and a FROM_DISC map's J(w, psi) = |psi'(w)|^2:
 
-========== ===========================================
-family     J(w, psi)
-========== ===========================================
-disc       1
-exterior   1/(x^2 + y^2)^2
-halfplane  4/((1 - x)^2 + y^2)^2
-strip      1/((x^2 + (1 - y)^2)(x^2 + (1 + y)^2))
-cardioid   ((1 + x)^2 + y^2)/4
-slitplane  ((1 + x)^2 + y^2)/((1 - x)^2 + y^2)^3
-========== ===========================================
+========== ================================= ===========================================
+family     h(z)                              J(w, psi)
+========== ================================= ===========================================
+disc       1                                 1
+exterior   1/(x^2 + y^2)^2                   1/(x^2 + y^2)^2
+halfplane  4/(x^2 + (1 + y)^2)^2             4/((1 - x)^2 + y^2)^2
+strip      16 e^2/(2e cos 2x + 1 + e^2)^2    1/((x^2 + (1 - y)^2)(x^2 + (1 + y)^2))
+cardioid   1/hypot(x, y)                     ((1 + x)^2 + y^2)/4
+slitplane  16/(|s|^2 |1 + s|^4)              ((1 + x)^2 + y^2)/((1 - x)^2 + y^2)^3
+========== ================================= ===========================================
 
-Each singular factor is a sum of squares of (1 +- x) or (1 +- y), which are
-computed exactly near the singular point, so no factor cancels.
+with e = e^{-2|y|} <= 1, which cannot overflow, and s = sqrt(1 + 4z), the
+slit plane's one complex square root.  Each singular factor of J(w, psi) is a
+sum of squares of (1 +- x) or (1 +- y), which are computed exactly near the
+singular point, so no factor cancels.  Each h(z) divides by a sum of positive
+terms (cos 2x > 0 in the strip, Re s > 0 off the slit), so none cancels
+either; h is not taken as 1/J(phi(z), psi), which cancels in the far field.
 
 Square roots are principal; the cardioid and slit-plane formulas therefore
 exclude the rays (-inf, 0] and (-inf, -1/4], which coincide with (part of)
@@ -96,6 +99,12 @@ class MoebiusAutomorphism:
         out = np.exp(1j * self.rotation) * (1.0 - abs(self.a) ** 2) / (1.0 - np.conj(self.a) * arr) ** 2
         return complex(out) if scalar else out
 
+    def jacobian(self, w):
+        """The real Jacobian |eta'(w)|^2 = ((1 - |a|^2) / |1 - conj(a) w|^2)^2."""
+        arr, scalar = as_complex_array(w)
+        out = ((1.0 - abs(self.a) ** 2) / np.abs(1.0 - np.conj(self.a) * arr) ** 2) ** 2
+        return float(out) if scalar else out
+
     def inverse(self) -> "MoebiusAutomorphism":
         # eta^{-1}(u) = e^{-i t}(u - a') / (1 - conj(a') u) with a' = -a e^{i t}
         return MoebiusAutomorphism(a=-self.a * cmath.exp(1j * self.rotation), rotation=-self.rotation)
@@ -130,9 +139,8 @@ class _FamilyOps:
     contains: Callable
     on_cut: Callable | None
     to_disc: Callable
-    to_disc_prime: Callable
     from_disc: Callable
-    from_disc_prime: Callable
+    weight: Callable  # h(z) = |phi'(z)|^2 from x = Re z, y = Im z, in closed form
     jacobian: Callable  # |psi'(w)|^2 from x = Re w, y = Im w, in real arithmetic
     boundary: Callable
     punctured: bool = False  # psi is singular at w = 0, which phi never reaches
@@ -194,8 +202,17 @@ def _slitplane_boundary(n):
     return pts, nrm
 
 
-def _slit_sqrt(z):
-    return np.sqrt(1.0 + 4.0 * z)
+def _strip_weight(x, y):
+    # |sec z|^4 with |cos z|^2 = (2e cos 2x + 1 + e^2)/(4e), e = e^{-2|y|}
+    e = np.exp(-2.0 * np.abs(y))
+    return 16.0 * e * e / (2.0 * e * np.cos(2.0 * x) + 1.0 + e * e) ** 2
+
+
+def _slit_weight(x, y):
+    # phi' = 4/(s (1 + s)^2), since 1 + 2z + s = (1 + s)^2 / 2
+    s = np.sqrt(1.0 + 4.0 * (x + 1j * y))
+    t = (1.0 + s.real) ** 2 + s.imag * s.imag
+    return 16.0 / ((s.real * s.real + s.imag * s.imag) * t * t)
 
 
 def _slit_jacobian(x, y):
@@ -210,9 +227,8 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         contains=lambda z: np.abs(z) < 1.0,
         on_cut=None,
         to_disc=lambda z: z,
-        to_disc_prime=lambda z: np.ones_like(z),
         from_disc=lambda w: w,
-        from_disc_prime=lambda w: np.ones_like(w),
+        weight=lambda x, y: np.ones_like(x),
         jacobian=lambda x, y: np.ones_like(x),
         boundary=_disc_boundary,
     ),
@@ -220,9 +236,8 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         contains=lambda z: np.abs(z) > 1.0,
         on_cut=None,
         to_disc=lambda z: 1.0 / z,
-        to_disc_prime=lambda z: -1.0 / z**2,
         from_disc=lambda w: 1.0 / w,
-        from_disc_prime=lambda w: -1.0 / w**2,
+        weight=lambda x, y: 1.0 / (x * x + y * y) ** 2,
         jacobian=lambda x, y: 1.0 / (x * x + y * y) ** 2,
         # 1/z maps the exterior onto the punctured disc; w = 0 has no preimage
         punctured=True,
@@ -232,9 +247,8 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         contains=lambda z: z.imag > 0.0,
         on_cut=None,
         to_disc=lambda z: (z - 1j) / (z + 1j),
-        to_disc_prime=lambda z: 2j / (z + 1j) ** 2,
         from_disc=lambda w: 1j * (1.0 + w) / (1.0 - w),
-        from_disc_prime=lambda w: 2j / (1.0 - w) ** 2,
+        weight=lambda x, y: 4.0 / (x * x + (1.0 + y) ** 2) ** 2,
         jacobian=lambda x, y: 4.0 / ((1.0 - x) ** 2 + y * y) ** 2,
         boundary=_halfplane_boundary,
     ),
@@ -242,10 +256,8 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         contains=lambda z: np.abs(z.real) < _QUARTER_PI,
         on_cut=None,
         to_disc=np.tan,
-        # sec^2 z, not 1 + tan^2 z: the latter cancels as |Im z| grows
-        to_disc_prime=lambda z: 1.0 / np.cos(z) ** 2,
         from_disc=np.arctan,
-        from_disc_prime=lambda w: 1.0 / ((1.0 - 1j * w) * (1.0 + 1j * w)),
+        weight=_strip_weight,
         jacobian=lambda x, y: 1.0 / ((x * x + (1.0 - y) ** 2) * (x * x + (1.0 + y) ** 2)),
         boundary=_strip_boundary,
     ),
@@ -254,9 +266,8 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         contains=lambda z: (z != 0) & (np.abs(z) < _cardioid_radius(np.angle(z))),
         on_cut=lambda z: (z.imag == 0.0) & (z.real <= 0.0),
         to_disc=lambda z: 2.0 * np.sqrt(z) - 1.0,
-        to_disc_prime=lambda z: 1.0 / np.sqrt(z),
         from_disc=lambda w: 0.25 * (1.0 + w) ** 2,
-        from_disc_prime=lambda w: 0.5 * (1.0 + w),
+        weight=lambda x, y: 1.0 / np.hypot(x, y),
         jacobian=lambda x, y: 0.25 * ((1.0 + x) ** 2 + y * y),
         boundary=_cardioid_boundary,
     ),
@@ -264,10 +275,9 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         contains=lambda z: ~((z.imag == 0.0) & (z.real <= -0.25)),
         on_cut=lambda z: (z.imag == 0.0) & (z.real <= -0.25),
         # rationalized inverse of the Koebe map w/(1-w)^2; stable near z = 0
-        to_disc=lambda z: 2.0 * z / (1.0 + 2.0 * z + _slit_sqrt(z)),
-        to_disc_prime=lambda z: 2.0 / (_slit_sqrt(z) * (1.0 + 2.0 * z + _slit_sqrt(z))),
+        to_disc=lambda z: 2.0 * z / (1.0 + 2.0 * z + np.sqrt(1.0 + 4.0 * z)),
         from_disc=lambda w: w / (1.0 - w) ** 2,
-        from_disc_prime=lambda w: (1.0 + w) / (1.0 - w) ** 3,
+        weight=_slit_weight,
         jacobian=_slit_jacobian,
         boundary=_slitplane_boundary,
     ),
@@ -348,48 +358,27 @@ class ConformalMap:
             out = ops.from_disc(inner)
         return complex(out) if scalar else out
 
-    def derivative(self, z):
-        """Complex derivative at interior points (chain rule through eta)."""
-        arr, scalar = as_complex_array(z)
-        self._check_input(arr)
-        out = self._derivative(arr)
-        return complex(out) if scalar else out
-
-    def _derivative(self, arr: np.ndarray) -> np.ndarray:
-        ops = self._ops
-        if self.direction is Direction.TO_DISC:
-            out = ops.to_disc_prime(arr)
-            if self.automorphism is not None:
-                out = out * self.automorphism.derivative(ops.to_disc(arr))
-        elif self.automorphism is not None:
-            eta_inv = self.automorphism.inverse()
-            out = ops.from_disc_prime(eta_inv(arr)) * eta_inv.derivative(arr)
-        else:
-            out = ops.from_disc_prime(arr)
-        return out
-
     def jacobian(self, z):
         """The real Jacobian J = |f'|^2 of the map f at interior points.
 
-        For a TO_DISC map phi this is the conformal weight h(z) = J(z, phi),
-        |phi'(z)|^2 from the complex derivative (chain rule through eta
-        included).  For a FROM_DISC map psi it is J(w, psi) = |psi'(w)|^2,
-        evaluated in real arithmetic from the family's closed form with no
-        complex derivative; through eta^{-1}(w) = e^{i t'}(w - a')/(1 - conj(a') w)
-        it gains the factor ((1 - |a'|^2) / |1 - conj(a') w|^2)^2.  Returns a
-        float for a scalar and a new float array otherwise.
+        That is h(z) = J(z, phi) for a TO_DISC map and J(w, psi) for a
+        FROM_DISC one, from the family's real closed forms; a composed
+        automorphism adds its own factor, J(phi(z), eta) or J(w, eta^{-1}).
+        Returns a float for a scalar and a new float array otherwise.
         """
         arr, scalar = as_complex_array(z)
         self._check_input(arr)
+        ops, eta = self._ops, self.automorphism
         if self.direction is Direction.TO_DISC:
-            out = np.abs(self._derivative(arr)) ** 2
-        elif self.automorphism is None:
-            out = self._ops.jacobian(arr.real, arr.imag)
+            out = ops.weight(arr.real, arr.imag)
+            if eta is not None:
+                out = out * eta.jacobian(ops.to_disc(arr))
+        elif eta is None:
+            out = ops.jacobian(arr.real, arr.imag)
         else:
-            eta_inv = self.automorphism.inverse()
+            eta_inv = eta.inverse()
             inner = eta_inv(arr)
-            scale = (1.0 - abs(eta_inv.a) ** 2) / np.abs(1.0 - np.conj(eta_inv.a) * arr) ** 2
-            out = self._ops.jacobian(inner.real, inner.imag) * scale**2
+            out = ops.jacobian(inner.real, inner.imag) * eta_inv.jacobian(arr)
         return float(out) if scalar else out
 
     def invert(self) -> "ConformalMap":

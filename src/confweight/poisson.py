@@ -184,15 +184,17 @@ class DiscSolution:
 
     def eval_disc(self, w) -> np.ndarray:
         w, scalar = as_complex_array(w)
-        rr = np.abs(w)
-        if np.any(rr >= 1.0):
+        if np.any(np.abs(w) >= 1.0):
             raise PointOutsideDomain("evaluation point outside the open unit disc")
-        out = np.interp(rr, np.append(self.grid.r, 1.0), np.append(self.column, 0.0))
-        return float(out) if scalar else out
+        return self._interpolate(w, scalar)
 
     def eval_domain(self, z) -> np.ndarray:
-        """u(z) = v(phi(z)) at interior points of the model domain."""
-        return self.eval_disc(self.mapping.eval(z))
+        """u(z) = v(phi(z)) at interior points; 0 where phi(z) rounds onto |w| = 1."""
+        return self._interpolate(*as_complex_array(self.mapping.eval(z)))
+
+    def _interpolate(self, w: np.ndarray, scalar: bool):
+        out = np.interp(np.abs(w), np.append(self.grid.r, 1.0), np.append(self.column, 0.0))
+        return float(out) if scalar else out
 
     def to_csv(self, target, lattice: np.ndarray | None = None,
                preamble: str = "") -> None:

@@ -1,11 +1,51 @@
 import numpy as np
 import pytest
 
-from confweight import (CHECK_SPEC, ConformalMap, DomainFamily, default_seed, disc_nodes,
-                        make_bump_family)
+from confweight import (CHECK_SPEC, ConformalMap, Direction, DomainFamily, default_seed,
+                        disc_nodes, make_bump_family)
 from confweight.fields import _bump_tables, _pulled_back_checks
 
 ALL_FAMILIES = tuple(DomainFamily)
+
+# phi' and psi' of each family in closed form: the tests' reference derivatives
+PHI_PRIME = {
+    DomainFamily.DISC: lambda z: np.ones_like(z),
+    DomainFamily.EXTERIOR: lambda z: -1.0 / z**2,
+    DomainFamily.HALFPLANE: lambda z: 2j / (z + 1j) ** 2,
+    DomainFamily.STRIP: lambda z: 1.0 / np.cos(z) ** 2,
+    DomainFamily.CARDIOID: lambda z: 1.0 / np.sqrt(z),
+    DomainFamily.SLITPLANE: lambda z: 2.0 / (np.sqrt(1.0 + 4.0 * z)
+                                             * (1.0 + 2.0 * z + np.sqrt(1.0 + 4.0 * z))),
+}
+PSI_PRIME = {
+    DomainFamily.DISC: lambda w: np.ones_like(w),
+    DomainFamily.EXTERIOR: lambda w: -1.0 / w**2,
+    DomainFamily.HALFPLANE: lambda w: 2j / (1.0 - w) ** 2,
+    DomainFamily.STRIP: lambda w: 1.0 / ((1.0 - 1j * w) * (1.0 + 1j * w)),
+    DomainFamily.CARDIOID: lambda w: 0.5 * (1.0 + w),
+    DomainFamily.SLITPLANE: lambda w: (1.0 + w) / (1.0 - w) ** 3,
+}
+
+
+def _derivative(mapping, z):
+    z = np.asarray(z, dtype=complex)
+    eta = mapping.automorphism
+    if mapping.direction is Direction.TO_DISC:
+        out = PHI_PRIME[mapping.family](z)
+        if eta is not None:
+            out = out * eta.derivative(ConformalMap.to_disc(mapping.family).eval(z))
+    elif eta is None:
+        out = PSI_PRIME[mapping.family](z)
+    else:
+        eta_inv = eta.inverse()
+        out = PSI_PRIME[mapping.family](eta_inv(z)) * eta_inv.derivative(z)
+    return out
+
+
+@pytest.fixture
+def derivative():
+    """The complex derivative of a map at z, in closed form, chain rule through eta."""
+    return _derivative
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and every
-public name is used by the package itself, not only by its tests."""
+"""Every module-level import in the package is used by its module, every
+public name is used by the package itself, not only by its tests, and the
+package stays within its line budget."""
 import ast
 from pathlib import Path
 
@@ -8,6 +9,14 @@ import pytest
 import confweight
 
 MODULES = sorted(Path(confweight.__file__).parent.glob("*.py"))
+# the seed's line count, which the package may not grow past (ROADMAP item 9)
+LINE_BUDGET = 2489
+
+
+def test_the_package_stays_within_its_line_budget():
+    lines = sum(len(p.read_text().splitlines()) for p in MODULES)
+    assert lines <= LINE_BUDGET, (f"src/confweight has {lines} lines, over the "
+                                  f"{LINE_BUDGET}-line budget of ROADMAP item 9")
 
 
 def _unused_imports(source: str) -> list[str]:

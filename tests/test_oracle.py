@@ -1,9 +1,9 @@
-"""Map derivatives and weights against an independent 50-digit oracle."""
+"""Map Jacobians and weights against an independent 50-digit oracle."""
 import numpy as np
 import pytest
 
-from confweight import (ConformalMap, DomainFamily, MoebiusAutomorphism,
-                        compose_with_automorphism)
+from confweight import (ConformalMap, DomainFamily, MoebiusAutomorphism, boundary_samples,
+                        compose_with_automorphism, sample_interior)
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 50
@@ -20,14 +20,13 @@ def _rel(got, exact) -> float:
 def test_strip_weight_far_from_the_real_axis(z):
     # phi = tan, phi' = sec^2; 1 + tan^2 cancels once |tan z| is close to i
     sec2 = 1 / mp.cos(mp.mpc(z.real, z.imag)) ** 2
-    assert _rel(STRIP.derivative(z), sec2) <= 1e-14
     assert _rel(STRIP.jacobian(z), abs(sec2) ** 2) <= 1e-14
 
 
 @pytest.mark.parametrize("w", [0.999j, -0.999j, 0.9999999j, 0.5 + 0.5j, 0.99999 + 1e-3j])
 def test_strip_inverse_derivative_near_plus_minus_i(w):
     exact = 1 / (1 + mp.mpc(w.real, w.imag) ** 2)
-    assert _rel(STRIP.invert().derivative(w), exact) <= 1e-14
+    assert _rel(STRIP.invert().jacobian(w), abs(exact) ** 2) <= 1e-14
 
 
 # psi' of each family from the disc, as 50-digit mpmath functions of w
@@ -89,3 +88,66 @@ def test_jacobian_through_a_composed_automorphism_against_the_oracle(family):
     for w in _INTERIOR:  # the exterior family's puncture is eta(0), not one of these
         exact = _exact_jacobian(family, w, eta)
         assert float(abs(mp.mpf(psi.jacobian(w)) - exact) / exact) <= 1e-14, w
+
+
+# phi and phi' of each family, as 50-digit mpmath functions of z
+_PHI = {
+    DomainFamily.DISC: lambda z: z,
+    DomainFamily.EXTERIOR: lambda z: 1 / z,
+    DomainFamily.HALFPLANE: lambda z: (z - 1j) / (z + 1j),
+    DomainFamily.STRIP: mp.tan,
+    DomainFamily.CARDIOID: lambda z: 2 * mp.sqrt(z) - 1,
+    DomainFamily.SLITPLANE: lambda z: 2 * z / (1 + 2 * z + mp.sqrt(1 + 4 * z)),
+}
+_PHI_PRIME = {
+    DomainFamily.DISC: lambda z: mp.mpf(1),
+    DomainFamily.EXTERIOR: lambda z: -1 / z**2,
+    DomainFamily.HALFPLANE: lambda z: 2j / (z + 1j) ** 2,
+    DomainFamily.STRIP: lambda z: 1 / mp.cos(z) ** 2,
+    DomainFamily.CARDIOID: lambda z: 1 / mp.sqrt(z),
+    DomainFamily.SLITPLANE: lambda z: 2 / (mp.sqrt(1 + 4 * z) * (1 + 2 * z + mp.sqrt(1 + 4 * z))),
+}
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
+def _exact_weight(family, z: complex, eta=None):
+    u = mp.mpc(z.real, z.imag)
+    h = abs(_PHI_PRIME[family](u)) ** 2
+    if eta is not None:
+        a = mp.mpc(eta.a.real, eta.a.imag)
+        h *= ((1 - abs(a) ** 2) / abs(1 - mp.conj(a) * _PHI[family](u)) ** 2) ** 2
+    return h
+
+
+def _weight_points(family, rng) -> np.ndarray:
+    """Interior samples, boundary samples moved inward by 1e-14 ... 1e-2, and far points."""
+    to_disc = ConformalMap.to_disc(family)
+    gamma, normal = boundary_samples(family, 32)
+    near = (gamma[:, None] + np.logspace(-14, -2, 7)[None, :] * normal[:, None]).ravel()
+    radius = 10.0 ** rng.uniform(0.0, 12.0, 128)
+    far = radius * np.exp(2j * np.pi * rng.uniform(size=128))
+    # inside the strip and above or beside the slit as well: |Im z| up to 1e12
+    tall = rng.uniform(-0.78, 0.78, 64) + 1j * np.sign(rng.uniform(-1, 1, 64)) * radius[:64]
+    pts = np.concatenate([sample_interior(to_disc, 32, rng), near, far, tall])
+    return pts[to_disc.contains(pts)]
+
+
+@pytest.mark.parametrize("eta", [None, MoebiusAutomorphism(a=0.3 - 0.4j, rotation=0.7)],
+                         ids=["bare", "tilted"])
+@pytest.mark.parametrize("family", list(DomainFamily), ids=lambda f: f.value)
+def test_weight_against_the_oracle_near_the_boundary_and_far_out(family, eta):
+    # h = J(z, phi) from the real kernels, |z| up to 1e12 and 1e-14 from the boundary
+    phi = ConformalMap.to_disc(family)
+    if eta is not None:
+        phi = compose_with_automorphism(phi, eta)
+    pts = _weight_points(family, np.random.default_rng(7))
+    assert len(pts) >= 150
+    h = phi.jacobian(pts)
+    worst = 0.0
+    for z, got in zip(pts, h):
+        exact = _exact_weight(family, complex(z), eta)
+        if exact < _SMALLEST_NORMAL:
+            assert got < 2 * _SMALLEST_NORMAL, z  # h underflows, as it must
+            continue
+        worst = max(worst, float(abs(mp.mpf(got) - exact) / exact))
+    assert worst <= 1e-14

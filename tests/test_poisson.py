@@ -10,8 +10,8 @@ from confweight import (ConformalMap, DirichletProblem, DiscSolution,
                         DomainFamily, GridTooCoarse, MoebiusAutomorphism,
                         PointOutsideDomain, PolarGrid,
                         RhsNotFinite, RhsSpec, SingularTridiagonal,
-                        SolutionNotFinite, compose_with_automorphism, constant_rhs,
-                        convergence_study, disc_eigenvalue, pairwise_sum,
+                        SolutionNotFinite, boundary_samples, compose_with_automorphism,
+                        constant_rhs, convergence_study, disc_eigenvalue, pairwise_sum,
                         quartic_rhs, solve_dirichlet, weak_residual)
 from confweight.poisson import _eliminate, _radial_factor, solve_radial
 from confweight.util import CSV_BLOCK_ROWS, write_csv
@@ -351,7 +351,7 @@ def _maps(names):
 @_maps([*_PLAIN, "cardioid+eta"])
 def test_assembly_evaluates_no_map_and_no_node_grid(mapping, rhs, monkeypatch):
     calls = []
-    for name in ("eval", "derivative"):
+    for name in ("eval", "jacobian"):
         orig = getattr(ConformalMap, name)
 
         def spy(self, z, _orig=orig, _name=name):
@@ -577,14 +577,33 @@ def test_lattice_csv_property():
         solution = solutions[family]
         lattice = _lattice(window, n)
         z = lattice[solution.mapping.contains(lattice)]
-        try:
-            u = solution.eval_domain(z) if z.size else np.empty(0)
-        except PointOutsideDomain:
-            # a point a rounding away from the boundary maps onto |w| = 1
-            with pytest.raises(PointOutsideDomain):
-                _csv(solution, lattice)
-            return
+        u = solution.eval_domain(z) if z.size else np.empty(0)
         assert _csv(solution, lattice) == _plain_csv(z, u)
+
+    check()
+
+
+@pytest.mark.parametrize("family", list(DomainFamily), ids=lambda f: f.value)
+def test_eval_domain_succeeds_wherever_contains_accepts(family):
+    # near the boundary phi may round an accepted point onto |w| = 1, where u
+    # is the boundary value 0; far out |z| reaches 1e150
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    solution = _solution(family, 16, 16)
+    gamma, normal = boundary_samples(family, 64)
+    near = st.builds(lambda k, d: gamma[k] + d * normal[k], st.integers(0, 63),
+                     st.floats(0.0, 0.1))
+    far = st.builds(lambda r, t: r * np.exp(1j * t), st.floats(1.0, 1e150),
+                    st.floats(-np.pi, np.pi))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(near | far)
+    def check(z):
+        hypothesis.assume(solution.mapping.contains(z))
+        u = solution.eval_domain(z)
+        assert math.isfinite(u)
+        if np.abs(solution.mapping.eval(z)) >= 1.0:
+            assert u == 0.0
 
     check()
 

@@ -5,24 +5,26 @@ import numpy as np
 import pytest
 
 from confweight import (CHECK_SPEC, ConformalMap, DiscGridSpec, DomainFamily,
-                        MoebiusAutomorphism, PolarGrid, compose_with_automorphism,
+                        MoebiusAutomorphism, compose_with_automorphism,
                         composition_inequality_check, disc_nodes, make_bump_family,
-                        pairwise_sum, poincare_constant_disc, pull_back)
+                        pairwise_sum, pull_back)
 from confweight.fields import TestBump as Bump
-from confweight.fields import _bump_tables, _pulled_back_checks, _row_sum
+from confweight.fields import _bump_tables, _row_sum
 
 # float.hex of the checks on a 64 x 64 grid with make_bump_family(3, seed 5),
 # taken before the checks shared pull_back: isometry, transfer defect at
 # r = 3, composition (p, q) and its (lhs, rhs) per bump, and the mass sum.
 # The cardioid isometry gap was 0 when its energies carried the factor
-# (|phi'(psi)| |psi'|)^2; the density h(psi) J(., psi) moved it by 2^-53.
+# (|phi'(psi)| |psi'|)^2; the density h(psi) J(., psi) moved it by 2^-53, and
+# h from the real kernel moved it back.  The strip's gaps and last composition
+# lhs moved by rounding with that kernel (old values in CHANGES.md).
 _PINS = {
-    "strip": ("0x1.f47b2d2370797p-53", "0x0.0p+0", (3.0, 2.0),
+    "strip": ("0x1.f5fd48fdce182p-53", "0x1.faf8513b39974p-53", (3.0, 2.0),
               [("0x1.2993a115ee367p+1", "0x1.a062e0b5a1eefp+1"),
                ("0x1.6e2e65054bfb9p+0", "0x1.555a7046c318dp+1"),
-               ("0x1.028a3ab6ede1fp+1", "0x1.e82098ad712bdp+1")],
+               ("0x1.028a3ab6ede1ep+1", "0x1.e82098ad712bdp+1")],
               "0x1.921fb54442d18p+1"),
-    "cardioid": ("0x1.f47b2d2370797p-53", "0x1.8160e12eef4fep-53", (2.0, 1.5),
+    "cardioid": ("0x0.0p+0", "0x1.8160e12eef4fep-53", (2.0, 1.5),
                  [("0x1.10703abb2b6efp+0", "0x1.2993a115ee367p+1"),
                   ("0x1.21db82153b0cbp-1", "0x1.6e2e65054bfb9p+0"),
                   ("0x1.a7ae4ca1ce86cp-1", "0x1.028a3ab6ede1fp+1")],
@@ -102,30 +104,6 @@ def test_blocked_pull_back_has_the_bits_of_a_whole_grid_evaluation(to_disc, eta,
     inv = m.invert()
     assert np.array_equal(h, m.jacobian(inv.eval(w)))
     assert np.array_equal(jac, inv.jacobian(w))
-
-
-def test_pulled_back_checks_take_no_complex_derivative(monkeypatch, family_checks):
-    # both Jacobians are real: h = |phi'|^2 and J(., psi) from psi's closed form
-    calls = []
-    original = ConformalMap.derivative
-
-    def spy(self, z):
-        calls.append(self.family.value)
-        return original(self, z)
-
-    monkeypatch.setattr(ConformalMap, "derivative", spy)
-    spec = DiscGridSpec(n_r=64, n_theta=64)
-    bumps = make_bump_family(3, rng=np.random.default_rng(5))
-    for fam in DomainFamily:
-        m = ConformalMap.to_disc(fam)
-        pull_back(m, spec)
-        family_checks(m, energies=bumps, transfers=bumps, spec=spec)
-    composition_inequality_check(ConformalMap.to_disc(DomainFamily.CARDIOID), 2.0, 1.5,
-                                 bumps, spec)
-    poincare_constant_disc(3.0, PolarGrid(64, 64), bumps)
-    assert calls == []
-    ConformalMap.to_disc(DomainFamily.STRIP).derivative(0.1)  # the spy is live
-    assert calls == ["strip"]
 
 
 def test_slit_plane_pull_back_keeps_its_temporaries_block_sized():

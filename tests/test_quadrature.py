@@ -94,7 +94,7 @@ def _whole_grid_levels(f, spec, levels):
 _SLIT_PSI = ConformalMap.to_disc(DomainFamily.SLITPLANE).invert()
 
 
-@pytest.mark.parametrize("f", [lambda w: np.abs(_SLIT_PSI.derivative(w)) ** -2.1,
+@pytest.mark.parametrize("f", [lambda w: _SLIT_PSI.jacobian(w) ** -1.05,
                                lambda w: np.abs(w) ** 2,
                                lambda w: 1.0],
                          ids=["slitplane", "radial", "scalar"])
@@ -157,13 +157,13 @@ def _map(family, eta):
 
 
 @pytest.mark.parametrize("family,eta", _MAPS, ids=_MAP_IDS)
-def test_ladders_match_the_complex_derivative_integrand(family, eta):
-    # the integrand before the real Jacobian: |psi'|^(2 - s) from the complex derivative
+def test_ladders_match_the_complex_derivative_integrand(family, eta, derivative):
+    # the integrand before the real Jacobian: |psi'|^(2 - s) from the closed-form derivative
     phi = _map(family, eta)
     psi = phi.invert()
     for s in (1.2, 3.0, 4.1):
         got = brennan_direct(phi, s, max_levels=6)
-        old = integrate_disc(lambda w: np.abs(psi.derivative(w)) ** (2.0 - s), max_levels=6)
+        old = integrate_disc(lambda w: np.abs(derivative(psi, w)) ** (2.0 - s), max_levels=6)
         assert (got.verdict, got.levels_used) == (old.verdict, old.levels_used)
         np.testing.assert_allclose(got.level_values, old.level_values, rtol=1e-14, atol=0)
 
@@ -175,17 +175,6 @@ def test_s2_is_exactly_pi_at_every_level(family, eta):
     for k in range(6):
         level = brennan_direct(phi, 2.0, DiscGridSpec().level(k), max_levels=1)
         assert level.value.hex() == math.pi.hex()
-
-
-def test_ladders_never_take_the_complex_derivative(monkeypatch):
-    def refuse(self, z):
-        raise AssertionError("a ladder evaluated the complex derivative")
-    monkeypatch.setattr(ConformalMap, "derivative", refuse)
-    slit = compose_with_automorphism(ConformalMap.to_disc(DomainFamily.SLITPLANE), _ETA)
-    assert brennan_direct(slit, 3.0, tol=0.1).verdict is Verdict.CONVERGED
-    assert inverse_brennan(slit.invert(), -1.0, tol=0.1).levels_used >= 2
-    card = ConformalMap.to_disc(DomainFamily.CARDIOID)
-    assert kpq_norm(card, 2.0, 1.0).verdict is Verdict.CONVERGED
 
 
 def test_classify_converged_checked_first():

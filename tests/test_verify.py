@@ -2,11 +2,12 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from confweight import exponents, fields, poisson, quadrature, verify
+from confweight import exponents, fields, maps, poisson, quadrature, verify
 from confweight.util import DEFAULT_SEED
 from confweight.verify import _check_maps
 
@@ -66,6 +67,21 @@ def test_map_checks_pass_at_seed(seed):
     assert max(fd) <= 1e-7
 
 
+@pytest.mark.parametrize("kernel, label", [("weight", "to_disc"), ("jacobian", "from_disc")])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_derivative_fd_catches_a_wrong_jacobian(monkeypatch, family, kernel, label):
+    # one family's kernel off by 1e-6 must fail that family's check in that direction
+    ops = maps._FAMILY_OPS[maps.DomainFamily(family)]
+    right = getattr(ops, kernel)
+    monkeypatch.setitem(maps._FAMILY_OPS, maps.DomainFamily(family),
+                        replace(ops, **{kernel: lambda x, y: right(x, y) * (1.0 + 1e-6)}))
+    checks = []
+    _check_maps(lambda name, passed, **detail: checks.append((name, passed)),
+                np.random.default_rng(DEFAULT_SEED))
+    failed = [name for name, passed in checks if not passed and ".derivative_fd." in name]
+    assert failed == [f"maps.derivative_fd.{family}.{label}"]
+
+
 def test_poisson_checks_solve_each_disc_grid_once(monkeypatch):
     # every family's transferred problem is the same disc problem
     counts = {"solve_dirichlet": 0, "weak_residual": 0}
@@ -93,15 +109,15 @@ def test_poisson_checks_solve_each_disc_grid_once(monkeypatch):
 
 
 def test_weight_checks_and_quoted_report_keep_their_bits():
-    # digests taken when the weight was evaluated through its own wrapper class
-    # rather than ConformalMap.jacobian
+    # the weight digest re-taken when h came from the real kernels instead of
+    # |phi'|^2: 16 report values moved by rounding (listed in CHANGES.md)
     checks = []
     verify._check_weights(
         lambda name, passed, **detail: checks.append(
             {"name": name, "passed": bool(passed), "detail": detail}),
         np.random.default_rng(DEFAULT_SEED))
     digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
-    assert digest == "1da90f0706c3974c9292022d9da48c97717c949fb360310dd123c7810836294d"
+    assert digest == "73afe1a75f3a3fcac079b30cac8bd5f4fb9a3d99f32cef36058f1201f7968a18"
     report = json.dumps(verify.quoted_formula_report(), sort_keys=True).encode()
     assert (hashlib.sha256(report).hexdigest()
             == "83ba08a7df40de23064ef84f246597f593f3bd84efc5d0f339864cb6cde82a31")
