@@ -177,10 +177,6 @@ def _check_budget(flags: str, nodes: int) -> None:
                            f"{NODE_BUDGET} (4096x4096)")
 
 
-def _verdict_exit(res: QuadResult) -> int:
-    return 0 if res.verdict is Verdict.CONVERGED else 1
-
-
 def _scalar_output(args, config: dict, payload: dict) -> None:
     # checked before --out opens, so neither format writes a partial report
     for key, val in payload.items():
@@ -205,25 +201,16 @@ def _cmd_weight(args) -> int:
     return 0
 
 
-def _cmd_brennan(args) -> int:
+def _cmd_ladder(args) -> int:
+    """brennan, inverse-brennan and kpq: one refinement ladder, exit 0 if it converges."""
     mapping = ConformalMap.to_disc(DomainFamily(args.domain))
-    res = brennan_direct(mapping, args.exponent, tol=args.tol, max_levels=args.levels)
+    if args.command == "kpq":
+        res = kpq_norm(mapping, args.p, args.q, tol=args.tol, max_levels=args.levels)
+    else:
+        study = brennan_direct if args.command == "brennan" else inverse_brennan
+        res = study(mapping, args.exponent, tol=args.tol, max_levels=args.levels)
     _scalar_output(args, _config_echo(args), _quad_payload(res))
-    return _verdict_exit(res)
-
-
-def _cmd_inverse_brennan(args) -> int:
-    mapping = ConformalMap.to_disc(DomainFamily(args.domain))
-    res = inverse_brennan(mapping, args.exponent, tol=args.tol, max_levels=args.levels)
-    _scalar_output(args, _config_echo(args), _quad_payload(res))
-    return _verdict_exit(res)
-
-
-def _cmd_kpq(args) -> int:
-    mapping = ConformalMap.to_disc(DomainFamily(args.domain))
-    res = kpq_norm(mapping, args.p, args.q, tol=args.tol, max_levels=args.levels)
-    _scalar_output(args, _config_echo(args), _quad_payload(res))
-    return _verdict_exit(res)
+    return 0 if res.verdict is Verdict.CONVERGED else 1
 
 
 def _cmd_exponents(args) -> int:
@@ -298,9 +285,9 @@ def _cmd_verify(args) -> int:
 
 _DISPATCH = {
     "weight": _cmd_weight,
-    "brennan": _cmd_brennan,
-    "inverse-brennan": _cmd_inverse_brennan,
-    "kpq": _cmd_kpq,
+    "brennan": _cmd_ladder,
+    "inverse-brennan": _cmd_ladder,
+    "kpq": _cmd_ladder,
     "exponents": _cmd_exponents,
     "constant": _cmd_constant,
     "solve": _cmd_solve,

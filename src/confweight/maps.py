@@ -43,7 +43,10 @@ the domain boundary, so no interior point ever touches a cut.
 
 Maps may carry a disc automorphism eta(w) = e^{i t}(w - a)/(1 - conj(a) w)
 composed on the disc side: TO_DISC evaluates eta(phi(z)), FROM_DISC evaluates
-psi(eta^{-1}(w)).  All evaluators accept scalars or numpy arrays.
+psi(eta^{-1}(w)).  Only eta's real Jacobian enters a weight, as
+J(z, eta o phi) = J(phi(z), eta) h(z), so no map takes a complex derivative.
+All evaluators accept scalars or numpy arrays; where a part of z reaches
+2^1021, phi takes an equal form that cannot overflow.
 """
 from __future__ import annotations
 
@@ -94,11 +97,6 @@ class MoebiusAutomorphism:
         out = np.exp(1j * self.rotation) * (arr - self.a) / (1.0 - np.conj(self.a) * arr)
         return complex(out) if scalar else out
 
-    def derivative(self, w):
-        arr, scalar = as_complex_array(w)
-        out = np.exp(1j * self.rotation) * (1.0 - abs(self.a) ** 2) / (1.0 - np.conj(self.a) * arr) ** 2
-        return complex(out) if scalar else out
-
     def jacobian(self, w):
         """The real Jacobian |eta'(w)|^2 = ((1 - |a|^2) / |1 - conj(a) w|^2)^2."""
         arr, scalar = as_complex_array(w)
@@ -110,13 +108,15 @@ class MoebiusAutomorphism:
         return MoebiusAutomorphism(a=-self.a * cmath.exp(1j * self.rotation), rotation=-self.rotation)
 
     def compose(self, inner: "MoebiusAutomorphism") -> "MoebiusAutomorphism":
-        """Return the automorphism self o inner in standard form."""
-        # zero of the composite: the preimage of self's zero under inner
-        a_c = inner.inverse()(self.a)
-        # match derivatives at the composite zero to recover the rotation
-        d = self.derivative(inner(a_c)) * inner.derivative(a_c)
-        phase = d * (1.0 - abs(a_c) ** 2)
-        return MoebiusAutomorphism(a=a_c, rotation=float(np.angle(phase)))
+        """Return the automorphism self o inner in standard form.
+
+        Its zero is inner's preimage of self.a; its rotation, in (-pi, pi], is
+        the phase of the ratio of the diagonal Moebius coefficients of self o inner.
+        """
+        u = cmath.exp(1j * inner.rotation)
+        ratio = (u + self.a * inner.a.conjugate()) / (1.0 + self.a.conjugate() * inner.a * u)
+        theta = cmath.phase(cmath.exp(1j * self.rotation) * ratio)  # -pi is also pi
+        return MoebiusAutomorphism(inner.inverse()(self.a), theta if theta > -math.pi else math.pi)
 
     def derivative_magnitude_bounds(self) -> tuple[float, float]:
         """Exact range of |eta'| on the disc: [(1-|a|)/(1+|a|), (1+|a|)/(1-|a|)]."""
@@ -202,6 +202,20 @@ def _slitplane_boundary(n):
     return pts, nrm
 
 
+_SCALE = 2.0**-512  # exact; a far z scaled by it divides with no overflow or subnormal step
+
+
+def _far_form(near, far):
+    """A TO_DISC formula: ``near``, and the same map as ``far`` where a part of z
+    reaches 2^1021, beyond which numpy's complex division and 4z can overflow."""
+    def to_disc(z):
+        big = (np.abs(z.real) >= 2.0**1021) | (np.abs(z.imag) >= 2.0**1021)
+        if not big.any():
+            return near(z)
+        return np.where(big, far(np.where(big, z, 1.0)), near(np.where(big, 1.0, z)))
+    return to_disc
+
+
 def _strip_weight(x, y):
     # |sec z|^4 with |cos z|^2 = (2e cos 2x + 1 + e^2)/(4e), e = e^{-2|y|}
     e = np.exp(-2.0 * np.abs(y))
@@ -235,7 +249,7 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
     DomainFamily.EXTERIOR: _FamilyOps(
         contains=lambda z: np.abs(z) > 1.0,
         on_cut=None,
-        to_disc=lambda z: 1.0 / z,
+        to_disc=_far_form(lambda z: 1.0 / z, lambda z: _SCALE / (_SCALE * z)),
         from_disc=lambda w: 1.0 / w,
         weight=lambda x, y: 1.0 / (x * x + y * y) ** 2,
         jacobian=lambda x, y: 1.0 / (x * x + y * y) ** 2,
@@ -246,7 +260,8 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
     DomainFamily.HALFPLANE: _FamilyOps(
         contains=lambda z: z.imag > 0.0,
         on_cut=None,
-        to_disc=lambda z: (z - 1j) / (z + 1j),
+        to_disc=_far_form(lambda z: (z - 1j) / (z + 1j),
+                          lambda z: (_SCALE * z - _SCALE * 1j) / (_SCALE * z + _SCALE * 1j)),
         from_disc=lambda w: 1j * (1.0 + w) / (1.0 - w),
         weight=lambda x, y: 4.0 / (x * x + (1.0 + y) ** 2) ** 2,
         jacobian=lambda x, y: 4.0 / ((1.0 - x) ** 2 + y * y) ** 2,
@@ -274,8 +289,10 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
     DomainFamily.SLITPLANE: _FamilyOps(
         contains=lambda z: ~((z.imag == 0.0) & (z.real <= -0.25)),
         on_cut=lambda z: (z.imag == 0.0) & (z.real <= -0.25),
-        # rationalized inverse of the Koebe map w/(1-w)^2; stable near z = 0
-        to_disc=lambda z: 2.0 * z / (1.0 + 2.0 * z + np.sqrt(1.0 + 4.0 * z)),
+        # rationalized inverse of the Koebe map w/(1-w)^2, stable near z = 0; far
+        # out (s - 1)/(s + 1) with s = 2 sqrt(z + 1/4), halved to (s/2 - 1/2)/(s/2 + 1/2)
+        to_disc=_far_form(lambda z: 2.0 * z / (1.0 + 2.0 * z + np.sqrt(1.0 + 4.0 * z)),
+                          lambda z: (np.sqrt(z + 0.25) - 0.5) / (np.sqrt(z + 0.25) + 0.5)),
         from_disc=lambda w: w / (1.0 - w) ** 2,
         weight=_slit_weight,
         jacobian=_slit_jacobian,
@@ -418,18 +435,13 @@ def boundary_image_check(mapping: ConformalMap) -> float:
     if mapping.direction is not Direction.TO_DISC:
         raise ValueError("boundary_image_check expects a TO_DISC map")
     gamma, normal = boundary_samples(mapping.family, 64)
-    worst = 0.0
-    seen = False
-    for k in range(len(gamma)):
-        for eps in (1e-6, 1e-5, 1e-4, 1e-3):
-            z = gamma[k] + eps * normal[k]
-            if mapping.contains(z):
-                worst = max(worst, abs(abs(mapping.eval(z)) - 1.0))
-                seen = True
-                break
-    if not seen:
+    z = gamma[:, None] + np.array([1e-6, 1e-5, 1e-4, 1e-3]) * normal[:, None]
+    inside = mapping.contains(z)
+    hit = inside.any(axis=1)
+    if not hit.any():
         raise PointOutsideDomain("no offset boundary sample landed inside the domain")
-    return worst
+    first = z[hit, inside[hit].argmax(axis=1)]
+    return float(np.max(np.abs(np.abs(mapping.eval(first)) - 1.0)))
 
 
 def sample_interior(mapping: ConformalMap, n: int, rng: np.random.Generator | None = None,
@@ -437,11 +449,10 @@ def sample_interior(mapping: ConformalMap, n: int, rng: np.random.Generator | No
     """Interior points of the family domain, drawn by pulling disc samples back."""
     if rng is None:
         rng = np.random.default_rng(default_seed())
-    fam = mapping.family
     r = rmax * np.sqrt(rng.uniform(size=n))
     r = np.maximum(r, 1e-6)  # keep clear of the removable puncture for 'exterior'
     w = r * np.exp(2j * np.pi * rng.uniform(size=n))
-    return ConformalMap.from_disc(fam).eval(w)
+    return ConformalMap.from_disc(mapping.family).eval(w)
 
 
 def round_trip_check(mapping: ConformalMap, n: int,

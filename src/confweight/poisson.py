@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GridTooCoarse, PointOutsideDomain, RhsNotFinite,
-                     SingularTridiagonal, SolutionNotFinite)
+from .errors import GridTooCoarse, RhsNotFinite, SingularTridiagonal, SolutionNotFinite
 from .fields import PolarGrid, TestBump
 from .maps import ConformalMap, Direction
-from .util import IndexedColumn, as_complex_array, fmt_g, pairwise_sum, write_csv
+from .util import IndexedColumn, fmt_g, pairwise_sum, write_csv
 
 
 @dataclass(frozen=True)
@@ -182,19 +181,11 @@ class DiscSolution:
             raise ValueError("solution column must be finite")
         object.__setattr__(self, "column", column)
 
-    def eval_disc(self, w) -> np.ndarray:
-        w, scalar = as_complex_array(w)
-        if np.any(np.abs(w) >= 1.0):
-            raise PointOutsideDomain("evaluation point outside the open unit disc")
-        return self._interpolate(w, scalar)
-
     def eval_domain(self, z) -> np.ndarray:
         """u(z) = v(phi(z)) at interior points; 0 where phi(z) rounds onto |w| = 1."""
-        return self._interpolate(*as_complex_array(self.mapping.eval(z)))
-
-    def _interpolate(self, w: np.ndarray, scalar: bool):
+        w = self.mapping.eval(z)
         out = np.interp(np.abs(w), np.append(self.grid.r, 1.0), np.append(self.column, 0.0))
-        return float(out) if scalar else out
+        return out if np.ndim(w) else float(out)
 
     def to_csv(self, target, lattice: np.ndarray | None = None,
                preamble: str = "") -> None:

@@ -93,7 +93,7 @@ def _check_automorphisms(add, rng):
     add("maps.automorphism.preserves_disc", bool(np.all(np.abs(img) < 1.0)),
         max_image_modulus=float(np.max(np.abs(img))))
     lo, hi = eta.derivative_magnitude_bounds()
-    mag = np.abs(eta.derivative(w))
+    mag = np.sqrt(eta.jacobian(w))  # |eta'|, as the weight path sees it
     add("maps.automorphism.derivative_bounds",
         bool(np.all((mag >= lo - 1e-12) & (mag <= hi + 1e-12))),
         observed_min=float(mag.min()), observed_max=float(mag.max()),
@@ -176,14 +176,11 @@ def _check_quadrature(add):
             value=float(res.value), rel_error=float(rel), verdict=res.verdict.value)
 
     slit = ConformalMap.to_disc(DomainFamily.SLITPLANE)
-    ladder = {}
-    for s in (1.5, 2.0, 2.5, 3.0, 3.5, 3.9):
-        ladder[f"{s:g}"] = brennan_direct(slit, s, tol=0.1).verdict.value
+    ladder = {f"{s:g}": brennan_direct(slit, s, tol=0.1).verdict.value
+              for s in (1.5, 2.0, 2.5, 3.0, 3.5, 3.9)}
     add("quadrature.koebe_interior_converges",
         all(v == Verdict.CONVERGED.value for v in ladder.values()), verdicts=ladder)
-    outside = {}
-    for s in (1.3, 4.1):
-        outside[f"{s:g}"] = brennan_direct(slit, s, tol=0.1).verdict.value
+    outside = {f"{s:g}": brennan_direct(slit, s, tol=0.1).verdict.value for s in (1.3, 4.1)}
     add("quadrature.koebe_outside_diverges",
         all(v == Verdict.DIVERGENT.value for v in outside.values()), verdicts=outside)
 
@@ -221,11 +218,9 @@ def _check_fields(add, bumps, sums):
 
 def _check_exponents(add):
     chain_ok = True
-    for a0 in np.linspace(-1.95, -0.05, 20):
-        a0 = float(a0)
+    for a0 in np.linspace(-1.95, -0.05, 20).tolist():
         p_min = (abs(a0) + 2.0) / (abs(a0) + 1.0)
-        for p in np.linspace(p_min + 1e-3, 2.0 - 1e-3, 20):
-            p = float(p)
+        for p in np.linspace(p_min + 1e-3, 2.0 - 1e-3, 20).tolist():
             b = exponent_bounds(p, a0)
             mid = 2.0 * p / (4.0 - p)
             chain_ok = chain_ok and (1.0 <= b.q_max < mid < p < 2.0)

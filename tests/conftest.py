@@ -27,18 +27,23 @@ PSI_PRIME = {
 }
 
 
+def _eta_prime(eta, w):
+    """eta'(w) = e^{it}(1 - |a|^2)/(1 - conj(a) w)^2 for eta(w) = e^{it}(w - a)/(1 - conj(a) w)."""
+    return np.exp(1j * eta.rotation) * (1.0 - abs(eta.a) ** 2) / (1.0 - np.conj(eta.a) * w) ** 2
+
+
 def _derivative(mapping, z):
     z = np.asarray(z, dtype=complex)
     eta = mapping.automorphism
     if mapping.direction is Direction.TO_DISC:
         out = PHI_PRIME[mapping.family](z)
         if eta is not None:
-            out = out * eta.derivative(ConformalMap.to_disc(mapping.family).eval(z))
+            out = out * _eta_prime(eta, ConformalMap.to_disc(mapping.family).eval(z))
     elif eta is None:
         out = PSI_PRIME[mapping.family](z)
     else:
         eta_inv = eta.inverse()
-        out = PSI_PRIME[mapping.family](eta_inv(z)) * eta_inv.derivative(z)
+        out = PSI_PRIME[mapping.family](eta_inv(z)) * _eta_prime(eta_inv, z)
     return out
 
 

@@ -424,6 +424,23 @@ def test_lattice_points_a_rounding_off_the_boundary_get_the_boundary_value(capsy
                                            "1,9.9999999999999993e-41,0\n")
 
 
+@pytest.mark.parametrize("domain, window", [
+    ("halfplane", "-1e308,-1e307,1e307,1e308"), ("slitplane", "1e307,1e308,1e307,1e308"),
+    ("exterior", "1e307,1e308,1e307,1e308")])
+def test_lattice_points_in_the_far_field_are_evaluated(capsys, domain, window):
+    # (z - i)/(z + i), 1/z and the slit plane's 4z overflowed out here; phi now takes
+    # the half plane and slit plane onto |w| = 1, where u is 0, and the exterior to w = 0
+    code, out, err = run(capsys, "solve", "--domain", domain, "--f", "quartic",
+                         "--nr", "16", "--ntheta", "16", "--export", "lattice",
+                         f"--window={window}", "--lattice-n", "2")
+    assert (code, err) == (0, "")
+    u = [row.rsplit(",", 1)[1] for row in out.split("x,y,u\n", 1)[1].splitlines()]
+    if domain == "exterior":
+        assert len(u) == 4 and len(set(u)) == 1  # v at the centre ring
+    else:
+        assert u == ["0"] * 4
+
+
 @pytest.mark.parametrize("window", ["-inf,inf,0,1", "-1e308,1e308,0,1"])
 def test_failed_solve_csv_leaves_out_untouched(capsys, tmp_path, window):
     # the window's lattice is not finite, so the export fails after the solve

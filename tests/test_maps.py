@@ -111,6 +111,26 @@ def test_boundary_image_near_unit_circle(to_disc):
     assert boundary_image_check(to_disc) < 1e-2
 
 
+def test_boundary_image_check_matches_a_loop_over_the_samples(to_disc):
+    # per sample, the deviation at the smallest offset whose point lies inside
+    gamma, normal = boundary_samples(to_disc.family, 64)
+    worst = 0.0
+    for g, n in zip(gamma, normal):
+        inside = [g + eps * n for eps in (1e-6, 1e-5, 1e-4, 1e-3) if to_disc.contains(g + eps * n)]
+        if inside:
+            worst = max(worst, abs(abs(to_disc.eval(inside[0])) - 1.0))
+    assert abs(boundary_image_check(to_disc) - worst) <= 1e-15
+
+
+def test_boundary_image_check_refuses_a_map_with_no_sample_inside(monkeypatch):
+    mapping = ConformalMap.to_disc(DomainFamily.DISC)
+    monkeypatch.setattr(ConformalMap, "contains", lambda self, z: np.zeros(np.shape(z), bool))
+    with pytest.raises(PointOutsideDomain, match="no offset boundary sample"):
+        boundary_image_check(mapping)
+    with pytest.raises(ValueError, match="expects a TO_DISC map"):
+        boundary_image_check(mapping.invert())
+
+
 def test_boundary_samples_on_boundary():
     pts, normals = boundary_samples(DomainFamily.DISC, 32)
     assert np.abs(np.abs(pts) - 1.0).max() < 1e-14
@@ -155,18 +175,21 @@ def test_automorphism_rejects_non_finite_parameters(a):
         MoebiusAutomorphism(0.5, rotation=a.real)
 
 
-def test_automorphism_derivative_and_bounds(rng):
+def test_automorphism_derivative_and_bounds(rng, derivative):
+    # |eta'| from differences of eta and from the closed form is sqrt(J(w, eta))
     eta = MoebiusAutomorphism(a=0.5, rotation=0.7)
     w = 0.999 * np.exp(2j * np.pi * rng.uniform(size=256))
     h = 1e-7
     num = (eta(w + h) - eta(w - h)) / (2 * h)
-    assert np.abs(num - eta.derivative(w)).max() < 1e-6
+    mags = np.sqrt(eta.jacobian(w))
+    assert np.abs(np.abs(num) - mags).max() < 1e-6
     lo, hi = eta.derivative_magnitude_bounds()
     assert lo == pytest.approx((1 - 0.5) / (1 + 0.5))
     assert hi == pytest.approx((1 + 0.5) / (1 - 0.5))
-    mags = np.abs(eta.derivative(w))
     assert mags.min() >= lo - 1e-12 and mags.max() <= hi + 1e-12
-    np.testing.assert_allclose(eta.jacobian(w), mags**2, rtol=1e-14, atol=0)
+    disc = compose_with_automorphism(ConformalMap.to_disc(DomainFamily.DISC), eta)
+    np.testing.assert_allclose(eta.jacobian(w), np.abs(derivative(disc, w)) ** 2,
+                               rtol=1e-14, atol=0)
     assert isinstance(eta.jacobian(0.5j), float)
 
 
@@ -176,6 +199,28 @@ def test_automorphism_composition(rng):
     comp = eta1.compose(eta2)
     w = 0.9 * np.exp(2j * np.pi * rng.uniform(size=128))
     assert np.abs(comp(w) - eta1(eta2(w))).max() < 1e-13
+    assert not hasattr(MoebiusAutomorphism, "derivative")
+
+
+def test_composed_rotation_matches_the_coefficient_ratio_to_40_digits():
+    # e^{i theta} of self o inner is the ratio e^{i t}(u + a conj(b))/(1 + conj(a) b u) of
+    # its diagonal Moebius coefficients, with a, t of self, b of inner, u = e^{i inner.rotation}
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(22)
+    a, b = (0.95 * np.sqrt(rng.uniform(size=3000)) * np.exp(2j * np.pi * rng.uniform(size=3000))
+            for _ in range(2))
+    t, s = rng.uniform(-np.pi, np.pi, size=(2, 3000))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for ak, bk, tk, sk in zip(a.tolist(), b.tolist(), t.tolist(), s.tolist()):
+            theta = MoebiusAutomorphism(ak, tk).compose(MoebiusAutomorphism(bk, sk)).rotation
+            assert -np.pi < theta <= np.pi
+            ma, mb, u = mpmath.mpc(ak), mpmath.mpc(bk), mpmath.expj(sk)
+            want = mpmath.expj(tk) * (u + ma * mpmath.conj(mb)) / (1 + mpmath.conj(ma) * mb * u)
+            worst = max(worst, float(abs(mpmath.expj(theta) - want / abs(want))))
+    assert worst <= 2e-15
+    # -pi and pi are one rotation; compose reports pi
+    assert MoebiusAutomorphism(0j, -np.pi).compose(MoebiusAutomorphism()).rotation == np.pi
 
 
 def _automorphism_properties(rmin=0.0):
