@@ -33,10 +33,10 @@ from .exponents import (DEFAULT_ALPHA0, exponent_bounds, poincare_constant_disc,
                         q_from_ps)
 from .fields import PolarGrid, make_bump_family
 from .maps import ConformalMap, DomainFamily
-from .poisson import DirichletProblem, RhsSpec, solve_dirichlet
+from .poisson import DiscSolution, RhsSpec, solve_dirichlet
 from .quadrature import (BUMP_BUDGET, NODE_BUDGET, QuadResult, Verdict, brennan_direct,
                          inverse_brennan, kpq_norm)
-from .util import default_seed, fmt_g, open_target, write_csv
+from .util import fmt_g, open_target, write_csv
 from .verify import run_verify
 
 _FAMILY_NAMES = tuple(f.value for f in DomainFamily)
@@ -230,10 +230,7 @@ def _cmd_constant(args) -> int:
     if args.bumps > BUMP_BUDGET:
         raise ConfweightError(f"--bumps asks for {args.bumps} bumps, over the bump budget "
                               f"of {BUMP_BUDGET}")
-    bumps = None
-    if args.r != 2.0:
-        rng = np.random.default_rng(default_seed())
-        bumps = make_bump_family(args.bumps, rng=rng)
+    bumps = make_bump_family(args.bumps) if args.r != 2.0 else None
     est = poincare_constant_disc(args.r, grid, bumps=bumps)
     payload = {"value": est.value, "method": est.method.value,
                "tolerance": est.tolerance, "iterations": est.iterations}
@@ -242,8 +239,6 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    mapping = ConformalMap.to_disc(DomainFamily(args.domain))
-    problem = DirichletProblem(mapping, args.rhs)
     grid = PolarGrid(args.nr, args.ntheta)
     _check_budget("--nr x --ntheta", grid.n_r * grid.n_theta)
     if args.export == "lattice":
@@ -251,9 +246,8 @@ def _cmd_solve(args) -> int:
             raise ValueError(f"--lattice-n must be at least 1, got {args.lattice_n}")
         _check_budget("--lattice-n squared", args.lattice_n ** 2)
     config = _config_echo(args)
-    solution = solve_dirichlet(problem, grid)
+    column = solve_dirichlet(args.rhs, grid)
     if args.output == "json":
-        column = solution.column
         _emit_json(config, {"u_min": float(column.min()), "u_max": float(column.max()),
                             "n_r": args.nr, "n_theta": args.ntheta},
                    args.out_path)
@@ -266,6 +260,7 @@ def _cmd_solve(args) -> int:
         lattice = (xs[None, :] + 1j * ys[:, None]).ravel()
     # to_csv computes every column before it opens --out, so a failed
     # export leaves the file (or stdout) as it was
+    solution = DiscSolution(grid, column, ConformalMap.to_disc(DomainFamily(args.domain)))
     solution.to_csv(args.out_path, lattice=lattice, preamble=_csv_preamble(config))
     return 0
 

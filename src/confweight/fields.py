@@ -229,6 +229,10 @@ def _pulled_back_checks(mapping: ConformalMap, spec: DiscGridSpec,
     return mass, iso, transfer
 
 
+# relative rounding allowance of the composition bound lhs <= K * rhs
+_COMPOSITION_SLACK = 1e-6
+
+
 @dataclass(frozen=True)
 class CompositionRecord:
     """One bump's showing in the composition inequality."""
@@ -241,8 +245,7 @@ class CompositionRecord:
 
 def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
                                  bumps: list[TestBump],
-                                 spec: DiscGridSpec | None = None,
-                                 slack: float = 1e-6) -> list[CompositionRecord]:
+                                 spec: DiscGridSpec | None = None) -> list[CompositionRecord]:
     """Verify ||grad(f o phi)||_q <= K_{p,q} * ||grad f||_p per bump.
 
     The constant comes from kpq_norm; a non-converged constant integral
@@ -263,5 +266,5 @@ def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
         rhs = _row_sum(t.grad2 ** (p / 2.0), t.rows, areas) ** (1.0 / p)
         lhs = _row_sum((t.grad2 * h[t.rows]) ** (q / 2.0), t.rows, areas, jac) ** (1.0 / q)
         out.append(CompositionRecord(lhs=lhs, rhs=rhs, constant=big_k,
-                                     passed=lhs <= big_k * rhs * (1.0 + slack)))
+                                     passed=lhs <= big_k * rhs * (1.0 + _COMPOSITION_SLACK)))
     return out

@@ -2,11 +2,13 @@
 
 Conformal transfer does all the work: with v = u o psi the problem becomes
 lap v = f o psi on the unit disc, because the Jacobian |psi'|^2 cancels the
-weight h o psi exactly.  Both right-hand sides are radial on the disc, so
-assembly evaluates f o psi in closed form at the n_r radii: it queries
-neither the weight nor the map, and the solve builds no node grid.
-Unbounded domains (exterior, half plane, strip) need no extra machinery for
-the same reason.
+weight h o psi exactly.  That disc problem is the same for every simply
+connected domain, so the solve takes the right-hand side alone: both
+right-hand sides are radial on the disc, assembly evaluates f o psi in
+closed form at the n_r radii, and it queries neither the weight nor a map
+and builds no node grid.  Only ``DiscSolution``, which pushes v forward to
+u = v o phi, holds a map.  Unbounded domains (exterior, half plane, strip)
+need no extra machinery for the same reason.
 
 Radial data has a radial solution, so the disc solve is one second-order
 tridiagonal system for  v'' + v'/r = f  on the cell-midpoint nodes
@@ -52,6 +54,7 @@ class RhsSpec:
     def __post_init__(self):
         if self.kind not in ("const", "quartic"):
             raise ValueError(f"unknown rhs kind '{self.kind}'")
+        object.__setattr__(self, "value", float(self.value))
         if not math.isfinite(self.value):
             raise ValueError("rhs constant must be finite")
 
@@ -79,26 +82,6 @@ class RhsSpec:
         if self.kind == "const":
             return np.full(r.shape, self.value)
         return 16.0 * r**2 - 8.0
-
-
-def constant_rhs(c: float) -> RhsSpec:
-    return RhsSpec("const", float(c))
-
-
-def quartic_rhs() -> RhsSpec:
-    return RhsSpec("quartic")
-
-
-@dataclass(frozen=True)
-class DirichletProblem:
-    """lap u = f*h on the domain of ``mapping``, u = 0 on the boundary."""
-
-    mapping: ConformalMap
-    rhs: RhsSpec
-
-    def __post_init__(self):
-        if self.mapping.direction is not Direction.TO_DISC:
-            raise ValueError("problem needs a TO_DISC map")
 
 
 def _eliminate(lo: np.ndarray, diag: np.ndarray, hi: np.ndarray):
@@ -157,15 +140,27 @@ def solve_radial(f: np.ndarray) -> np.ndarray:
     return v
 
 
+def _ring_column(column, grid: PolarGrid) -> np.ndarray:
+    """``column`` as floats, checked to hold one finite value per ring of ``grid``."""
+    column = np.asarray(column, dtype=float)
+    if column.shape != (grid.n_r,):
+        raise ValueError(f"column shape {column.shape} does not match the grid's "
+                         f"{grid.n_r} rings")
+    if not (math.isfinite(column.min()) and math.isfinite(column.max())):
+        raise ValueError("solution column must be finite")
+    return column
+
+
 @dataclass(frozen=True)
 class DiscSolution:
-    """Transferred solution v on the disc grid plus the map back to the domain.
+    """Transferred solution v on the disc grid plus the map that pushes it forward.
 
-    u(z) := v(phi(z)) is the solution of the original weighted problem.
-    Radial data has a radial solution, so v is its ring ``column``: one
-    finite value per grid radius, shape (n_r,).  Off-node evaluation is
-    linear in r on the column with the exact boundary value 0 at r = 1
-    appended; below the first ring it takes the first ring's value.
+    ``column`` is what ``solve_dirichlet`` returns; ``mapping`` (TO_DISC, phi)
+    names the domain, and u(z) := v(phi(z)) is the solution of that domain's
+    weighted problem.  Radial data has a radial solution, so v is its ring
+    ``column``: one finite value per grid radius, shape (n_r,).  Off-node
+    evaluation is linear in r on the column with the exact boundary value 0
+    at r = 1 appended; below the first ring it takes the first ring's value.
     """
 
     grid: PolarGrid
@@ -173,13 +168,9 @@ class DiscSolution:
     mapping: ConformalMap
 
     def __post_init__(self):
-        column = np.asarray(self.column, dtype=float)
-        if column.shape != (self.grid.n_r,):
-            raise ValueError(f"column shape {column.shape} does not match the grid's "
-                             f"{self.grid.n_r} rings")
-        if not (math.isfinite(column.min()) and math.isfinite(column.max())):
-            raise ValueError("solution column must be finite")
-        object.__setattr__(self, "column", column)
+        if self.mapping.direction is not Direction.TO_DISC:
+            raise ValueError("solution needs a TO_DISC map")
+        object.__setattr__(self, "column", _ring_column(self.column, self.grid))
 
     def eval_domain(self, z) -> np.ndarray:
         """u(z) = v(phi(z)) at interior points; 0 where phi(z) rounds onto |w| = 1."""
@@ -210,15 +201,15 @@ class DiscSolution:
         write_csv(target, ("x", "y", "u"), cols, preamble)
 
 
-def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
-    """Transfer the problem to the disc, solve it there, wrap the result.
+def solve_dirichlet(rhs: RhsSpec, grid: PolarGrid) -> np.ndarray:
+    """Solve the transferred problem lap v = f o psi on the disc; return its ring column.
 
     f o psi is evaluated once per ring and solved radially; the solution is
     the ring column of n_r values, so the solve allocates O(n_r) bytes
     whatever n_theta is.  Raises RhsNotFinite if f o psi is not finite at
     every node, and SolutionNotFinite if a finite f overflows in the solve.
     """
-    f = problem.rhs.on_disc(grid.r)
+    f = rhs.on_disc(grid.r)
     if not np.all(np.isfinite(f)):
         bad = complex(grid.r[~np.isfinite(f)][0])  # the node at theta = 0
         raise RhsNotFinite(f"right-hand side is not finite at psi({bad})")
@@ -228,48 +219,40 @@ def solve_dirichlet(problem: DirichletProblem, grid: PolarGrid) -> DiscSolution:
         bad = float(grid.r[~np.isfinite(v)][0])
         raise SolutionNotFinite(f"solution is not finite at radius {bad} "
                                 "(the right-hand side overflows the solve)")
-    return DiscSolution(grid, v, problem.mapping)
+    return v
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Weak-form defects |<grad v, grad b> + <f_tilde, b>| per test bump."""
+def weak_residual(grid: PolarGrid, column: np.ndarray, rhs: RhsSpec,
+                  bumps: list[TestBump]) -> tuple[float, ...]:
+    """Defects |<grad v, grad b> + <f o psi, b>| of the weak identity, one per bump.
 
-    residuals: tuple[float, ...]
-    max_residual: float
-
-
-def weak_residual(solution: DiscSolution, problem: DirichletProblem,
-                  bumps: list[TestBump]) -> ResidualReport:
-    """Defect of the weak identity, evaluated entirely on the disc.
-
-    The transfer identities reduce both pairings to disc integrals:
+    ``column`` is v's ring column on ``grid``, and both pairings are disc
+    integrals, because the transfer identities reduce them there:
     <grad u, grad b>_Omega = <grad v, grad b>_D and <f, b>_h = <f o psi, b>_D.
     Under the strong form lap u = f*h the two must cancel.
     """
     if not bumps:
         raise ValueError("need at least one test bump")
-    grid = solution.grid
     if grid.n_r < 16 or grid.n_theta < 16:
         raise GridTooCoarse(f"weak_residual needs at least 16 nodes per direction, "
                             f"got {grid.n_r}x{grid.n_theta}")
     # second-order radial differences of the ring column; across the origin
     # v(-r_0) = v(r_0), and the outer ring takes a one-sided 3-point stencil
-    v, h = solution.column, 1.0 / grid.n_r
+    v, h = _ring_column(column, grid), 1.0 / grid.n_r
     dv = np.empty_like(v)
     dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     dv[0] = (v[1] - v[0]) / (2.0 * h)
     dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     gx, gy = dv[:, None] * np.cos(grid.theta), dv[:, None] * np.sin(grid.theta)
     areas, nodes = grid.cell_areas, grid.nodes
-    ftilde = problem.rhs.on_disc(np.abs(nodes))
+    ftilde = rhs.on_disc(np.abs(nodes))
     res = []
     for b in bumps:
         gb = b.gradient(nodes)
         pair = pairwise_sum((gx * gb.real + gy * gb.imag) * areas)
         load = pairwise_sum(ftilde * b.value(nodes) * areas)
         res.append(abs(pair + load))
-    return ResidualReport(residuals=tuple(res), max_residual=max(res))
+    return tuple(res)
 
 
 @dataclass(frozen=True)
@@ -285,7 +268,7 @@ def _restrict_once(column: np.ndarray) -> np.ndarray:
     return 0.5 * (column[0::2] + column[1::2])
 
 
-def convergence_study(problem: DirichletProblem, levels: int = 4) -> list[ConvergenceRow]:
+def convergence_study(rhs: RhsSpec, levels: int = 4) -> list[ConvergenceRow]:
     """Solve on a ladder of doubled grids from 32x32 and report max errors and orders.
 
     Each level's ring column is scored: constant right-hand sides against
@@ -296,10 +279,10 @@ def convergence_study(problem: DirichletProblem, levels: int = 4) -> list[Conver
     if levels < 3:
         raise ValueError("need at least 3 levels")
     grids = [PolarGrid(32 << k, 32 << k) for k in range(levels)]
-    columns = [solve_dirichlet(problem, g).column for g in grids]
+    columns = [solve_dirichlet(rhs, g) for g in grids]
 
-    if problem.rhs.kind == "const":
-        c = problem.rhs.value
+    if rhs.kind == "const":
+        c = rhs.value
         refs = [0.25 * c * (g.r ** 2 - 1.0) for g in grids]
     else:
         refs = [columns[-1]]

@@ -32,8 +32,7 @@ from .fields import (PolarGrid, TestBump, _bump_tables, _pulled_back_checks,
 from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
                    compose_with_automorphism, round_trip_check, sample_interior)
-from .poisson import (DirichletProblem, constant_rhs, convergence_study,
-                      quartic_rhs, solve_dirichlet, weak_residual)
+from .poisson import RhsSpec, convergence_study, solve_dirichlet, weak_residual
 from .quadrature import CHECK_SPEC, Verdict, brennan_direct, disc_nodes, integrate_disc
 from .util import default_seed
 
@@ -269,18 +268,19 @@ def _check_poisson(add, rng):
     # lap v = -4 on the disc is every family's transferred problem: solve and
     # test each grid once; per family only the exact u = 1 - |phi(psi(w))|^2
     # goes through that family's round trip
-    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.DISC), constant_rhs(-4.0))
+    rhs = RhsSpec("const", -4.0)
     grids = [PolarGrid(n, n) for n in (64, 128, 256)]
-    sols = [solve_dirichlet(problem, grid) for grid in grids]
-    residuals = [weak_residual(sol, problem, bumps).max_residual for sol in sols]
+    columns = [solve_dirichlet(rhs, grid) for grid in grids]
+    residuals = [max(weak_residual(grid, column, rhs, bumps))
+                 for grid, column in zip(grids, columns)]
     res_orders = [math.log2(a / b) for a, b in zip(residuals, residuals[1:])]
     for fam in _FAMILIES:
         mapping = ConformalMap.to_disc(fam)
         inv = mapping.invert()
         errors = []
-        for grid, sol in zip(grids, sols):
+        for grid, column in zip(grids, columns):
             exact = 1.0 - np.abs(mapping.eval(inv.eval(grid.nodes))) ** 2
-            errors.append(float(np.max(np.abs(sol.column[:, None] - exact))))
+            errors.append(float(np.max(np.abs(column[:, None] - exact))))
         err_orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         add(f"poisson.exact_const.{fam.value}",
             min(err_orders) >= 1.9 and errors[-1] <= 1e-3,
@@ -288,22 +288,17 @@ def _check_poisson(add, rng):
         add(f"poisson.weak_residual.{fam.value}", min(res_orders) >= 1.9,
             orders=[float(o) for o in res_orders])
 
-    rows = convergence_study(DirichletProblem(ConformalMap.to_disc(DomainFamily.STRIP),
-                                              quartic_rhs()), levels=4)
+    rows = convergence_study(RhsSpec("quartic"), levels=4)
     orders = [float(r.order) for r in rows if r.order is not None]
     add("poisson.manufactured_orders.strip", bool(orders) and min(orders) >= 1.9,
         orders=orders)
 
     grid = PolarGrid(64, 64)
-    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.HALFPLANE),
-                               constant_rhs(-4.0))
-    s1 = solve_dirichlet(problem, grid)
-    s2 = solve_dirichlet(problem, grid)
-    add("poisson.deterministic_resolve",
-        bool(np.array_equal(s1.column, s2.column)))
-    neg = solve_dirichlet(DirichletProblem(problem.mapping, constant_rhs(4.0)), grid)
-    add("poisson.linearity_negation",
-        bool(np.array_equal(neg.column, -s1.column)))
+    v1 = solve_dirichlet(rhs, grid)
+    v2 = solve_dirichlet(rhs, grid)
+    add("poisson.deterministic_resolve", bool(np.array_equal(v1, v2)))
+    neg = solve_dirichlet(RhsSpec("const", 4.0), grid)
+    add("poisson.linearity_negation", bool(np.array_equal(neg, -v1)))
 
     # assembly must pull back f only; the weight is never consulted
     calls = {"count": 0}
@@ -315,8 +310,7 @@ def _check_poisson(add, rng):
 
     ConformalMap.jacobian = spy_method
     try:
-        solve_dirichlet(DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID),
-                                         quartic_rhs()), PolarGrid(64, 64))
+        solve_dirichlet(RhsSpec("quartic"), PolarGrid(64, 64))
     finally:
         ConformalMap.jacobian = orig_method
     add("poisson.weight_free_assembly", calls["count"] == 0,

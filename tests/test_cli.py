@@ -121,7 +121,7 @@ def test_bumps_over_the_bump_budget_exit_1_before_any_bump_is_built(capsys, monk
 def test_bumps_at_the_bump_budget_are_built(capsys, monkeypatch):
     sizes = []
 
-    def built(count, rng):
+    def built(count, rng=None):
         sizes.append(count)
         raise ConfweightError("built")
 

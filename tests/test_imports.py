@@ -131,10 +131,18 @@ def test_the_walk_sees_an_unreferenced_method():
     assert _unreferenced_methods([src]) == ["K.unused"]
 
 
+def _same_literal(a: ast.expr, b: ast.expr) -> bool:
+    try:
+        return ast.literal_eval(a) == ast.literal_eval(b)
+    except ValueError:
+        return False
+
+
 def _unset_options(package: list[str], callers: list[str]) -> list[str]:
     """``function.parameter`` for each defaulted parameter defined in ``package``
-    that no call in ``callers`` passes, by keyword or by position.  Calls are
-    matched to functions by name, and ``self``/``cls`` are skipped."""
+    that no call in ``callers`` passes, by keyword or by position, as anything
+    but a literal equal to its default.  Calls are matched to functions by
+    name, and ``self``/``cls`` are skipped."""
     options = []
     for source in package:
         for node in ast.walk(ast.parse(source)):
@@ -142,20 +150,21 @@ def _unset_options(package: list[str], callers: list[str]) -> list[str]:
                 params = node.args.posonlyargs + node.args.args
                 first = len(params) - len(node.args.defaults)
                 bound = 1 if params and params[0].arg in ("self", "cls") else 0
-                options += [(node.name, p.arg, i - bound)
-                            for i, p in enumerate(params[first:], first)]
-                options += [(node.name, p.arg, None) for p, d in
+                options += [(node.name, p.arg, i - bound, d) for i, (p, d) in
+                            enumerate(zip(params[first:], node.args.defaults), first)]
+                options += [(node.name, p.arg, None, d) for p, d in
                             zip(node.args.kwonlyargs, node.args.kw_defaults) if d]
     passed = {}
     for source in callers:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                seen = passed.setdefault(name, set())
-                seen.update(k.arg for k in node.keywords)
-                seen.update(range(len(node.args)))
-    return sorted(f"{func}.{arg}" for func, arg, pos in options
-                  if not passed.get(func, set()) & {arg, pos})
+                seen = passed.setdefault(name, [])
+                seen += [(k.arg, k.value) for k in node.keywords]
+                seen += list(enumerate(node.args))
+    return sorted(f"{func}.{arg}" for func, arg, pos, default in options
+                  if not any(key in (arg, pos) and not _same_literal(value, default)
+                             for key, value in passed.get(func, ())))
 
 
 def test_every_option_is_set_by_some_call():
@@ -170,3 +179,8 @@ def test_the_walk_sees_an_option_no_call_sets():
            "class K:\n    def m(self, x=0, y=0):\n        pass\n"
            "f(0, 5)\nK().m(1)\nf(0, d=4)\n")
     assert _unset_options([src], [src]) == ["f.c", "m.y"]
+    # a literal equal to the default, by position or keyword, sets nothing
+    defaults = "g(1, 2.0, 'a', c=-1e-6)\ng(x=1.0, b=2, c=-0.000001)\n"
+    src = "def g(x=1, b=2.0, s='a', *, c=-1e-6):\n    pass\n"
+    assert _unset_options([src], [defaults]) == ["g.b", "g.c", "g.s", "g.x"]
+    assert _unset_options([src], [defaults + "g(y, 2.5, s=None, c=-1e-7)\n"]) == []

@@ -7,17 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from confweight import (ConformalMap, DirichletProblem, DiscSolution,
-                        DomainFamily, GridTooCoarse, MoebiusAutomorphism,
-                        PointOutsideDomain, PolarGrid,
+from confweight import (ConformalMap, DiscSolution, DomainFamily, GridTooCoarse,
+                        MoebiusAutomorphism, PointOutsideDomain, PolarGrid,
                         RhsNotFinite, RhsSpec, SingularTridiagonal,
                         SolutionNotFinite, boundary_samples, compose_with_automorphism,
-                        constant_rhs, convergence_study, disc_eigenvalue, pairwise_sum,
-                        quartic_rhs, solve_dirichlet, weak_residual)
+                        convergence_study, disc_eigenvalue, pairwise_sum,
+                        solve_dirichlet, weak_residual)
 from confweight.poisson import _eliminate, _radial_factor, solve_radial
 from confweight.util import CSV_BLOCK_ROWS, write_csv
 
 _ETA = MoebiusAutomorphism(0.3 - 0.2j, rotation=0.7)
+_CONST, _QUARTIC = RhsSpec("const", -4.0), RhsSpec("quartic")
+_RHS = pytest.mark.parametrize("rhs", [_CONST, _QUARTIC], ids=["const", "quartic"])
 
 
 def _v(solution):
@@ -25,9 +26,9 @@ def _v(solution):
     return replace(solution, mapping=ConformalMap.to_disc(DomainFamily.DISC)).eval_domain
 
 
-def halfplane_problem(c=-4.0):
-    return DirichletProblem(ConformalMap.to_disc(DomainFamily.HALFPLANE),
-                            constant_rhs(c))
+def _solve(rhs, grid, family=DomainFamily.HALFPLANE):
+    """``rhs`` solved on ``grid`` and pushed forward to ``family``'s domain."""
+    return DiscSolution(grid, solve_dirichlet(rhs, grid), ConformalMap.to_disc(family))
 
 
 def test_rhs_spec_parse_and_label():
@@ -41,65 +42,68 @@ def test_rhs_spec_parse_and_label():
         RhsSpec("const", math.inf)
 
 
+def test_rhs_spec_stores_its_constant_as_a_float():
+    spec = RhsSpec("const", 3)
+    assert type(spec.value) is float and spec.label == "const:3"
+    assert spec.on_disc(np.array([0.1, 0.5])).dtype == float
+    assert spec.evaluate(np.array([0.5j]), ConformalMap.to_disc(DomainFamily.DISC)).dtype == float
+    assert spec == RhsSpec("const", 3.0)
+
+
 def test_rhs_evaluate():
     m = ConformalMap.to_disc(DomainFamily.DISC)
     z = np.array([0.0j, 0.5 + 0.0j])
-    assert np.array_equal(constant_rhs(3.0).evaluate(z, m), [3.0, 3.0])
-    quart = quartic_rhs().evaluate(z, m)
+    assert np.array_equal(RhsSpec("const", 3.0).evaluate(z, m), [3.0, 3.0])
+    quart = _QUARTIC.evaluate(z, m)
     assert quart == pytest.approx([-8.0, 16.0 * 0.25 - 8.0])
 
 
-def test_problem_requires_to_disc():
-    with pytest.raises(ValueError):
-        DirichletProblem(ConformalMap.from_disc(DomainFamily.HALFPLANE),
-                         constant_rhs(1.0))
+def test_solution_requires_to_disc():
+    grid = PolarGrid(16, 16)
+    with pytest.raises(ValueError, match="TO_DISC"):
+        DiscSolution(grid, solve_dirichlet(RhsSpec("const", 1.0), grid),
+                     ConformalMap.from_disc(DomainFamily.HALFPLANE))
 
 
 def test_rhs_on_disc_is_weightless_pullback():
-    prob = DirichletProblem(ConformalMap.to_disc(DomainFamily.HALFPLANE),
-                            constant_rhs(-4.0))
     w = np.array([0.0j, 0.3 + 0.2j])
     # a constant f transfers to the same constant: no weight factor appears
-    assert np.array_equal(prob.rhs.on_disc(np.abs(w)), [-4.0, -4.0])
+    assert np.array_equal(_CONST.on_disc(np.abs(w)), [-4.0, -4.0])
 
 
-@pytest.mark.parametrize("rhs", [constant_rhs(-4.0), quartic_rhs()], ids=["const", "quartic"])
+@_RHS
 def test_solve_accepts_any_angle_count(rhs, bumps):
-    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID), rhs)
-    odd = solve_dirichlet(problem, PolarGrid(64, 48))
-    even = solve_dirichlet(problem, PolarGrid(64, 64))
+    odd = _solve(rhs, PolarGrid(64, 48), DomainFamily.CARDIOID)
+    even = _solve(rhs, PolarGrid(64, 64), DomainFamily.CARDIOID)
     assert odd.column.shape == (64,)
     assert np.array_equal(odd.column, even.column)
     w = np.array([0.0j, 0.3 + 0.4j, -0.2j, 0.999 + 0.0j])
     assert np.array_equal(_v(odd)(w), _v(even)(w))
     # the weak residual runs there and still falls at second order
-    coarse = weak_residual(odd, problem, bumps).max_residual
-    fine = weak_residual(solve_dirichlet(problem, PolarGrid(128, 96)), problem, bumps)
-    assert math.log2(coarse / fine.max_residual) >= 1.9
+    coarse = max(weak_residual(odd.grid, odd.column, rhs, bumps))
+    fine_grid = PolarGrid(128, 96)
+    fine = max(weak_residual(fine_grid, solve_dirichlet(rhs, fine_grid), rhs, bumps))
+    assert math.log2(coarse / fine) >= 1.9
 
 
 def test_exact_constant_solution_converges():
-    prob = halfplane_problem()
     errs = []
     for n in (64, 128):
         grid = PolarGrid(n, n)
-        sol = solve_dirichlet(prob, grid)
         exact = 1.0 - grid.r ** 2
-        errs.append(float(np.max(np.abs(sol.column - exact))))
+        errs.append(float(np.max(np.abs(solve_dirichlet(_CONST, grid) - exact))))
     assert errs[0] < 1e-4 and errs[1] < 2.5e-5
     assert math.log2(errs[0] / errs[1]) >= 1.9
 
 
 def test_quartic_manufactured_solution():
-    prob = DirichletProblem(ConformalMap.to_disc(DomainFamily.STRIP), quartic_rhs())
     grid = PolarGrid(128, 128)
-    sol = solve_dirichlet(prob, grid)
     exact = (1.0 - grid.r ** 2) ** 2
-    assert float(np.max(np.abs(sol.column - exact))) < 1e-4
+    assert float(np.max(np.abs(solve_dirichlet(_QUARTIC, grid) - exact))) < 1e-4
 
 
 def test_solution_evaluation():
-    sol = solve_dirichlet(halfplane_problem(), PolarGrid(64, 64))
+    sol = _solve(_CONST, PolarGrid(64, 64))
     node = sol.grid.nodes[10, 3]
     assert _v(sol)(node) == sol.column[10]
     assert isinstance(_v(sol)(node), float)
@@ -114,13 +118,13 @@ def test_solution_evaluation():
 @pytest.mark.parametrize("w", [complex("nan"), [0.1, float("nan")], complex("inf"),
                                [0.2j, complex(0.0, float("-inf"))]])
 def test_eval_disc_rejects_non_finite_points(w, recwarn):
-    sol = solve_dirichlet(halfplane_problem(), PolarGrid(16, 16))
+    sol = _solve(_CONST, PolarGrid(16, 16))
     with pytest.raises(ValueError, match="finite"):
         _v(sol)(w)
     assert len(recwarn) == 0
 
 
-def test_solution_field_must_be_a_ring_column():
+def test_solution_field_must_be_a_ring_column(bumps):
     grid, disc = PolarGrid(16, 16), ConformalMap.to_disc(DomainFamily.DISC)
     column = 1.0 - grid.r**2
     solution = DiscSolution(grid, list(column), disc)
@@ -131,6 +135,8 @@ def test_solution_field_must_be_a_ring_column():
                    np.array(_broadcast(column, grid)), column[None, :]):
         with pytest.raises(ValueError, match="does not match the grid's 16 rings"):
             DiscSolution(grid, values, disc)
+        with pytest.raises(ValueError, match="does not match the grid's 16 rings"):
+            weak_residual(grid, values, _CONST, bumps)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -142,14 +148,14 @@ def test_solution_column_must_be_finite(bad):
 
 
 def test_eval_domain_matches_disc():
-    sol = solve_dirichlet(halfplane_problem(), PolarGrid(64, 64))
+    sol = _solve(_CONST, PolarGrid(64, 64))
     w = 0.4 + 0.1j
     z = sol.mapping.invert().eval(w)
     assert sol.eval_domain(z) == pytest.approx(_v(sol)(w), abs=1e-12)
 
 
 def test_to_csv_pushforward():
-    sol = solve_dirichlet(halfplane_problem(), PolarGrid(16, 16))
+    sol = _solve(_CONST, PolarGrid(16, 16))
     buf = io.StringIO()
     sol.to_csv(buf)
     lines = buf.getvalue().strip().splitlines()
@@ -160,7 +166,7 @@ def test_to_csv_pushforward():
 
 
 def test_to_csv_lattice_respects_membership():
-    sol = solve_dirichlet(halfplane_problem(), PolarGrid(32, 32))
+    sol = _solve(_CONST, PolarGrid(32, 32))
     xs = np.linspace(-1.0, 1.0, 5)
     ys = np.linspace(-1.0, 1.0, 5)   # half of these are below the boundary
     lattice = (xs[None, :] + 1j * ys[:, None]).ravel()
@@ -174,22 +180,20 @@ def test_to_csv_lattice_respects_membership():
 
 
 def test_weak_residual_refinement(bumps):
-    prob = halfplane_problem()
-    r64 = weak_residual(solve_dirichlet(prob, PolarGrid(64, 64)), prob, bumps)
-    r128 = weak_residual(solve_dirichlet(prob, PolarGrid(128, 128)), prob, bumps)
-    assert len(r64.residuals) == len(bumps)
-    assert r64.max_residual == max(r64.residuals)
-    assert math.log2(r64.max_residual / r128.max_residual) >= 1.9
+    r64, r128 = (weak_residual(g, solve_dirichlet(_CONST, g), _CONST, bumps)
+                 for g in (PolarGrid(64, 64), PolarGrid(128, 128)))
+    assert len(r64) == len(bumps)
+    assert math.log2(max(r64) / max(r128)) >= 1.9
 
 
 def test_weak_residual_needs_bumps():
-    sol = solve_dirichlet(halfplane_problem(), PolarGrid(64, 64))
+    grid = PolarGrid(64, 64)
     with pytest.raises(ValueError):
-        weak_residual(sol, halfplane_problem(), [])
+        weak_residual(grid, solve_dirichlet(_CONST, grid), _CONST, [])
 
 
 def test_convergence_study_const():
-    rows = convergence_study(halfplane_problem(), levels=3)
+    rows = convergence_study(_CONST, levels=3)
     assert [(r.n_r, r.n_theta) for r in rows] == [(32, 32), (64, 64), (128, 128)]
     assert rows[0].order is None
     for row in rows[1:]:
@@ -197,8 +201,7 @@ def test_convergence_study_const():
 
 
 def test_convergence_study_quartic():
-    prob = DirichletProblem(ConformalMap.to_disc(DomainFamily.STRIP), quartic_rhs())
-    rows = convergence_study(prob, levels=4)
+    rows = convergence_study(_QUARTIC, levels=4)
     assert len(rows) == 3  # scored against the finest level
     orders = [r.order for r in rows if r.order is not None]
     assert orders and min(orders) >= 1.9
@@ -206,16 +209,16 @@ def test_convergence_study_quartic():
 
 def test_convergence_study_needs_three_levels():
     with pytest.raises(ValueError):
-        convergence_study(halfplane_problem(), levels=2)
+        convergence_study(_CONST, levels=2)
 
 
 def test_solver_determinism_and_linearity():
     grid = PolarGrid(64, 64)
-    s1 = solve_dirichlet(halfplane_problem(-4.0), grid)
-    s2 = solve_dirichlet(halfplane_problem(-4.0), grid)
-    assert np.array_equal(s1.column, s2.column)
-    neg = solve_dirichlet(halfplane_problem(4.0), grid)
-    assert np.array_equal(neg.column, -s1.column)
+    v1 = solve_dirichlet(RhsSpec("const", -4.0), grid)
+    v2 = solve_dirichlet(RhsSpec("const", -4.0), grid)
+    assert np.array_equal(v1, v2)
+    neg = solve_dirichlet(RhsSpec("const", 4.0), grid)
+    assert np.array_equal(neg, -v1)
 
 
 class _PoisonedRhs:
@@ -230,11 +233,8 @@ class _PoisonedRhs:
 
 
 def test_rhs_must_be_finite():
-    prob = DirichletProblem.__new__(DirichletProblem)
-    object.__setattr__(prob, "mapping", ConformalMap.to_disc(DomainFamily.DISC))
-    object.__setattr__(prob, "rhs", _PoisonedRhs())
     with pytest.raises(RhsNotFinite):
-        solve_dirichlet(prob, PolarGrid(16, 16))
+        solve_dirichlet(_PoisonedRhs(), PolarGrid(16, 16))
 
 
 # --- the radial solve against the FFT solver it replaced ---------------------
@@ -282,13 +282,12 @@ def test_radial_solve_matches_the_fft_reference(n_r, n_theta):
         assert np.array_equal(_broadcast(solve_radial(f), grid), reference)
 
 
-@pytest.mark.parametrize("rhs", [constant_rhs(-4.0), quartic_rhs()], ids=["const", "quartic"])
+@_RHS
 @_SHAPES
 def test_solve_dirichlet_matches_the_fft_reference(n_r, n_theta, rhs):
     grid = PolarGrid(n_r, n_theta)
-    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID), rhs)
     reference = _reference_solve(_broadcast(rhs.on_disc(grid.r), grid), grid)
-    assert np.array_equal(_broadcast(solve_dirichlet(problem, grid).column, grid), reference)
+    assert np.array_equal(_broadcast(solve_dirichlet(rhs, grid), grid), reference)
 
 
 def test_cached_factor_gives_the_same_bits_as_a_cold_solve():
@@ -353,9 +352,10 @@ def _maps(names):
     return pytest.mark.parametrize("mapping", [_MAPPINGS[n] for n in names], ids=names)
 
 
-@pytest.mark.parametrize("rhs", [constant_rhs(-4.0), quartic_rhs()], ids=["const", "quartic"])
+@_RHS
 @_maps([*_PLAIN, "cardioid+eta"])
 def test_assembly_evaluates_no_map_and_no_node_grid(mapping, rhs, monkeypatch):
+    # solving, and wrapping the column with any domain's map, consults no map
     calls = []
     for name in ("eval", "jacobian"):
         orig = getattr(ConformalMap, name)
@@ -366,17 +366,16 @@ def test_assembly_evaluates_no_map_and_no_node_grid(mapping, rhs, monkeypatch):
 
         monkeypatch.setattr(ConformalMap, name, spy)
     grid = PolarGrid(64, 64)
-    solve_dirichlet(DirichletProblem(mapping, rhs), grid)
+    DiscSolution(grid, solve_dirichlet(rhs, grid), mapping)
     assert calls == []
     assert "nodes" not in grid.__dict__
 
 
 def test_cold_quartic_solve_at_1024_squared_stays_small():
-    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID), quartic_rhs())
     _radial_factor.cache_clear()
     tracemalloc.start()
     try:
-        solve_dirichlet(problem, PolarGrid(1024, 1024))
+        solve_dirichlet(_QUARTIC, PolarGrid(1024, 1024))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -387,7 +386,7 @@ def test_cold_quartic_solve_at_1024_squared_stays_small():
 @_maps(list(_MAPPINGS))
 def test_closed_form_rhs_agrees_with_the_round_trip(mapping):
     w = PolarGrid(1024, 1024).nodes
-    rhs = quartic_rhs()
+    rhs = _QUARTIC
     closed = rhs.on_disc(np.abs(w))
     round_trip = rhs.evaluate(mapping.invert().eval(w), mapping)
     assert float(np.max(np.abs(closed - round_trip))) < 1e-11
@@ -396,25 +395,20 @@ def test_closed_form_rhs_agrees_with_the_round_trip(mapping):
 @_maps(["disc", "strip", "disc+eta", "strip+eta"])
 def test_const_solve_is_bit_identical_to_the_pullback_assembly(mapping):
     grid = PolarGrid(128, 64)
-    problem = DirichletProblem(mapping, constant_rhs(-4.0))
-    pulled = problem.rhs.evaluate(mapping.invert().eval(grid.nodes), mapping)
+    pulled = _CONST.evaluate(mapping.invert().eval(grid.nodes), mapping)
     reference = _reference_solve(pulled, grid)
-    values = _broadcast(solve_dirichlet(problem, grid).column, grid)
+    values = _broadcast(solve_dirichlet(_CONST, grid), grid)
     assert np.array_equal(values, reference)
 
 
 def test_rhs_not_finite_names_the_first_bad_node():
-    prob = DirichletProblem.__new__(DirichletProblem)
-    object.__setattr__(prob, "mapping", ConformalMap.to_disc(DomainFamily.DISC))
-    object.__setattr__(prob, "rhs", _PoisonedRhs())
     with pytest.raises(RhsNotFinite, match=r"not finite at psi\(\(0\.03125\+0j\)\)"):
-        solve_dirichlet(prob, PolarGrid(16, 16))
+        solve_dirichlet(_PoisonedRhs(), PolarGrid(16, 16))
 
 
 def test_overflowing_solve_names_the_first_bad_radius(recwarn):
-    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.DISC), constant_rhs(5e307))
     with pytest.raises(SolutionNotFinite, match=r"not finite at radius 0\.03125 "):
-        solve_dirichlet(problem, PolarGrid(16, 16))
+        solve_dirichlet(RhsSpec("const", 5e307), PolarGrid(16, 16))
     assert len(recwarn) == 0
 
 
@@ -468,35 +462,33 @@ def _bilinear_eval(solution, w):
     return out
 
 
-@pytest.mark.parametrize("rhs", [constant_rhs(-4.0), quartic_rhs()], ids=["const", "quartic"])
+@_RHS
 @pytest.mark.parametrize("n_r,n_theta", [(16, 16), (64, 64), (128, 64)])
 def test_weak_residual_matches_the_polar_gradient_bit_for_bit(n_r, n_theta, rhs, bumps):
     grid = PolarGrid(n_r, n_theta)
-    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID), rhs)
-    solution = solve_dirichlet(problem, grid)
-    gx, gy = _polar_gradient(_broadcast(solution.column, grid), grid)
+    column = solve_dirichlet(rhs, grid)
+    gx, gy = _polar_gradient(_broadcast(column, grid), grid)
     nodes, areas = grid.nodes, grid.cell_areas
-    ftilde = problem.rhs.on_disc(np.abs(nodes))
+    ftilde = rhs.on_disc(np.abs(nodes))
     reference = []
     for b in bumps:
         gb = b.gradient(nodes)
         pair = pairwise_sum((gx * gb.real + gy * gb.imag) * areas)
         reference.append(abs(pair + pairwise_sum(ftilde * b.value(nodes) * areas)))
-    residuals = weak_residual(solution, problem, bumps).residuals
+    residuals = weak_residual(grid, column, rhs, bumps)
     assert [r.hex() for r in residuals] == [float(r).hex() for r in reference]
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(8, 32), (32, 8)])
 def test_weak_residual_requires_fine_grid(n_r, n_theta, bumps):
-    problem = halfplane_problem()
-    solution = solve_dirichlet(problem, PolarGrid(n_r, n_theta))
+    grid = PolarGrid(n_r, n_theta)
+    column = solve_dirichlet(_CONST, grid)
     with pytest.raises(GridTooCoarse, match=f"got {n_r}x{n_theta}"):
-        weak_residual(solution, problem, bumps)
+        weak_residual(grid, column, _CONST, bumps)
 
 
 def test_eval_disc_matches_the_bilinear_rule_to_rounding():
-    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.CARDIOID), quartic_rhs())
-    solution = solve_dirichlet(problem, PolarGrid(256, 256))
+    solution = _solution("cardioid", 256, 256)
     rng = np.random.default_rng(20)
     g = solution.grid
     disc = np.sqrt(rng.uniform(0.0, 1.0, 10**5)) * np.exp(2j * np.pi * rng.uniform(size=10**5))
@@ -509,12 +501,11 @@ def test_eval_disc_matches_the_bilinear_rule_to_rounding():
 
 def test_pinned_lattice_cells_move_by_rounding_only():
     # the lattice of tests/test_cli.py::test_solve_csv_bytes_are_pinned
-    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily.HALFPLANE), quartic_rhs())
-    solution = solve_dirichlet(problem, PolarGrid(16, 16))
+    solution = _solution("halfplane", 16, 16)
     xs, ys = np.linspace(-2.0, 2.0, 9), np.linspace(0.01, 4.0, 9)
     z = (xs[None, :] + 1j * ys[:, None]).ravel()
-    z = z[problem.mapping.contains(z)]
-    old = _bilinear_eval(solution, problem.mapping.eval(z))
+    z = z[solution.mapping.contains(z)]
+    old = _bilinear_eval(solution, solution.mapping.eval(z))
     assert z.size == 81
     assert np.max(np.abs(solution.eval_domain(z) - old)) <= 2.2e-16
 
@@ -540,8 +531,7 @@ def _lattice(window, n):
 
 
 def _solution(family, n_r=32, n_theta=32):
-    problem = DirichletProblem(ConformalMap.to_disc(DomainFamily(family)), quartic_rhs())
-    return solve_dirichlet(problem, PolarGrid(n_r, n_theta))
+    return _solve(_QUARTIC, PolarGrid(n_r, n_theta), DomainFamily(family))
 
 
 @pytest.mark.parametrize("family", ["strip", "cardioid", "halfplane"])
