@@ -10,17 +10,14 @@ from .errors import (BranchCutViolation, ConfweightError, EstimateNotUsable,
                      IntegrandNotFinite, InvalidExponents, IterationDivergence,
                      KpqDivergent, PointOutsideDomain, RhsNotFinite,
                      SingularTridiagonal, SolutionNotFinite)
-from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod,
-                        ExponentBounds, disc_eigenvalue,
-                        exponent_bounds, poincare_constant_disc, q_from_ps)
+from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod, ExponentBounds,
+                        disc_eigenvalue, exponent_bounds, poincare_constant_disc, q_from_ps)
 from .fields import (CompositionRecord, PolarGrid, TestBump,
-                     composition_inequality_check, lp_norm,
-                     make_bump_family)
+                     composition_inequality_check, make_bump_family)
 from .maps import (ConformalMap, Direction, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
                    compose_with_automorphism, round_trip_check, sample_interior)
-from .poisson import (ConvergenceRow, DiscSolution, RhsSpec, convergence_study,
-                      solve_dirichlet, weak_residual)
+from .poisson import DiscSolution, RhsSpec, solve_dirichlet, weak_residual
 from .quadrature import (CHECK_SPEC, DiscGridSpec, QuadResult, Verdict,
                          brennan_direct, classify, disc_nodes, integrate_disc,
                          inverse_brennan, kpq_norm, pull_back)
@@ -31,18 +28,17 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BranchCutViolation", "CHECK_SPEC", "CompositionRecord", "ConformalMap",
-    "ConfweightError", "ConstantEstimate", "ConvergenceRow", "DEFAULT_ALPHA0",
-    "DEFAULT_SEED", "Direction", "DiscGridSpec", "DiscSolution", "DomainFamily",
-    "EstimateMethod", "ExponentBounds", "EstimateNotUsable", "ExponentOutOfRange",
-    "GridTooCoarse", "GridTooLarge", "IntegrandNotFinite", "InvalidExponents",
-    "IterationDivergence", "J0_FIRST_ZERO", "KpqDivergent", "MoebiusAutomorphism",
-    "PointOutsideDomain", "PolarGrid", "QuadResult", "RhsNotFinite", "RhsSpec",
-    "SingularTridiagonal", "SolutionNotFinite", "TestBump", "Verdict",
-    "boundary_image_check", "boundary_samples", "brennan_direct", "classify",
-    "compose_with_automorphism", "composition_inequality_check", "convergence_study",
-    "default_seed", "disc_eigenvalue", "disc_nodes", "exponent_bounds",
-    "integrate_disc", "inverse_brennan", "kpq_norm", "lp_norm", "make_bump_family",
-    "pairwise_sum", "poincare_constant_disc", "pull_back", "q_from_ps",
-    "quoted_formula_report", "round_trip_check", "run_verify", "sample_interior",
-    "solve_dirichlet", "weak_residual",
+    "ConfweightError", "ConstantEstimate", "DEFAULT_ALPHA0", "DEFAULT_SEED",
+    "Direction", "DiscGridSpec", "DiscSolution", "DomainFamily", "EstimateMethod",
+    "ExponentBounds", "EstimateNotUsable", "ExponentOutOfRange", "GridTooCoarse",
+    "GridTooLarge", "IntegrandNotFinite", "InvalidExponents", "IterationDivergence",
+    "J0_FIRST_ZERO", "KpqDivergent", "MoebiusAutomorphism", "PointOutsideDomain",
+    "PolarGrid", "QuadResult", "RhsNotFinite", "RhsSpec", "SingularTridiagonal",
+    "SolutionNotFinite", "TestBump", "Verdict", "boundary_image_check",
+    "boundary_samples", "brennan_direct", "classify", "compose_with_automorphism",
+    "composition_inequality_check", "default_seed", "disc_eigenvalue", "disc_nodes",
+    "exponent_bounds", "integrate_disc", "inverse_brennan", "kpq_norm",
+    "make_bump_family", "pairwise_sum", "poincare_constant_disc", "pull_back",
+    "q_from_ps", "quoted_formula_report", "round_trip_check", "run_verify",
+    "sample_interior", "solve_dirichlet", "weak_residual",
 ]

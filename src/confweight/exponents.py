@@ -27,6 +27,7 @@ from .util import pairwise_sum
 DEFAULT_ALPHA0 = -1.752
 # relative change of the Rayleigh quotient at which disc_eigenvalue stops
 _EIGEN_TOL = 1e-10
+_EIGEN_MAX_ITERATIONS = 10_000  # disc_eigenvalue's safety bound on its iterations
 _BUMP_MIN_NODES = 32  # bump-route grid floor per direction; 8 x 8 read 3.1 K(3)
 
 
@@ -88,8 +89,7 @@ class ConstantEstimate:
     iterations: int
 
 
-def disc_eigenvalue(grid: PolarGrid, tol: float = _EIGEN_TOL,
-                    max_iterations: int = 10_000) -> tuple[float, int]:
+def disc_eigenvalue(grid: PolarGrid) -> tuple[float, int]:
     """Smallest Dirichlet eigenvalue of -Laplacian on the disc, discretized.
 
     Inverse power iteration: each step solves lap y = -x with the radial
@@ -98,20 +98,20 @@ def disc_eigenvalue(grid: PolarGrid, tol: float = _EIGEN_TOL,
     ring weighs n_theta cells, which for a power-of-two n_theta gives the
     same sums as the full grid.  The Rayleigh quotient of the inverse
     operator, mu = <y, x>/<x, x> (area weighted), converges to 1/lambda_1;
-    iteration stops when successive quotients agree to ``tol`` relative.
+    iteration stops when successive quotients agree to ``_EIGEN_TOL`` relative.
     """
     ring = grid.n_theta * grid.cell_areas[:, 0]
     x = np.ones(grid.n_r)
     mu_prev = math.inf
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _EIGEN_MAX_ITERATIONS + 1):
         y = solve_radial(-x)
         mu = pairwise_sum(y * x * ring) / pairwise_sum(x * x * ring)
-        if abs(mu - mu_prev) <= tol * abs(mu):
+        if abs(mu - mu_prev) <= _EIGEN_TOL * abs(mu):
             return 1.0 / mu, it
         mu_prev = mu
         x = y / math.sqrt(pairwise_sum(y * y * ring))
-    raise IterationDivergence(f"Rayleigh quotient did not settle to {tol} "
-                              f"in {max_iterations} iterations")
+    raise IterationDivergence(f"Rayleigh quotient did not settle to {_EIGEN_TOL} "
+                              f"in {_EIGEN_MAX_ITERATIONS} iterations")
 
 
 def poincare_constant_disc(r: float, grid: PolarGrid,

@@ -4,9 +4,9 @@ Test functions are closed-form bumps evaluated analytically (value and
 gradient), so composing them with a conformal map costs no interpolation
 error; the pulled-back checks below then run at pure quadrature accuracy.
 ``_bump_tables`` alone integrates a bump on a disc grid, on its support
-rows.  Sampled values on a uniform polar grid are plain arrays at
-``PolarGrid.nodes``, which ``lp_norm`` integrates; the solver's solutions
-are radial, and ``poisson`` keeps each as its ring column.
+rows: its L_r norms and Dirichlet energies are the package's norms.  The
+solver's solutions are radial, and ``poisson`` keeps each as its ring
+column.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidExponents, KpqDivergent
+from .errors import KpqDivergent
 from .maps import ConformalMap
 from .quadrature import DiscGridSpec, Verdict, kpq_norm, pull_back
 from .util import default_seed, pairwise_sum
@@ -122,24 +122,6 @@ def make_bump_family(count: int, rng: np.random.Generator | None = None) -> list
         bumps.append(TestBump(center=rho * np.exp(1j * ang), radius=radius,
                               amplitude=amp))
     return bumps
-
-
-def lp_norm(grid: PolarGrid, values, p: float) -> float:
-    """(integral of |f|^p)^(1/p) over the disc by the grid midpoint rule.
-
-    ``values`` are the finite samples of f at ``grid.nodes``.
-    """
-    if not (math.isfinite(p) and p >= 1.0):
-        raise InvalidExponents(f"p must satisfy p >= 1, got {p}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_r, grid.n_theta):
-        raise ValueError(f"values shape {values.shape} does not match grid "
-                         f"{(grid.n_r, grid.n_theta)}")
-    # min and max propagate NaN and +-inf without a full-size temporary
-    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
-        raise ValueError("field values must all be finite")
-    cells = np.abs(values) ** p * grid.cell_areas
-    return float(pairwise_sum(cells)) ** (1.0 / p)
 
 
 def _support_rows(b: TestBump, radii: np.ndarray) -> slice:

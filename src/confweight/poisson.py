@@ -19,10 +19,10 @@ at r = 1 to second order.  The pivots depend only on n_r: they are
 eliminated once and cached (O(n_r) bytes), so a solve is two Thomas sweeps
 over a length-n_r vector, and the solution is that vector, its ring column:
 off-node values interpolate it linearly in r, the weak residual differences
-it radially, convergence studies restrict it, and even the pushed-forward
-CSV export does not spread it along theta: it hands the writer the column
-and each row's ring index, so each ring's u is formatted once.  A lattice
-export hands over x and y the same way, as their distinct values.
+it radially, ``verify`` scores it ring by ring against the exact solutions,
+and even the pushed-forward CSV export does not spread it along theta: it
+hands the writer the column and each row's ring index, so each ring's u is
+formatted once.  A lattice export hands x and y over as their distinct values.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .util import IndexedColumn, fmt_g, pairwise_sum, write_csv
 class RhsSpec:
     """Closed-form right-hand side f: ``evaluate`` on the domain, ``on_disc`` pulled back.
 
-    ``const`` is f = value everywhere; ``quartic`` is the manufactured case
+    ``const`` is f = value everywhere; ``quartic`` (no value) is the manufactured case
     f(z) = 16|phi(z)|^2 - 8, whose transferred solution is (1 - |w|^2)^2.
     Both are radial on the disc: f o psi is c, and 16|w|^2 - 8 because
     phi o psi is the identity (with an automorphism composed in too).
@@ -57,6 +57,8 @@ class RhsSpec:
         object.__setattr__(self, "value", float(self.value))
         if not math.isfinite(self.value):
             raise ValueError("rhs constant must be finite")
+        if self.kind == "quartic" and self.value:
+            raise ValueError("the quartic rhs takes no constant")
 
     @property
     def label(self) -> str:
@@ -254,46 +256,3 @@ def weak_residual(grid: PolarGrid, column: np.ndarray, rhs: RhsSpec,
         res.append(abs(pair + load))
     return tuple(res)
 
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n_r: int
-    n_theta: int
-    max_error: float
-    order: float | None  # observed rate vs the previous row
-
-
-def _restrict_once(column: np.ndarray) -> np.ndarray:
-    # coarse node (i+1/2)H sits midway between fine radial nodes 2i and 2i+1
-    return 0.5 * (column[0::2] + column[1::2])
-
-
-def convergence_study(rhs: RhsSpec, levels: int = 4) -> list[ConvergenceRow]:
-    """Solve on a ladder of doubled grids from 32x32 and report max errors and orders.
-
-    Each level's ring column is scored: constant right-hand sides against
-    the exact transferred solution v = c(|w|^2 - 1)/4, anything else against
-    the finest column restricted (second-order radial averaging) to each
-    coarser grid.
-    """
-    if levels < 3:
-        raise ValueError("need at least 3 levels")
-    grids = [PolarGrid(32 << k, 32 << k) for k in range(levels)]
-    columns = [solve_dirichlet(rhs, g) for g in grids]
-
-    if rhs.kind == "const":
-        c = rhs.value
-        refs = [0.25 * c * (g.r ** 2 - 1.0) for g in grids]
-    else:
-        refs = [columns[-1]]
-        while len(refs) < levels:
-            refs.insert(0, _restrict_once(refs[0]))
-        refs.pop()  # the finest level is the reference, so it is not scored
-    errors = [float(np.max(np.abs(v - ref))) for v, ref in zip(columns, refs)]
-
-    rows: list[ConvergenceRow] = []
-    for k, (g, e) in enumerate(zip(grids, errors)):
-        prev = errors[k - 1] if k else 0.0
-        order = math.log2(prev / e) if prev and e else None
-        rows.append(ConvergenceRow(n_r=g.n_r, n_theta=g.n_theta, max_error=e, order=order))
-    return rows

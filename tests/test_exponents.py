@@ -8,8 +8,9 @@ from confweight import (ConformalMap, ConstantEstimate, DomainFamily,
                         EstimateMethod, EstimateNotUsable, ExponentOutOfRange,
                         GridTooCoarse,
                         IterationDivergence, PolarGrid, TestBump, disc_eigenvalue,
-                        exponent_bounds, lp_norm, make_bump_family,
+                        exponent_bounds, make_bump_family, pairwise_sum,
                         poincare_constant_disc, q_from_ps)
+from confweight import exponents
 
 J01 = 2.404825557695773
 
@@ -113,12 +114,15 @@ def test_poincare_constant_bump_route(rng):
 
 
 def _whole_grid_bound(r, grid, bumps):
-    # reference: lp_norm of each bump on every node of the grid
+    # reference: the L_p norms of each bump summed on every node of the grid
+    def norm(v, p):
+        return pairwise_sum(np.abs(v) ** p * grid.cell_areas) ** (1.0 / p)
+
     best = 0.0
     for b in bumps:
-        denom = lp_norm(grid, np.abs(b.gradient(grid.nodes)), 2.0)
+        denom = norm(b.gradient(grid.nodes), 2.0)
         if denom != 0.0:
-            best = max(best, lp_norm(grid, b.value(grid.nodes), r) / denom)
+            best = max(best, norm(b.value(grid.nodes), r) / denom)
     return best
 
 
@@ -201,9 +205,11 @@ def test_poincare_constant_domain():
         poincare_constant_disc(0.5, PolarGrid(32, 32))
 
 
-def test_eigen_iteration_budget_enforced():
-    with pytest.raises(IterationDivergence):
-        disc_eigenvalue(PolarGrid(64, 64), tol=1e-30, max_iterations=3)
+def test_eigen_iteration_budget_enforced(monkeypatch):
+    monkeypatch.setattr(exponents, "_EIGEN_TOL", 1e-30)
+    monkeypatch.setattr(exponents, "_EIGEN_MAX_ITERATIONS", 3)
+    with pytest.raises(IterationDivergence, match="in 3 iterations"):
+        disc_eigenvalue(PolarGrid(64, 64))
 
 
 def test_weighted_constant_check_families(bumps, family_checks):

@@ -6,8 +6,8 @@ import pytest
 
 from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
                         InvalidExponents, KpqDivergent, PolarGrid, TestBump,
-                        composition_inequality_check, lp_norm,
-                        make_bump_family)
+                        composition_inequality_check, make_bump_family)
+from confweight.fields import _bump_tables
 
 
 def test_polar_grid_node_layout():
@@ -74,41 +74,30 @@ def test_make_bump_family_deterministic():
         assert abs(bump.center) + bump.radius <= 0.9 + 1e-12
 
 
-def test_lp_norm_examples():
-    g = PolarGrid(128, 128)
-    ones = np.ones((128, 128))
-    assert lp_norm(g, ones, 2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert lp_norm(g, g.nodes.real, 2.0) == pytest.approx(math.sqrt(math.pi / 4.0),
-                                                          rel=1e-4)
+def test_bump_table_sums_match_a_radial_integral():
+    # b centred at 0 is radial: with s = |w|^2/rho^2 its p-th power integrates
+    # to pi rho^2 int_0^1 e^{p(1 - 1/(1-s))} ds, and its Dirichlet energy to
+    # 4 pi int_0^1 s e^{2(1 - 1/(1-s))} / (1-s)^4 ds (Gauss-Legendre, 200 points)
+    g, rho = PolarGrid(128, 128), 0.5
+    s, wts = np.polynomial.legendre.leggauss(200)
+    s, wts = (s + 1.0) / 2.0, wts / 2.0
+    energy = 4.0 * math.pi * np.sum(wts * s * np.exp(2.0 * (1.0 - 1.0 / (1.0 - s)))
+                                    / (1.0 - s) ** 4)
+    for p in (1.0, 2.0, 3.0):
+        (t,) = _bump_tables([TestBump(0j, rho)], g.nodes, g.cell_areas, p)
+        norm = (math.pi * rho**2 * np.sum(wts * np.exp(p * (1.0 - 1.0 / (1.0 - s))))) ** (1 / p)
+        assert t.norm == pytest.approx(norm, rel=1e-4)
+        assert t.energy == pytest.approx(energy, rel=1e-7)
 
 
-def test_lp_norm_rejects_bad_exponent():
-    g = PolarGrid(16, 16)
-    with pytest.raises(InvalidExponents):
-        lp_norm(g, np.ones((16, 16)), 0.5)
-
-
-def test_lp_norm_rejects_bad_values():
-    g = PolarGrid(4, 4)
-    for shape in ((4, 5), (5, 4), (4,), (16,), (4, 4, 1)):
-        with pytest.raises(ValueError, match="does not match grid"):
-            lp_norm(g, np.zeros(shape), 2.0)
-    vals = np.zeros((4, 4))
-    vals[1, 2] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        lp_norm(g, vals, 2.0)
-    for bad in (np.nan, np.inf, -np.inf):
-        column = np.array([0.0, 1.0, bad, -2.0])
-        with pytest.raises(ValueError, match="finite"):
-            lp_norm(g, np.broadcast_to(column[:, None], (4, 4)), 1.0)
-
-
-def test_lp_norm_homogeneity():
+def test_bump_table_norms_are_homogeneous():
     g = PolarGrid(64, 64)
     b = TestBump(center=0.1 - 0.2j, radius=0.35)
-    f = b.value(g.nodes)
+    pair = [b, TestBump(b.center, b.radius, -4.2 * b.amplitude)]
     for p in (1.0, 2.0, 3.0):
-        assert lp_norm(g, -4.2 * f, p) == pytest.approx(4.2 * lp_norm(g, f, p), rel=1e-13)
+        base, scaled = _bump_tables(pair, g.nodes, g.cell_areas, p)
+        assert scaled.norm == pytest.approx(4.2 * base.norm, rel=1e-13)
+        assert scaled.energy == pytest.approx(4.2 ** 2 * base.energy, rel=1e-13)
 
 
 def test_isometry_check_families(bumps, family_checks):

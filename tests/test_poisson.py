@@ -11,7 +11,7 @@ from confweight import (ConformalMap, DiscSolution, DomainFamily, GridTooCoarse,
                         MoebiusAutomorphism, PointOutsideDomain, PolarGrid,
                         RhsNotFinite, RhsSpec, SingularTridiagonal,
                         SolutionNotFinite, boundary_samples, compose_with_automorphism,
-                        convergence_study, disc_eigenvalue, pairwise_sum,
+                        disc_eigenvalue, pairwise_sum,
                         solve_dirichlet, weak_residual)
 from confweight.poisson import _eliminate, _radial_factor, solve_radial
 from confweight.util import CSV_BLOCK_ROWS, write_csv
@@ -40,6 +40,12 @@ def test_rhs_spec_parse_and_label():
         RhsSpec.parse("cubic")
     with pytest.raises(ValueError):
         RhsSpec("const", math.inf)
+
+
+def test_quartic_rhs_takes_no_constant():
+    with pytest.raises(ValueError, match="no constant"):
+        RhsSpec("quartic", 7.0)
+    assert RhsSpec("quartic", 0) == _QUARTIC
 
 
 def test_rhs_spec_stores_its_constant_as_a_float():
@@ -97,9 +103,13 @@ def test_exact_constant_solution_converges():
 
 
 def test_quartic_manufactured_solution():
-    grid = PolarGrid(128, 128)
-    exact = (1.0 - grid.r ** 2) ** 2
-    assert float(np.max(np.abs(solve_dirichlet(_QUARTIC, grid) - exact))) < 1e-4
+    errs = []
+    for n in (32, 64, 128, 256):
+        grid = PolarGrid(n, n)
+        exact = (1.0 - grid.r ** 2) ** 2
+        errs.append(float(np.max(np.abs(solve_dirichlet(_QUARTIC, grid) - exact))))
+    assert errs[2] < 1e-4
+    assert min(math.log2(a / b) for a, b in zip(errs, errs[1:])) >= 1.9
 
 
 def test_solution_evaluation():
@@ -190,26 +200,6 @@ def test_weak_residual_needs_bumps():
     grid = PolarGrid(64, 64)
     with pytest.raises(ValueError):
         weak_residual(grid, solve_dirichlet(_CONST, grid), _CONST, [])
-
-
-def test_convergence_study_const():
-    rows = convergence_study(_CONST, levels=3)
-    assert [(r.n_r, r.n_theta) for r in rows] == [(32, 32), (64, 64), (128, 128)]
-    assert rows[0].order is None
-    for row in rows[1:]:
-        assert row.order is not None and row.order >= 1.9
-
-
-def test_convergence_study_quartic():
-    rows = convergence_study(_QUARTIC, levels=4)
-    assert len(rows) == 3  # scored against the finest level
-    orders = [r.order for r in rows if r.order is not None]
-    assert orders and min(orders) >= 1.9
-
-
-def test_convergence_study_needs_three_levels():
-    with pytest.raises(ValueError):
-        convergence_study(_CONST, levels=2)
 
 
 def test_solver_determinism_and_linearity():

@@ -103,9 +103,26 @@ def test_poisson_checks_solve_each_disc_grid_once(monkeypatch):
         np.random.default_rng(DEFAULT_SEED))
     # 3 grids + 4 convergence levels + 2 re-solves + negation + weight spy
     assert counts == {"solve_dirichlet": 11, "weak_residual": 3}
-    # digest taken when every family solved and tested its own three grids
+    # digest re-taken when the quartic orders were scored against the exact
+    # solution instead of the finest solve (listed in CHANGES.md)
     digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
-    assert digest == "27ea7f98bea0d9c7016393d01cf62a3515f3851ce338a75d599435014132f8a7"
+    assert digest == "51a8b67d0e0c68ab35a339b618d8b492ac2c1a9f472cb6af2b9c74c02a89a7ac"
+
+
+def test_manufactured_orders_catch_a_wrong_quartic_rhs(monkeypatch):
+    # a solver that converges to the wrong answer must fail the check, which
+    # self-convergence against the finest solve cannot see
+    right = poisson.RhsSpec.on_disc
+
+    def off(self, r):
+        return right(self, r) * (1.0 + 1e-3 if self.kind == "quartic" else 1.0)
+
+    monkeypatch.setattr(poisson.RhsSpec, "on_disc", off)
+    checks = []
+    verify._check_poisson(lambda name, passed, **detail: checks.append((name, passed)),
+                          np.random.default_rng(DEFAULT_SEED))
+    assert [name for name, passed in checks if not passed] == [
+        "poisson.manufactured_orders.strip"]
 
 
 def test_weight_checks_and_quoted_report_keep_their_bits():
