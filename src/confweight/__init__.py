@@ -19,7 +19,7 @@ from .maps import (ConformalMap, Direction, DomainFamily, MoebiusAutomorphism,
                    compose_with_automorphism, round_trip_check, sample_interior)
 from .poisson import DiscSolution, RhsSpec, solve_dirichlet, weak_residual
 from .quadrature import (CHECK_SPEC, DiscGridSpec, QuadResult, Verdict,
-                         brennan_direct, classify, disc_nodes, integrate_disc,
+                         brennan_direct, brennan_scan, classify, disc_nodes, integrate_disc,
                          inverse_brennan, kpq_norm, pull_back)
 from .util import DEFAULT_SEED, default_seed, pairwise_sum
 from .verify import J0_FIRST_ZERO, quoted_formula_report, run_verify
@@ -35,7 +35,7 @@ __all__ = [
     "J0_FIRST_ZERO", "KpqDivergent", "MoebiusAutomorphism", "PointOutsideDomain",
     "PolarGrid", "QuadResult", "RhsNotFinite", "RhsSpec", "SingularTridiagonal",
     "SolutionNotFinite", "TestBump", "Verdict", "boundary_image_check",
-    "boundary_samples", "brennan_direct", "classify", "compose_with_automorphism",
+    "boundary_samples", "brennan_direct", "brennan_scan", "classify", "compose_with_automorphism",
     "composition_inequality_check", "default_seed", "disc_eigenvalue", "disc_nodes",
     "exponent_bounds", "integrate_disc", "inverse_brennan", "kpq_norm",
     "make_bump_family", "pairwise_sum", "poincare_constant_disc", "pull_back",

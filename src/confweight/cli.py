@@ -206,9 +206,10 @@ def _cmd_ladder(args) -> int:
     mapping = ConformalMap.to_disc(DomainFamily(args.domain))
     if args.command == "kpq":
         res = kpq_norm(mapping, args.p, args.q, tol=args.tol, max_levels=args.levels)
+    elif args.command == "brennan":
+        res = brennan_direct(mapping, args.exponent, tol=args.tol, max_levels=args.levels)
     else:
-        study = brennan_direct if args.command == "brennan" else inverse_brennan
-        res = study(mapping, args.exponent, tol=args.tol, max_levels=args.levels)
+        res = inverse_brennan(mapping, args.exponent, tol=args.tol, max_levels=args.levels)
     _scalar_output(args, _config_echo(args), _quad_payload(res))
     return 0 if res.verdict is Verdict.CONVERGED else 1
 

@@ -216,6 +216,14 @@ def _far_form(near, far):
     return to_disc
 
 
+def _overflow_to_inf(f):
+    """f with no warning where its value leaves the floats (the exterior's puncture)."""
+    def quiet(*args):
+        with np.errstate(divide="ignore", over="ignore"):
+            return f(*args)
+    return quiet
+
+
 def _strip_weight(x, y):
     # |sec z|^4 with |cos z|^2 = (2e cos 2x + 1 + e^2)/(4e), e = e^{-2|y|}
     e = np.exp(-2.0 * np.abs(y))
@@ -250,9 +258,10 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         contains=lambda z: np.abs(z) > 1.0,
         on_cut=None,
         to_disc=_far_form(lambda z: 1.0 / z, lambda z: _SCALE / (_SCALE * z)),
-        from_disc=lambda w: 1.0 / w,
+        # 1/w to the bit (2^1000 w is exact), but inf, never NaN, beyond the floats
+        from_disc=_overflow_to_inf(lambda w: 2.0**1000 / (2.0**1000 * w)),
         weight=lambda x, y: 1.0 / (x * x + y * y) ** 2,
-        jacobian=lambda x, y: 1.0 / (x * x + y * y) ** 2,
+        jacobian=_overflow_to_inf(lambda x, y: 1.0 / (x * x + y * y) ** 2),
         # 1/z maps the exterior onto the punctured disc; w = 0 has no preimage
         punctured=True,
         boundary=_exterior_boundary,

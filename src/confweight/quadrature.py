@@ -25,6 +25,10 @@ same halving tree as summing the whole level, and every level value is
 bit-identical to a whole-grid evaluation.  A ladder may not reach a level
 above the 2^24-node budget (4096 x 4096 cells).
 
+The ladders of several exponents share their levels (``brennan_scan``): J is
+evaluated once per block for every exponent still running, and each keeps its
+own ladder's level values, verdict and stop level, bit for bit.
+
 ``pull_back`` gives the matched-node checks h(psi(w)) and J(w, psi), both
 real Jacobians (``ConformalMap.jacobian``); their product is one.
 """
@@ -110,19 +114,6 @@ def disc_nodes(spec: DiscGridSpec, rows: int | None = None
     return next(blocks(spec.n_r)) if rows is None else blocks(rows)
 
 
-def _single_level(f: Callable, spec: DiscGridSpec) -> float:
-    sums = []
-    for block, areas in disc_nodes(spec, max(1, _BLOCK_NODES // spec.n_theta)):
-        vals = np.asarray(f(block), dtype=float)
-        if vals.shape != block.shape:
-            vals = np.broadcast_to(vals, block.shape)
-        if not np.all(np.isfinite(vals)):
-            bad = block[~np.isfinite(vals)].ravel()[0]
-            raise IntegrandNotFinite(f"integrand is not finite at interior node {bad}")
-        sums.append(pairwise_sum(vals * areas))
-    return sums[0] if len(sums) == 1 else pairwise_sum(np.array(sums))
-
-
 def classify(level_values: list[float] | tuple[float, ...], tol: float) -> Verdict:
     """Apply the verdict rules to a sequence of per-level values."""
     v = list(level_values)
@@ -171,24 +162,40 @@ def integrate_disc(f: Callable, spec: DiscGridSpec | None = None, tol: float = 1
         If level ``max_levels - 1`` holds more than 2^24 nodes; raised before
         any level is evaluated.
     """
-    if spec is None:
-        spec = DiscGridSpec()
+    return _ladders(lambda w, live: (f(w),), 1, spec, tol, max_levels)[0]
+
+
+def _ladders(f: Callable, count: int, spec: DiscGridSpec | None, tol: float,
+             max_levels: int) -> list[QuadResult]:
+    """``count`` ladders on shared levels; ``f(block, live)`` gives an array per running one."""
+    spec = DiscGridSpec() if spec is None else spec
     if max_levels < 1:
         raise ValueError("max_levels must be at least 1")
-    fit = 0  # levels whose grids stay within the node budget
-    while fit < max_levels and (spec.n_r * spec.n_theta << 2 * fit) <= NODE_BUDGET:
-        fit += 1
+    fit = sum((spec.n_r * spec.n_theta << 2 * k) <= NODE_BUDGET for k in range(max_levels))
     if fit < max_levels:
-        raise GridTooLarge(
-            f"max_levels={max_levels} from a {spec.n_r}x{spec.n_theta} grid exceeds the node "
-            f"budget of {NODE_BUDGET} (4096x4096) per level; the largest allowed max_levels "
-            f"is {fit}")
-    values: list[float] = []
+        raise GridTooLarge(f"max_levels={max_levels} from a {spec.n_r}x{spec.n_theta} grid "
+                           f"exceeds the node budget of {NODE_BUDGET} (4096x4096) per level; "
+                           f"the largest allowed max_levels is {fit}")
+    runs, live = [[] for _ in range(count)], list(range(count))
     for k in range(max_levels):
-        values.append(_single_level(f, spec.level(k)))
-        if len(values) >= 2 and classify(values, tol) is Verdict.CONVERGED:
+        level, sums = spec.level(k), [[] for _ in live]
+        for block, areas in disc_nodes(level, max(1, _BLOCK_NODES // level.n_theta)):
+            for acc, vals in zip(sums, f(block, live)):
+                vals = np.broadcast_to(np.asarray(vals, dtype=float), block.shape)
+                if not np.all(np.isfinite(vals)):
+                    bad = block[~np.isfinite(vals)].ravel()[0]
+                    raise IntegrandNotFinite(f"integrand is not finite at interior node {bad}")
+                acc.append(pairwise_sum(vals * areas))
+        for i, acc in zip(live, sums):
+            runs[i].append(acc[0] if len(acc) == 1 else pairwise_sum(np.array(acc)))
+        live = [i for i in live if classify(runs[i], tol) is not Verdict.CONVERGED]
+        if not live:
             break
-    verdict = classify(values, tol) if len(values) >= 2 else Verdict.INCONCLUSIVE
+    return [_result(v, classify(v, tol)) for v in runs]
+
+
+def _result(values, verdict: Verdict) -> QuadResult:
+    """A ladder's result: its last level value, and its last increment as the error."""
     err = abs(values[-1] - values[-2]) if len(values) >= 2 else 0.0
     return QuadResult(value=values[-1], error_estimate=err, levels_used=len(values),
                       verdict=verdict, level_values=tuple(values))
@@ -232,13 +239,16 @@ def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = 
     |psi'(w)|^(2-s), which is evaluated directly; s = 2 reproduces the disc
     area pi exactly at every level.
     """
-    if not math.isfinite(s):
-        raise InvalidExponents("s must be finite")
-    return inverse_brennan(mapping, 2.0 - float(s), spec, tol, max_levels)
+    return _jacobian_ladders(mapping, [2.0 - float(s)], "s", spec, tol, max_levels)[0]
 
 
-def inverse_brennan(mapping: ConformalMap, alpha: float, spec: DiscGridSpec | None = None,
-                    tol: float = 1e-6, max_levels: int = 8) -> QuadResult:
+def brennan_scan(mapping: ConformalMap, ss, tol: float = 1e-6) -> list[QuadResult]:
+    """``brennan_direct`` at each s of ``ss``, bit for bit, on shared levels."""
+    return _jacobian_ladders(mapping, [2.0 - float(s) for s in ss], "s", None, tol, 8)
+
+
+def inverse_brennan(mapping: ConformalMap, alpha: float, tol: float = 1e-6,
+                    max_levels: int = 8) -> QuadResult:
     """Integral of |psi'|^alpha over the unit disc, psi the map from the disc.
 
     The integrand is J(w, psi)^(alpha/2), with J = |psi'|^2 the map's real
@@ -246,17 +256,24 @@ def inverse_brennan(mapping: ConformalMap, alpha: float, spec: DiscGridSpec | No
     A power that overflows is not warned about; the node it overflows at
     raises IntegrandNotFinite.
     """
-    if not math.isfinite(alpha):
-        raise InvalidExponents("alpha must be finite")
+    return _jacobian_ladders(mapping, [float(alpha)], "alpha", None, tol, max_levels)[0]
+
+
+def _jacobian_ladders(mapping: ConformalMap, alphas: list[float], name: str,
+                      spec: DiscGridSpec | None, tol: float, max_levels: int) -> list[QuadResult]:
+    """The ladders of J(w, psi)^(alpha/2), one per alpha (``name`` in errors)."""
+    if not alphas or not all(map(math.isfinite, alphas)):
+        raise InvalidExponents(f"{name} must be finite" if alphas else f"no {name} to scan")
     inv = mapping.invert() if mapping.direction is Direction.TO_DISC else mapping
-    e = 0.5 * float(alpha)
 
-    def integrand(w):
-        jac = inv.jacobian(w)  # a fresh array, so the power may overwrite it
+    def powers(w, live):
+        jac = inv.jacobian(w)  # a fresh array: the last running power may overwrite it
         with np.errstate(over="ignore"):
-            return np.power(jac, e, out=jac)
+            return [np.power(jac, alphas[i] / 2, out=jac if i == live[-1] else None) for i in live]
 
-    return integrate_disc(integrand, spec, tol, max_levels)
+    if len(alphas) == 1:  # a lone ladder runs as integrate_disc, so traces count it as one
+        return [integrate_disc(lambda w: powers(w, [0])[0], spec, tol, max_levels)]
+    return _ladders(powers, len(alphas), spec, tol, max_levels)
 
 
 def kpq_norm(mapping: ConformalMap, p: float, q: float,
@@ -273,7 +290,4 @@ def kpq_norm(mapping: ConformalMap, p: float, q: float,
     s = (p - 2.0) * q / (p - q)
     res = brennan_direct(mapping, s, tol=tol, max_levels=max_levels)
     ex = (p - q) / (p * q)
-    levels = tuple(v**ex for v in res.level_values)
-    err = abs(levels[-1] - levels[-2]) if len(levels) >= 2 else 0.0
-    return QuadResult(value=levels[-1], error_estimate=err, levels_used=res.levels_used,
-                      verdict=res.verdict, level_values=levels)
+    return _result([v**ex for v in res.level_values], res.verdict)

@@ -33,7 +33,8 @@ from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
                    compose_with_automorphism, round_trip_check, sample_interior)
 from .poisson import RhsSpec, solve_dirichlet, weak_residual
-from .quadrature import CHECK_SPEC, Verdict, brennan_direct, disc_nodes, integrate_disc
+from .quadrature import (CHECK_SPEC, Verdict, brennan_direct, brennan_scan, disc_nodes,
+                         integrate_disc)
 from .util import default_seed
 
 # first positive zero of the Bessel function J0; lambda_1(disc) = j01^2
@@ -175,11 +176,11 @@ def _check_quadrature(add):
             value=float(res.value), rel_error=float(rel), verdict=res.verdict.value)
 
     slit = ConformalMap.to_disc(DomainFamily.SLITPLANE)
-    ladder = {f"{s:g}": brennan_direct(slit, s, tol=0.1).verdict.value
-              for s in (1.5, 2.0, 2.5, 3.0, 3.5, 3.9)}
+    scan = (1.5, 2.0, 2.5, 3.0, 3.5, 3.9, 1.3, 4.1)  # six inside 4/3 < s < 4, two outside
+    got = [(f"{s:g}", r.verdict.value) for s, r in zip(scan, brennan_scan(slit, scan, tol=0.1))]
+    ladder, outside = dict(got[:6]), dict(got[6:])
     add("quadrature.koebe_interior_converges",
         all(v == Verdict.CONVERGED.value for v in ladder.values()), verdicts=ladder)
-    outside = {f"{s:g}": brennan_direct(slit, s, tol=0.1).verdict.value for s in (1.3, 4.1)}
     add("quadrature.koebe_outside_diverges",
         all(v == Verdict.DIVERGENT.value for v in outside.values()), verdicts=outside)
 

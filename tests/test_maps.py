@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,22 @@ def test_jacobian_rejects_the_exterior_puncture():
         psi.jacobian(0.0)
     with pytest.raises(PointOutsideDomain):
         psi.jacobian(np.array([0.5, 0.0]))
+
+
+def test_exterior_psi_is_inf_not_nan_beyond_the_floats():
+    # |1/w| and |w|^-4 leave the floats near the puncture; numpy's complex
+    # division gave inf + nan*i there, and 1/(x^2 + y^2)^2 divided by zero
+    psi = ConformalMap.from_disc(DomainFamily.EXTERIOR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert psi.eval(5e-324) == complex(np.inf, 0.0)
+        assert psi.eval(-1e-309j) == complex(0.0, np.inf)
+        assert psi.eval(1e-200) == 1e200
+        z = psi.eval(np.array([1e-309 * (1 + 1j), 0.5, 5e-324j]))
+        assert not np.any(np.isnan(z.real) | np.isnan(z.imag))
+        assert z[1] == 2.0 and np.isinf(z[0].real) and np.isinf(z[0].imag)
+        assert psi.jacobian(1e-200) == np.inf
+        assert list(psi.jacobian(np.array([5e-324, 1e-78, 0.5]))) == [np.inf, np.inf, 16.0]
 
 
 # the exterior family's psi = 1/u is singular at u = eta^{-1}(w) = 0, i.e. at w = eta(0)

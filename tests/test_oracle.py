@@ -1,4 +1,7 @@
 """Map Jacobians and weights against an independent 50-digit oracle."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,3 +154,55 @@ def test_weight_against_the_oracle_near_the_boundary_and_far_out(family, eta):
             continue
         worst = max(worst, float(abs(mp.mpf(got) - exact) / exact))
     assert worst <= 1e-14
+
+
+# psi of each family, as an mpmath function of w
+_PSI = {
+    DomainFamily.DISC: lambda w: w,
+    DomainFamily.EXTERIOR: lambda w: 1 / w,
+    DomainFamily.HALFPLANE: lambda w: 1j * (1 + w) / (1 - w),
+    DomainFamily.STRIP: mp.atan,
+    DomainFamily.CARDIOID: lambda w: (1 + w) ** 2 / 4,
+    DomainFamily.SLITPLANE: lambda w: w / (1 - w) ** 2,
+}
+_LARGEST = mp.mpf(np.finfo(float).max)
+
+
+def _rounds_to(got: float, exact, scale) -> bool:
+    """``got`` is ``exact`` to 4e-15 of ``scale``, or inf where ``exact`` leaves the floats."""
+    if math.isinf(got):
+        return abs(exact) >= _LARGEST * (1 - 4e-15) and (got > 0) == (exact > 0)
+    return abs(got - exact) <= 4e-15 * scale  # False for a NaN
+
+
+@pytest.mark.parametrize("family", list(DomainFamily), ids=lambda f: f.value)
+def test_from_disc_on_the_whole_disc_property(family):
+    # |w| from 2^-1074 to 1 - 2^-53, on the axes and off them, warnings as
+    # errors: psi(w) and J(w, psi) are the exact values rounded, and inf (never
+    # NaN) only where those leave the floats, as at the exterior's puncture
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    psi = ConformalMap.from_disc(family)
+    radius = (st.floats(2.0**-1074, 1.0 - 2.0**-53)
+              | st.floats(-1074.0, 0.0).map(lambda e: min(2.0**e, 1.0 - 2.0**-53))
+              | st.integers(1, 53).map(lambda k: 1.0 - 2.0**-k))
+    direction = (st.sampled_from([1.0, -1.0, 1j, -1j])
+                 | st.floats(-math.pi, math.pi).map(lambda t: complex(math.cos(t), math.sin(t))))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(radius, direction)
+    def check(r, u):
+        w = complex(r * u)
+        hypothesis.assume(psi.contains(w))  # w = 0 is the exterior's puncture
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, jac = psi.eval(w), psi.jacobian(w)
+        with mp.workprec(1200):  # atan(w) ~ w cancels to below 2^-1074
+            exact = _PSI[family](mp.mpc(w.real, w.imag))
+            size = abs(exact)
+            for got, part in ((z.real, exact.real), (z.imag, exact.imag)):
+                assert _rounds_to(got, part, size if size <= _LARGEST else abs(part)), (w, z)
+            exact_jac = abs(_PSI_PRIME[family](mp.mpc(w.real, w.imag))) ** 2
+            assert _rounds_to(jac, exact_jac, exact_jac), (w, jac)
+
+    check()

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from confweight import (ConformalMap, DiscGridSpec, DomainFamily, GridTooLarge,
-                        IntegrandNotFinite, InvalidExponents, MoebiusAutomorphism, Verdict,
-                        brennan_direct, classify, compose_with_automorphism, disc_nodes,
-                        integrate_disc, inverse_brennan, kpq_norm, pairwise_sum)
+from confweight import (ConformalMap, ConfweightError, DiscGridSpec, DomainFamily,
+                        GridTooLarge, IntegrandNotFinite, InvalidExponents, MoebiusAutomorphism,
+                        Verdict, brennan_direct, brennan_scan, classify,
+                        compose_with_automorphism, disc_nodes, integrate_disc, inverse_brennan,
+                        kpq_norm, pairwise_sum, quadrature)
 
 
 def test_grid_spec_validation():
@@ -262,3 +263,62 @@ def test_direction_agnostic():
     a = brennan_direct(to_disc, 3.0, tol=0.1)
     b = brennan_direct(to_disc.invert(), 3.0, tol=0.1)
     assert a.level_values == b.level_values
+
+
+def _outcome(ladder):
+    """Each result's level values, verdict, level count and error estimate, or the
+    type and message of the error the ladder raised."""
+    try:
+        res = ladder()
+    except ConfweightError as exc:
+        return type(exc), str(exc)
+    results = res if isinstance(res, list) else [res]
+    return [(r.level_values, r.verdict, r.levels_used, r.error_estimate) for r in results]
+
+
+_SCAN = (1.3, 1.5, 2.0, 3.0, 3.9, 4.1)
+
+
+@pytest.mark.parametrize("family", list(DomainFamily), ids=lambda f: f.value)
+def test_scan_is_each_solo_ladder_bit_for_bit(family):
+    # the exponents stop at different levels (the slit plane's at 2, 3 and 8)
+    phi = ConformalMap.to_disc(family)
+    stops = set()
+    for tol in (0.1, 1e-6) if family is DomainFamily.SLITPLANE else (0.1,):
+        scan = _outcome(lambda: brennan_scan(phi, _SCAN, tol=tol))
+        solo = [_outcome(lambda: brennan_direct(phi, s, tol=tol)) for s in _SCAN]
+        if isinstance(scan, tuple):  # an error: some exponent's own ladder raises it
+            assert scan in solo
+        else:
+            assert scan == [row for rows in solo for row in rows]
+            stops |= {levels_used for _, _, levels_used, _ in scan}
+    if family is DomainFamily.SLITPLANE:
+        assert stops == {2, 3, 8}
+
+
+def test_scan_raises_what_a_solo_ladder_raises():
+    card = ConformalMap.to_disc(DomainFamily.CARDIOID)
+    solo = _outcome(lambda: brennan_direct(card, 402.0))
+    assert solo[0] is IntegrandNotFinite
+    assert _outcome(lambda: brennan_scan(card, (3.0, 402.0))) == solo
+
+
+def test_scan_checks_the_node_budget_before_any_level(monkeypatch):
+    # the default ladder's last level holds 2^22 nodes
+    nodes = []
+    original_jacobian = ConformalMap.jacobian
+    monkeypatch.setattr(ConformalMap, "jacobian",
+                        lambda self, z: nodes.append(np.size(z)) or original_jacobian(self, z))
+    monkeypatch.setattr(quadrature, "NODE_BUDGET", 1 << 21)
+    slit = ConformalMap.to_disc(DomainFamily.SLITPLANE)
+    with pytest.raises(GridTooLarge, match="largest allowed max_levels is 7"):
+        brennan_scan(slit, (2.0, 3.0))
+    assert nodes == []
+
+
+@pytest.mark.parametrize("ss", [(), [], (2.0, math.nan), (math.inf,), (3.0, -math.inf)])
+def test_scan_rejects_no_or_non_finite_exponents(ss):
+    slit = ConformalMap.to_disc(DomainFamily.SLITPLANE)
+    with pytest.raises(InvalidExponents):
+        brennan_scan(slit, ss)
+

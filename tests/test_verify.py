@@ -195,3 +195,31 @@ def test_verify_peaks_below_the_parent_under_tracemalloc(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_koebe_ladders_share_one_jacobian_per_block(monkeypatch):
+    # the eight slit-plane ladders run as one scan, so J is evaluated once per
+    # block of each level the scan reaches: 16,818,176 nodes when each ladder
+    # evaluated its own J
+    nodes = [0]
+    original_jacobian = maps.ConformalMap.jacobian
+
+    def counted_jacobian(self, z):
+        nodes[0] += np.size(z)
+        return original_jacobian(self, z)
+
+    direct = []
+    original_direct = verify.brennan_direct
+
+    def counted_direct(mapping, s, *args, **kwargs):
+        direct.append((mapping.family.value, s))
+        return original_direct(mapping, s, *args, **kwargs)
+
+    monkeypatch.setattr(maps.ConformalMap, "jacobian", counted_jacobian)
+    monkeypatch.setattr(verify, "brennan_direct", counted_direct)
+    checks = []
+    verify._check_quadrature(lambda name, passed, **detail: checks.append((name, passed)))
+    assert nodes[0] == 5_602_560
+    # the deterministic-reduction check still runs the s = 3 ladder twice, alone
+    assert [s for family, s in direct if family == "slitplane"] == [2.0, 3.0, 3.0]
+    assert all(passed for _, passed in checks)
