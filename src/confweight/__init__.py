@@ -8,8 +8,7 @@ and the unit disc, and estimates the associated embedding constants.
 from .errors import (BranchCutViolation, ConfweightError, EstimateNotUsable,
                      ExponentOutOfRange, GridTooCoarse, GridTooLarge,
                      IntegrandNotFinite, InvalidExponents, IterationDivergence,
-                     KpqDivergent, PointOutsideDomain, RhsNotFinite,
-                     SingularTridiagonal, SolutionNotFinite)
+                     KpqDivergent, PointOutsideDomain, RhsNotFinite, SolutionNotFinite)
 from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod, ExponentBounds,
                         disc_eigenvalue, exponent_bounds, poincare_constant_disc, q_from_ps)
 from .fields import (CompositionRecord, PolarGrid, TestBump,
@@ -33,9 +32,9 @@ __all__ = [
     "ExponentBounds", "EstimateNotUsable", "ExponentOutOfRange", "GridTooCoarse",
     "GridTooLarge", "IntegrandNotFinite", "InvalidExponents", "IterationDivergence",
     "J0_FIRST_ZERO", "KpqDivergent", "MoebiusAutomorphism", "PointOutsideDomain",
-    "PolarGrid", "QuadResult", "RhsNotFinite", "RhsSpec", "SingularTridiagonal",
-    "SolutionNotFinite", "TestBump", "Verdict", "boundary_image_check",
-    "boundary_samples", "brennan_direct", "brennan_scan", "classify", "compose_with_automorphism",
+    "PolarGrid", "QuadResult", "RhsNotFinite", "RhsSpec", "SolutionNotFinite",
+    "TestBump", "Verdict", "boundary_image_check", "boundary_samples", "brennan_direct",
+    "brennan_scan", "classify", "compose_with_automorphism",
     "composition_inequality_check", "default_seed", "disc_eigenvalue", "disc_nodes",
     "exponent_bounds", "integrate_disc", "inverse_brennan", "kpq_norm",
     "make_bump_family", "pairwise_sum", "poincare_constant_disc", "pull_back",

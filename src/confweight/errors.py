@@ -51,7 +51,3 @@ class RhsNotFinite(ConfweightError):
 
 class SolutionNotFinite(ConfweightError):
     """A finite right-hand side overflowed to NaN or Inf in the radial solve."""
-
-
-class SingularTridiagonal(ConfweightError):
-    """A tridiagonal radial system lost diagonal dominance."""

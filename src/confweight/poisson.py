@@ -11,28 +11,26 @@ u = v o phi, holds a map.  Unbounded domains (exterior, half plane, strip)
 need no extra machinery for the same reason.
 
 Radial data has a radial solution, so the disc solve is one second-order
-tridiagonal system for  v'' + v'/r = f  on the cell-midpoint nodes
-r_i = (i+1/2)h.  At the innermost node the stencil closes across the origin
-(v at radius -r_0 is v(r_0, theta+pi) = v(r_0)); the outer Dirichlet
-condition enters through the ghost reflection v_n = -v_{n-1}, which vanishes
-at r = 1 to second order.  The pivots depend only on n_r: they are
-eliminated once and cached (O(n_r) bytes), so a solve is two Thomas sweeps
-over a length-n_r vector, and the solution is that vector, its ring column:
-off-node values interpolate it linearly in r, the weak residual differences
-it radially, ``verify`` scores it ring by ring against the exact solutions,
-and even the pushed-forward CSV export does not spread it along theta: it
-hands the writer the column and each row's ring index, so each ring's u is
-formatted once.  A lattice export hands x and y over as their distinct values.
+tridiagonal system for v'' + v'/r = f on the cell-midpoint nodes
+r_i = (i+1/2)h, closed across the origin (v at radius -r_0 is
+v(r_0, theta+pi) = v(r_0)) and at r = 1 by the ghost v_n = -v_{n-1}, which
+vanishes there to second order.  Each row balances the fluxes through two
+cell edges, so a solve is two cumulative sums: the fluxes from the origin
+outwards, then v from the boundary inwards.  The solution is that ring
+column: off-node values interpolate it linearly in r, the weak residual
+differences it radially, ``verify`` scores it ring by ring against the exact
+solutions, and the pushed-forward CSV export hands the writer the column and
+each row's ring index, so each ring's u is formatted once.  A lattice export
+hands x and y over as their distinct values.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, RhsNotFinite, SingularTridiagonal, SolutionNotFinite
+from .errors import GridTooCoarse, RhsNotFinite, SolutionNotFinite
 from .fields import PolarGrid, TestBump
 from .maps import ConformalMap, Direction
 from .util import IndexedColumn, fmt_g, pairwise_sum, write_csv
@@ -86,60 +84,17 @@ class RhsSpec:
         return 16.0 * r**2 - 8.0
 
 
-def _eliminate(lo: np.ndarray, diag: np.ndarray, hi: np.ndarray):
-    """Thomas elimination of the tridiagonal system (lo, diag, hi), each length n.
-
-    Returns the pivots ``den`` and the eliminated super-diagonal ``cp``.
-    """
-    n = diag.shape[0]
-    floor = 1e-14 * (np.abs(diag).max() + np.abs(lo).max() + np.abs(hi).max())
-    den = diag.copy()
-    cp = np.empty_like(diag)
-    for i in range(n):
-        if i:
-            den[i] -= lo[i] * cp[i - 1]
-        if abs(den[i]) <= floor:
-            raise SingularTridiagonal("zero pivot in radial solve (internal error)")
-        cp[i] = hi[i] / den[i]
-    return den, cp[:-1]
-
-
-@functools.lru_cache(maxsize=1)
-def _radial_factor(n_r: int):
-    """Read-only ``(lo, 1/den, cp)`` of the radial system on ``n_r`` rings."""
-    h = 1.0 / n_r
-    r = (np.arange(n_r) + 0.5) / n_r  # PolarGrid.r
-    lo = 1.0 / h**2 - 1.0 / (2.0 * h * r)
-    hi = 1.0 / h**2 + 1.0 / (2.0 * h * r)
-    diag = np.full(n_r, -2.0 / h**2)
-    # across-origin closure: v_{-1} = v_0.  At r_0 = h/2 the coupling lo[0] is
-    # identically zero, so the closure is automatic; the term is kept in the
-    # assembled form it takes on a general node layout.
-    diag[0] += lo[0]
-    # Dirichlet ghost v_n = -v_{n-1}
-    diag[-1] -= hi[-1]
-    den, cp = _eliminate(lo, diag, hi)
-    factor = (lo, 1.0 / den, cp)
-    for a in factor:
-        a.flags.writeable = False
-    return factor
-
-
 def solve_radial(f: np.ndarray) -> np.ndarray:
-    """Solve v'' + v'/r = f on the nodes r_i = (i+1/2)/n, v(1) = 0, n = len(f).
+    """Solve v'' + v'/r = f on the nodes r_i = (i+1/2)h, h = 1/n, v(1) = 0, n = len(f).
 
-    Two Thomas sweeps with the cached pivots of ``_radial_factor(n)``.  The
-    forward sweep multiplies by the stored reciprocal pivots rather than
-    dividing by the pivots, which keeps the pinned bits of every solve.
+    Row i times r_i h^2 is the flux balance F_{i+1} - F_i = h^2 r_i f_i, with
+    F_j = e_j(v_j - v_{j-1}) on the edges e_j = jh and e_0 = 0: F is a cumulative
+    sum, the ghost v_n = -v_{n-1} gives v_{n-1} = -F_n/2, and v_{j-1} = v_j - F_j/e_j.
     """
-    lo, inv_den, cp = _radial_factor(len(f))
-    v = np.array(f, dtype=float)
-    v[0] *= inv_den[0]
-    for i in range(1, len(v)):
-        v[i] = (v[i] - lo[i] * v[i - 1]) * inv_den[i]
-    for i in range(len(v) - 2, -1, -1):
-        v[i] -= cp[i] * v[i + 1]
-    return v
+    n, h = len(f), 1.0 / len(f)
+    flux = h * h * np.cumsum((np.arange(n) + 0.5) / n * f)
+    steps = np.append(-flux[:-1] / (np.arange(1, n) * h), -0.5 * flux[-1])
+    return np.cumsum(steps[::-1])[::-1]
 
 
 def _ring_column(column, grid: PolarGrid) -> np.ndarray:

@@ -13,7 +13,6 @@ import pytest
 import confweight
 from confweight import ConfweightError, ConformalMap, DomainFamily, integrate_disc
 from confweight.cli import build_parser, main
-from confweight.poisson import _radial_factor
 
 
 def run(capsys, *argv):
@@ -468,15 +467,16 @@ def test_failed_solve_csv_leaves_stdout_empty(capsys, window):
 
 @pytest.mark.parametrize("argv,digest", [
     (("--domain", "strip", "--f", "const:-4"),
-     "ce7973ebb43d1f90974cf06ae6a115686f7a6991bb1e1b65a0b8b19262eb3ac2"),
+     "344465753084e7fc1064e904e55eaa9f9ad7b14d1e5b991097966ac823a5b8d0"),
     (("--domain", "halfplane", "--f", "quartic", "--export", "lattice",
       "--window=-2,2,0.01,4", "--lattice-n", "9"),
-     "193e512db93936485196ae65beb7c573edfca727cb2e41b3024df1d5ba0438f2"),
+     "c80bdaec994a5fde36c4b38753206b425cd93415b9a490fa11085090a09fcb9c"),
 ])
 def test_solve_csv_bytes_are_pinned(capsys, argv, digest):
     # streaming must not move a byte: these digests were taken from the buffered writer,
     # the lattice one again when eval_disc became linear on the ring column (15 of its
-    # 81 u cells moved, by at most 1.1e-16: test_pinned_lattice_cells_move_by_rounding_only)
+    # 81 u cells moved, by at most 1.1e-16: test_pinned_lattice_cells_move_by_rounding_only),
+    # and both when the flux solve replaced the Thomas sweeps (listed in CHANGES.md)
     code, out, _ = run(capsys, "solve", *argv, "--nr", "16", "--ntheta", "16")
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
@@ -485,14 +485,15 @@ def test_solve_csv_bytes_are_pinned(capsys, argv, digest):
 @pytest.mark.parametrize("argv,rows,digest", [
     # 12288 rows: three whole blocks and a part, with rings of 96 rows split across blocks
     (("--domain", "strip", "--f", "const:-4", "--nr", "128", "--ntheta", "96"), 12288,
-     "776cfcff0c299fdf9330ce31b4663633eedca895a90661122595a0ca49813cad"),
+     "0009869e3a29065129123fa450314844d43568d279f1898b0d29b40faa4127bd"),
     (("--domain", "disc", "--f", "quartic", "--nr", "32", "--ntheta", "32", "--export",
       "lattice", "--window=-1,1,-1,1", "--lattice-n", "113"), 9841,
-     "f91ed1ab2ac40fc566ac2fe6a9a4b09f02409a1d6589a9040890de11a1bdc65b"),
+     "116d2a56978acc1bd54731e45acfa49ce780d20f78f1ddb75158dcbc450db2ed"),
 ])
 def test_solve_csv_bytes_are_pinned_across_row_blocks(capsys, argv, rows, digest):
-    # digests taken from the writer that formatted every cell; more than two blocks of
-    # rows, where each 16^2 table above fits in one
+    # digests taken from the writer that formatted every cell, and re-taken with the
+    # flux solve (listed in CHANGES.md); more than two blocks of rows, where each 16^2
+    # table above fits in one
     code, out, _ = run(capsys, "solve", *argv)
     assert code == 0
     assert out.split("x,y,u\n", 1)[1].count("\n") == rows
@@ -515,13 +516,14 @@ def test_solve_csv_bytes_are_pinned_across_row_blocks(capsys, argv, rows, digest
     (("exponents", "--p", "3", "--s", "3"), 0,
      "4270cf308643ca1e8b898614c1cb8db1afc35710fec389c2f3c7da5a0c8f2ec8"),
     (("constant", "--r", "2", "--nr", "64", "--ntheta", "64"), 0,
-     "14b10c686fe90ec200190cc0b1c41a6b4fb4371c2722c369251cac4ce7d4cdd3"),
+     "625dd5b2784cb47357afddf15900e3c29d9e81bab50446882eb03a528fc29b18"),
     (("constant", "--r", "3", "--nr", "64", "--ntheta", "64", "--bumps", "8"), 0,
      "0cfd470c15b6865d8f1f3c0c1802799f4e3eda20d8273a51816ac7d5d395eb72"),
 ])
 def test_verify_and_scalar_csv_bytes_are_pinned(capsys, argv, exit_code, digest):
     # digests taken when these tables had a per-cell writer of their own; one writer
-    # for every table must not move a byte
+    # for every table must not move a byte (the 64^2 constant one re-taken with the
+    # flux solve, listed in CHANGES.md)
     code, out, _ = run(capsys, *argv, "--output", "csv")
     assert code == exit_code
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
@@ -529,12 +531,13 @@ def test_verify_and_scalar_csv_bytes_are_pinned(capsys, argv, exit_code, digest)
 
 @pytest.mark.parametrize("argv,digest", [
     (("--domain", "cardioid", "--f", "quartic"),
-     "73bbbbafbf2ad9bebb887c9c15d85fad056ea338b46e38f3428101501693b4ca"),
+     "6252a57d6569ce3a9532180937f1e20d8dfa84927423d8db3f98a5a16b24419e"),
     (("--domain", "disc", "--f", "const:0"),  # every u is -0.0
      "0bb19df3d00efa1134b55c286549954f771065663a3d571a374de2407417e5ac"),
 ])
 def test_solve_json_bytes_are_pinned(capsys, argv, digest):
-    # digests taken when the extremes came from the whole (n_r, n_theta) field
+    # digests taken when the extremes came from the whole (n_r, n_theta) field; the
+    # cardioid one re-taken with the flux solve (listed in CHANGES.md)
     code, out, _ = run(capsys, "solve", *argv, "--nr", "16", "--ntheta", "16",
                        "--output", "json")
     assert code == 0
@@ -544,7 +547,6 @@ def test_solve_json_bytes_are_pinned(capsys, argv, digest):
 def test_solve_json_builds_no_grid():
     # the extremes of a radial solution are those of its column: 8 KiB at 1024^2,
     # where the broadcast field is 8 MiB
-    _radial_factor.cache_clear()
     tracemalloc.start()
     try:
         code = main(["solve", "--domain", "cardioid", "--f", "quartic", "--nr", "1024",
@@ -568,8 +570,7 @@ def test_solve_overflow_exits_1_without_a_warning(capsys, recwarn, output, rhs):
 
 
 def test_solve_csv_streams_rows_to_out(tmp_path):
-    # 65536 rows are 4 MB of text; only the columns and one row block stay in memory
-    _radial_factor.cache_clear()
+    # 65536 rows are about 4 MB of text; only the columns and one row block stay in memory
     tracemalloc.start()
     try:
         code = main(["solve", "--domain", "strip", "--f", "const:-4", "--nr", "256",
@@ -577,7 +578,8 @@ def test_solve_csv_streams_rows_to_out(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and (tmp_path / "u.csv").stat().st_size > 4_000_000
+    text = (tmp_path / "u.csv").read_text()
+    assert code == 0 and text[text.index("x,y,u\n"):].count("\n") == 1 + 256 * 256
     assert peak < 6.5 * 2**20
 
 

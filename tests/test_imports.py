@@ -212,3 +212,31 @@ def test_the_walk_sees_an_option_no_call_sets():
     src = "def g(x=1, b=2.0, s='a', *, c=-1e-6):\n    pass\n"
     assert _unset_options([src], [defaults]) == ["g.b", "g.c", "g.s", "g.x"]
     assert _unset_options([src], [defaults + "g(y, 2.5, s=None, c=-1e-7)\n"]) == []
+
+
+def _raised_names(sources: list[str]) -> set[str]:
+    """Names that a ``raise`` statement in ``sources`` raises, called or not."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return names
+
+
+def test_every_package_error_has_a_raise_site():
+    # an error class whose last raise went away lingers in __all__ otherwise
+    errors = [name for name, obj in vars(confweight.errors).items()
+              if isinstance(obj, type) and issubclass(obj, confweight.ConfweightError)
+              and obj is not confweight.ConfweightError]
+    sources = [p.read_text() for p in MODULES]
+    assert len(errors) >= 10
+    assert sorted(set(errors) - _raised_names(sources)) == []
+
+
+def test_the_walk_sees_an_error_no_code_raises():
+    src = ("class A(Exception):\n    pass\nclass B(A):\n    pass\nclass C(A):\n    pass\n"
+           "def f(x):\n    if x:\n        raise errors.B('b')\n    try:\n        pass\n"
+           "    except C:\n        raise\n    raise A\n")
+    assert _raised_names([src]) == {"A", "B"}

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -365,6 +367,62 @@ def test_exterior_psi_is_inf_not_nan_beyond_the_floats():
         assert z[1] == 2.0 and np.isinf(z[0].real) and np.isinf(z[0].imag)
         assert psi.jacobian(1e-200) == np.inf
         assert list(psi.jacobian(np.array([5e-324, 1e-78, 0.5]))) == [np.inf, np.inf, 16.0]
+
+
+@pytest.mark.parametrize("family, z", [("exterior", 0.1 + 2e154j),
+                                       ("halfplane", 0.1 + 2e154j),
+                                       ("slitplane", 1e300 + 1e300j)])
+def test_far_field_weight_underflows_to_zero_without_a_warning(family, z):
+    # a part of h's denominator overflows to inf, so h = 0, its correctly rounded value
+    phi = ConformalMap.to_disc(family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi.jacobian(z) == 0.0
+        assert list(phi.jacobian(np.array([z, 2j]))) == [0.0, phi.jacobian(2j)]
+
+
+# exact |w| = 0.99999999999999981..., which np.abs rounds to 1; and exact
+# |w|^2 = 1 + 5.1e-17, which np.abs rounds below 1
+_JUST_INSIDE = -0.002902420506091759 + 0.9999957879687321j
+_JUST_OUTSIDE = 0.8460001975820851 + 0.5331825819464407j
+_DISC_INPUTS = [ConformalMap.from_disc(f) for f in DomainFamily] + [
+    ConformalMap.to_disc(DomainFamily.DISC)]
+_DISC_INPUT_IDS = [f"from_disc-{f.value}" for f in DomainFamily] + ["to_disc-disc"]
+
+
+def _exact_square_modulus(w):
+    return Fraction(w.real) ** 2 + Fraction(w.imag) ** 2
+
+
+@pytest.mark.parametrize("mapping", _DISC_INPUTS, ids=_DISC_INPUT_IDS)
+def test_disc_membership_next_to_the_circle(mapping):
+    assert _exact_square_modulus(_JUST_INSIDE) < 1 <= _exact_square_modulus(_JUST_OUTSIDE)
+    assert mapping.contains(_JUST_INSIDE)
+    assert np.isfinite(mapping.eval(_JUST_INSIDE))
+    assert list(mapping.contains(np.array([_JUST_INSIDE, _JUST_OUTSIDE]))) == [True, False]
+    with pytest.raises(PointOutsideDomain):
+        mapping.eval(_JUST_OUTSIDE)
+
+
+def test_disc_membership_next_to_the_circle_property():
+    # never a point with exact x^2 + y^2 >= 1; always one with x^2 + y^2 <= 1 - 2^-51
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=1000, deadline=None, database=None)
+    @hypothesis.given(st.floats(-1.0, 1.0), st.integers(-8, 8), st.booleans(), st.booleans())
+    def check(x, ulps, lower, swap):
+        y = math.sqrt(1.0 - x * x)
+        y = (y + ulps * math.ulp(y)) * (-1.0 if lower else 1.0)
+        w = complex(y, x) if swap else complex(x, y)
+        exact = _exact_square_modulus(w)
+        for mapping in _DISC_INPUTS:
+            if exact >= 1:
+                assert not mapping.contains(w)
+            elif exact <= 1 - Fraction(1, 2**51):
+                assert mapping.contains(w)
+
+    check()
 
 
 # the exterior family's psi = 1/u is singular at u = eta^{-1}(w) = 0, i.e. at w = eta(0)
