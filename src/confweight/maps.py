@@ -237,6 +237,17 @@ def _in_unit_disc(z):
     return np.square(z.real) + np.square(z.imag) < 1.0
 
 
+@_quiet_overflow
+def _outside_unit_circle(z):
+    """x*x + y*y > 1 elementwise (a square that overflows is inf, so outside).
+
+    Unlike np.abs(z) > 1, it never accepts a point with exact x^2 + y^2 <= 1: with
+    x*x the larger square, the sum rounds above 1 only if the rounded squares gain
+    over 2^-53, and they gain at most 2^-54 + 2^-55.
+    """
+    return np.square(z.real) + np.square(z.imag) > 1.0
+
+
 def _strip_weight(x, y):
     # |sec z|^4 with |cos z|^2 = (2e cos 2x + 1 + e^2)/(4e), e = e^{-2|y|}
     e = np.exp(-2.0 * np.abs(y))
@@ -268,7 +279,7 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         boundary=_disc_boundary,
     ),
     DomainFamily.EXTERIOR: _FamilyOps(
-        contains=lambda z: np.abs(z) > 1.0,
+        contains=_outside_unit_circle,
         on_cut=None,
         to_disc=_far_form(lambda z: 1.0 / z, lambda z: _SCALE / (_SCALE * z)),
         # 1/w to the bit (2^1000 w is exact), but inf, never NaN, beyond the floats

@@ -425,6 +425,43 @@ def test_disc_membership_next_to_the_circle_property():
     check()
 
 
+# exact |z|^2 = 1 - 5.2e-17, which np.abs rounds above 1
+_EXTERIOR_JUST_INSIDE = -0.9422738091218872 + 0.33484334940824084j
+_EXTERIOR = ConformalMap.to_disc(DomainFamily.EXTERIOR)
+
+
+def test_exterior_membership_next_to_the_circle():
+    assert _exact_square_modulus(_EXTERIOR_JUST_INSIDE) < 1 < np.abs(_EXTERIOR_JUST_INSIDE)
+    assert not _EXTERIOR.contains(_EXTERIOR_JUST_INSIDE)
+    with pytest.raises(PointOutsideDomain):
+        _EXTERIOR.eval(_EXTERIOR_JUST_INSIDE)
+    # the far field's squares overflow to inf, which is still outside the circle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(_EXTERIOR.contains(np.array([_EXTERIOR_JUST_INSIDE, 2j, 1e300 + 1e300j,
+                                                 -1e200 + 0j]))) == [False, True, True, True]
+
+
+def test_exterior_membership_next_to_the_circle_property():
+    # never a point with exact x^2 + y^2 <= 1; always one with x^2 + y^2 >= 1 + 2^-51
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=1000, deadline=None, database=None)
+    @hypothesis.given(st.floats(-1.0, 1.0), st.integers(-8, 8), st.booleans(), st.booleans())
+    def check(x, ulps, lower, swap):
+        y = math.sqrt(1.0 - x * x)
+        y = (y + ulps * math.ulp(y)) * (-1.0 if lower else 1.0)
+        z = complex(y, x) if swap else complex(x, y)
+        exact = _exact_square_modulus(z)
+        if exact <= 1:
+            assert not _EXTERIOR.contains(z)
+        elif exact >= 1 + Fraction(1, 2**51):
+            assert _EXTERIOR.contains(z)
+
+    check()
+
+
 # the exterior family's psi = 1/u is singular at u = eta^{-1}(w) = 0, i.e. at w = eta(0)
 _ETA = MoebiusAutomorphism(0.3 - 0.4j, 0.7)
 _EXTERIOR_PSI = compose_with_automorphism(ConformalMap.to_disc(DomainFamily.EXTERIOR),

@@ -14,7 +14,7 @@ from confweight import (ConformalMap, DiscSolution, DomainFamily, GridTooCoarse,
                         disc_eigenvalue, pairwise_sum,
                         solve_dirichlet, weak_residual)
 from confweight.poisson import solve_radial
-from confweight.util import CSV_BLOCK_ROWS, write_csv
+from confweight.util import CSV_BLOCK_ROWS
 
 _ETA = MoebiusAutomorphism(0.3 - 0.2j, rotation=0.7)
 _CONST, _QUARTIC = RhsSpec("const", -4.0), RhsSpec("quartic")
@@ -538,10 +538,10 @@ def _csv(solution, lattice=None) -> str:
 
 
 def _plain_csv(z, u) -> str:
-    """The writer's text of plain float columns x, y, u: every cell formatted."""
-    buf = io.StringIO()
-    write_csv(buf, ("x", "y", "u"), (np.ravel(z).real, np.ravel(z).imag, u))
-    return buf.getvalue()
+    """The x,y,u table built cell by cell with format(v, ".17g"), without the writer."""
+    rows = zip(np.ravel(z).real.tolist(), np.ravel(z).imag.tolist(), np.ravel(u).tolist())
+    return "x,y,u\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                                for row in rows)
 
 
 def _lattice(window, n):

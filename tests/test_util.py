@@ -137,6 +137,45 @@ def test_write_csv_cells_match_the_reference_for_special_values():
     assert lines[9] == "inf,1.7976931348623157e+308,-inf"
 
 
+_POWERS = [float(f"1e{e}") for e in range(-5, 18)]
+_EDGES = [123456789012345.625, 99999999999999999.0, 1e-4, math.nextafter(1e-4, 0.0), 0.0,
+          5e-324, 1.7976931348623157e308, math.inf, math.nan] + [
+    math.nextafter(p, to) for p in _POWERS for to in (0.0, p, math.inf)]
+
+
+@pytest.mark.parametrize("x", _EDGES, ids=repr)
+def test_write_csv_float_cell_edges(x):
+    # the edges of the fixed-notation range, powers of ten and their neighbours, and
+    # the values "%.17g" writes in exponent form or as a word
+    column = np.array([x, -x])
+    buf = io.StringIO()
+    write_csv(buf, ("v",), (column,))
+    assert buf.getvalue() == _reference_table(("v",), (column,))
+
+
+def test_write_csv_float_cells_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=40))
+    def check(values):
+        column = np.array(values)
+        buf = io.StringIO()
+        write_csv(buf, ("v",), (column,))
+        assert buf.getvalue() == _reference_table(("v",), (column,))
+
+    check()
+
+
+def test_write_csv_float32_cells_take_the_text_of_their_float64_value():
+    column = np.array([0.1, 1.0 / 3.0, 1e-5, 3e38, -2.5, 0.0, np.inf], dtype=np.float32)
+    buf = io.StringIO()
+    write_csv(buf, ("v",), (column,))
+    assert buf.getvalue() == _reference_table(("v",), (column.astype(float),))
+    assert buf.getvalue().splitlines()[1] == "0.10000000149011612"
+
+
 @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
 def test_write_csv_row_counts_around_the_block(rows):
     rng = np.random.default_rng(rows)
