@@ -246,6 +246,9 @@ def _cmd_solve(args) -> int:
         if args.lattice_n < 1:
             raise ValueError(f"--lattice-n must be at least 1, got {args.lattice_n}")
         _check_budget("--lattice-n squared", args.lattice_n ** 2)
+        xmin, xmax, ymin, ymax = args.window
+        if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+            raise ValueError("--window must have a finite width and height")
     config = _config_echo(args)
     column = solve_dirichlet(args.rhs, grid)
     if args.output == "json":
@@ -255,7 +258,6 @@ def _cmd_solve(args) -> int:
         return 0
     lattice = None
     if args.export == "lattice":
-        xmin, xmax, ymin, ymax = args.window
         xs = np.linspace(xmin, xmax, args.lattice_n)
         ys = np.linspace(ymin, ymax, args.lattice_n)
         lattice = (xs[None, :] + 1j * ys[:, None]).ravel()

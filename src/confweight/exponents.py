@@ -68,10 +68,10 @@ def exponent_bounds(p: float, alpha0: float) -> ExponentBounds:
     p_min = (a + 2.0) / (a + 1.0)
     if not (math.isfinite(p) and p_min < p < 2.0):
         raise ExponentOutOfRange(f"p must lie in ({p_min!r}, 2) for alpha0={alpha0}, got {p}")
-    q_max = p * a / (2.0 + a - p)
-    r_max = (2.0 * p / (2.0 - p)) * (a / (2.0 + a))
-    # arithmetic consequences of the admissible range (equalities only at a=2)
-    assert q_max <= 2.0 * p / (4.0 - p) and r_max <= p / (2.0 - p)
+    # the a = 2 values bound both in exact arithmetic (equal only at a = 2); next
+    # to a = 2 rounding can put a formula an ulp above its bound, which min undoes
+    q_max = min(p * a / (2.0 + a - p), 2.0 * p / (4.0 - p))
+    r_max = min((2.0 * p / (2.0 - p)) * (a / (2.0 + a)), p / (2.0 - p))
     return ExponentBounds(p_min=p_min, q_max=q_max, r_max=r_max,
                           conjectural=(alpha0 == -2.0))
 

@@ -3,10 +3,10 @@
 Test functions are closed-form bumps evaluated analytically (value and
 gradient), so composing them with a conformal map costs no interpolation
 error; the pulled-back checks below then run at pure quadrature accuracy.
-``_bump_tables`` alone integrates a bump on a disc grid, on its support
-rows: its L_r norms and Dirichlet energies are the package's norms.  The
-solver's solutions are radial, and ``poisson`` keeps each as its ring
-column.
+A bump is summed on a disc grid only on its support rows, by ``_row_sum``:
+``_bump_tables`` gives the package's L_r norms and Dirichlet energies, and
+``poisson.weak_residual`` its weak-form pairings.  The solver's solutions
+are radial, and ``poisson`` keeps each as its ring column.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import KpqDivergent
-from .maps import ConformalMap
+from .maps import ConformalMap, Direction
 from .quadrature import DiscGridSpec, Verdict, kpq_norm, pull_back
 from .util import default_seed, pairwise_sum
 
@@ -237,6 +237,8 @@ def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
     """
     if not bumps:
         raise ValueError("need at least one bump")
+    if mapping.direction is not Direction.TO_DISC:  # pull_back's check, before the ladder
+        raise ValueError("mapping must send its domain to the disc")
     kres = kpq_norm(mapping, p, q)
     if kres.verdict is not Verdict.CONVERGED:
         raise KpqDivergent(f"K_({p},{q}) integral verdict {kres.verdict.value} "

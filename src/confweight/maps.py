@@ -226,26 +226,19 @@ def _quiet_overflow(f):
 
 
 @_quiet_overflow
-def _in_unit_disc(z):
-    """x*x + y*y < 1 elementwise (a square that overflows is inf, so outside).
+def _square_modulus(z):
+    """x*x + y*y elementwise, the one unit-circle test: ``< 1`` is the open disc and
+    ``> 1`` the exterior (a square that overflows is inf, so in the exterior).
 
-    Unlike np.abs(z) < 1, it never accepts a point with exact x^2 + y^2 >= 1: with
-    x*x the larger square, the sum rounds below 1 only if the rounded squares lose
-    2^-54 and a spacing of y*y, over half a spacing each.  It also keeps more of the
-    interior points next to the circle, some of which np.abs rounds to |z| = 1.
+    Unlike np.abs(z) < 1, ``< 1`` never accepts a point with exact x^2 + y^2 >= 1:
+    with x*x the larger square, the sum rounds below 1 only if the rounded squares
+    lose 2^-54 and a spacing of y*y, over half a spacing each.  It also keeps more
+    of the interior points next to the circle, some of which np.abs rounds to
+    |z| = 1.  Unlike np.abs(z) > 1, ``> 1`` never accepts a point with exact
+    x^2 + y^2 <= 1: the sum rounds above 1 only if the rounded squares gain over
+    2^-53, and they gain at most 2^-54 + 2^-55.
     """
-    return np.square(z.real) + np.square(z.imag) < 1.0
-
-
-@_quiet_overflow
-def _outside_unit_circle(z):
-    """x*x + y*y > 1 elementwise (a square that overflows is inf, so outside).
-
-    Unlike np.abs(z) > 1, it never accepts a point with exact x^2 + y^2 <= 1: with
-    x*x the larger square, the sum rounds above 1 only if the rounded squares gain
-    over 2^-53, and they gain at most 2^-54 + 2^-55.
-    """
-    return np.square(z.real) + np.square(z.imag) > 1.0
+    return np.square(z.real) + np.square(z.imag)
 
 
 def _strip_weight(x, y):
@@ -270,7 +263,7 @@ def _slit_jacobian(x, y):
 
 _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
     DomainFamily.DISC: _FamilyOps(
-        contains=_in_unit_disc,
+        contains=lambda z: _square_modulus(z) < 1.0,
         on_cut=None,
         to_disc=lambda z: z,
         from_disc=lambda w: w,
@@ -279,7 +272,7 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
         boundary=_disc_boundary,
     ),
     DomainFamily.EXTERIOR: _FamilyOps(
-        contains=_outside_unit_circle,
+        contains=lambda z: _square_modulus(z) > 1.0,
         on_cut=None,
         to_disc=_far_form(lambda z: 1.0 / z, lambda z: _SCALE / (_SCALE * z)),
         # 1/w to the bit (2^1000 w is exact), but inf, never NaN, beyond the floats
@@ -366,7 +359,7 @@ class ConformalMap:
         """Membership of the map's input domain; a cut family's excludes its cut."""
         if self.direction is Direction.TO_DISC:
             return self._ops.contains(arr)
-        inside = _in_unit_disc(arr)
+        inside = _square_modulus(arr) < 1.0
         if self._ops.punctured:
             # the puncture is eta(0), where eta^{-1}(w) = 0; eta^{-1} is only
             # evaluated inside the disc, where its denominator cannot vanish

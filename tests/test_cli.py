@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -465,6 +466,18 @@ def test_failed_solve_csv_leaves_stdout_empty(capsys, window):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("window", ["-inf,inf,0,1", "-1e308,1e308,0,1"])
+def test_a_window_without_a_finite_size_is_rejected_before_the_lattice(capsys, window):
+    argv = ("solve", "--domain", "halfplane", "--f", "quartic", "--nr", "16",
+            "--ntheta", "16", "--export", "lattice", f"--window={window}",
+            "--lattice-n", "4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: --window must have a finite width and height\n"
+
+
 @pytest.mark.parametrize("argv,digest", [
     (("--domain", "strip", "--f", "const:-4"),
      "344465753084e7fc1064e904e55eaa9f9ad7b14d1e5b991097966ac823a5b8d0"),
@@ -519,12 +532,15 @@ def test_solve_csv_bytes_are_pinned_across_row_blocks(capsys, argv, rows, digest
      "625dd5b2784cb47357afddf15900e3c29d9e81bab50446882eb03a528fc29b18"),
     (("constant", "--r", "3", "--nr", "64", "--ntheta", "64", "--bumps", "8"), 0,
      "0cfd470c15b6865d8f1f3c0c1802799f4e3eda20d8273a51816ac7d5d395eb72"),
+    # the default-seed verify report itself, as taken with the flux solve
+    (("verify", "--output", "json"), 0,
+     "626071ef2caf47b45699885b4dc24f44ac687ae17541019d99d75bb1825c0a50"),
 ])
 def test_verify_and_scalar_csv_bytes_are_pinned(capsys, argv, exit_code, digest):
     # digests taken when these tables had a per-cell writer of their own; one writer
     # for every table must not move a byte (the 64^2 constant one re-taken with the
-    # flux solve, listed in CHANGES.md)
-    code, out, _ = run(capsys, *argv, "--output", "csv")
+    # flux solve, listed in CHANGES.md); an --output in argv overrides csv
+    code, out, _ = run(capsys, argv[0], "--output", "csv", *argv[1:])
     assert code == exit_code
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 

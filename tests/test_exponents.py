@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from confweight import (ConformalMap, ConstantEstimate, DomainFamily,
                         exponent_bounds, make_bump_family, pairwise_sum,
                         poincare_constant_disc, q_from_ps)
 from confweight import exponents
+from confweight.cli import main
 
 J01 = 2.404825557695773
 
@@ -67,6 +70,47 @@ def test_exponent_bounds_conjectural_endpoint():
     b = exponent_bounds(1.5, -2.0)
     assert b.conjectural
     assert b.q_max == 2.0 * 1.5 / (4.0 - 1.5)
+
+
+# alpha0 a few ulps above -2, where rounding put q_max an ulp above 2p/(4 - p)
+_NEAR_ENDPOINT = ("1.8557677645816182", "-1.9999999999999993")
+
+
+def test_exponent_bounds_near_the_endpoint_through_the_cli(capsys):
+    p, alpha0 = map(float, _NEAR_ENDPOINT)
+    code = main(["exponents", "--p", _NEAR_ENDPOINT[0], "--alpha0", _NEAR_ENDPOINT[1]])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["q_max"] == 2.0 * p / (4.0 - p) == 1.7309391528847353
+    assert doc["r_max"] <= p / (2.0 - p)
+    assert p * abs(alpha0) / (2.0 + abs(alpha0) - p) > doc["q_max"]  # the raw formula
+
+
+def test_exponent_bounds_near_the_endpoint_property():
+    # never above the alpha0 = -2 bounds, and within 4 ulps of the exact values
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(st.one_of(st.floats(-2.0, -2.0 + 1e-9),
+                                st.integers(0, 64).map(lambda k: -2.0 + k * 2.0**-52)),
+                      st.floats(0.0, 1.0))
+    def check(alpha0, t):
+        a = abs(alpha0)
+        p_min = (a + 2.0) / (a + 1.0)
+        p = p_min + t * (2.0 - p_min)
+        hypothesis.assume(p_min < p < 2.0)
+        b = exponent_bounds(p, alpha0)
+        assert b.q_max <= 2.0 * p / (4.0 - p) and b.r_max <= p / (2.0 - p)
+        exact_a, exact_p = Fraction(a), Fraction(p)
+        q = exact_p * exact_a / (2 + exact_a - exact_p)
+        r = 2 * exact_p / (2 - exact_p) * exact_a / (2 + exact_a)
+        assert abs(Fraction(b.q_max) - q) <= 4 * Fraction(math.ulp(float(q)))
+        assert abs(Fraction(b.r_max) - r) <= 4 * Fraction(math.ulp(float(r)))
+        if alpha0 == -2.0:
+            assert b.q_max == 2.0 * p / (4.0 - p) and b.r_max == p / (2.0 - p)
+
+    check()
 
 
 def test_exponent_bounds_domain():

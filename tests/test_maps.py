@@ -462,6 +462,23 @@ def test_exterior_membership_next_to_the_circle_property():
     check()
 
 
+def test_disc_and_exterior_split_the_plane_at_the_rounded_circle():
+    # one unit-circle test: each point is in exactly one of the disc and the
+    # exterior, unless its rounded x*x + y*y is 1, and every map from the disc
+    # has the disc family's membership
+    rng = np.random.default_rng(3)
+    scale = 1.0 + rng.integers(-6, 7, 20_000) * 2.0**-53
+    z = scale * np.exp(2j * np.pi * rng.uniform(size=20_000))
+    disc = ConformalMap.to_disc(DomainFamily.DISC).contains(z)
+    exterior = _EXTERIOR.contains(z)
+    on_circle = np.square(z.real) + np.square(z.imag) == 1.0
+    assert disc.any() and exterior.any() and on_circle.any()
+    assert not np.any(disc & exterior)
+    assert np.array_equal(disc | exterior, ~on_circle)
+    for family in DomainFamily:
+        assert np.array_equal(ConformalMap.from_disc(family).contains(z), disc)
+
+
 # the exterior family's psi = 1/u is singular at u = eta^{-1}(w) = 0, i.e. at w = eta(0)
 _ETA = MoebiusAutomorphism(0.3 - 0.4j, 0.7)
 _EXTERIOR_PSI = compose_with_automorphism(ConformalMap.to_disc(DomainFamily.EXTERIOR),

@@ -11,8 +11,9 @@ import pytest
 from confweight import (ConformalMap, DiscSolution, DomainFamily, GridTooCoarse,
                         MoebiusAutomorphism, PointOutsideDomain, PolarGrid,
                         RhsNotFinite, RhsSpec, SolutionNotFinite, boundary_samples, compose_with_automorphism,
-                        disc_eigenvalue, pairwise_sum,
+                        TestBump, disc_eigenvalue, make_bump_family, pairwise_sum,
                         solve_dirichlet, weak_residual)
+from confweight.fields import _support_rows
 from confweight.poisson import solve_radial
 from confweight.util import CSV_BLOCK_ROWS
 
@@ -498,6 +499,53 @@ def test_weak_residual_matches_the_polar_gradient_bit_for_bit(n_r, n_theta, rhs,
         reference.append(abs(pair + pairwise_sum(ftilde * b.value(nodes) * areas)))
     residuals = weak_residual(grid, column, rhs, bumps)
     assert [r.hex() for r in residuals] == [float(r).hex() for r in reference]
+
+
+def _whole_grid_weak_residual(grid, column, rhs, bumps):
+    """The reference: weak_residual's formula with every bump evaluated on the whole grid."""
+    v, h = column, 1.0 / grid.n_r
+    dv = np.empty_like(v)
+    dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    dv[0] = (v[1] - v[0]) / (2.0 * h)
+    dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    gx, gy = dv[:, None] * np.cos(grid.theta), dv[:, None] * np.sin(grid.theta)
+    areas, nodes = grid.cell_areas, grid.nodes
+    ftilde = rhs.on_disc(np.abs(nodes))
+    out = []
+    for b in bumps:
+        gb = b.gradient(nodes)
+        pair = pairwise_sum((gx * gb.real + gy * gb.imag) * areas)
+        out.append(abs(pair + pairwise_sum(ftilde * b.value(nodes) * areas)))
+    return out
+
+
+@_RHS
+@pytest.mark.parametrize("n_r,n_theta", [(16, 16), (64, 64), (100, 100), (256, 256),
+                                         (100, 48)])
+@pytest.mark.parametrize("seed", [0, 11, 39])
+def test_weak_residual_on_support_rows_has_the_whole_grid_bits(seed, n_r, n_theta, rhs):
+    grid = PolarGrid(n_r, n_theta)
+    column = solve_dirichlet(rhs, grid)
+    bumps = make_bump_family(3, rng=np.random.default_rng(seed))
+    residuals = weak_residual(grid, column, rhs, bumps)
+    reference = _whole_grid_weak_residual(grid, column, rhs, bumps)
+    assert [r.hex() for r in residuals] == [r.hex() for r in reference]
+
+
+def test_weak_residual_evaluates_each_bump_on_its_support_rows_only(monkeypatch, bumps):
+    grid = PolarGrid(128, 64)
+    seen = []
+    for method in ("value", "gradient"):
+        def spy(self, w, _orig=getattr(TestBump, method), _name=method):
+            seen.append((self, _name, w))
+            return _orig(self, w)
+        monkeypatch.setattr(TestBump, method, spy)
+    weak_residual(grid, solve_dirichlet(_CONST, grid), _CONST, bumps)
+    assert len(seen) == 2 * len(bumps)
+    for b, name, w in seen:
+        rows = _support_rows(b, grid.r)
+        assert rows.stop - rows.start < grid.n_r, name
+        assert np.array_equal(w, grid.nodes[rows]), name
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(8, 32), (32, 8)])
