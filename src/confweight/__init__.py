@@ -19,7 +19,7 @@ from .maps import (ConformalMap, Direction, DomainFamily, MoebiusAutomorphism,
 from .poisson import DiscSolution, RhsSpec, solve_dirichlet, weak_residual
 from .quadrature import (CHECK_SPEC, DiscGridSpec, QuadResult, Verdict,
                          brennan_direct, brennan_scan, classify, disc_nodes, integrate_disc,
-                         inverse_brennan, kpq_norm, pull_back)
+                         inverse_brennan, kpq_norm, pull_back, ring_nodes)
 from .util import DEFAULT_SEED, default_seed, pairwise_sum
 from .verify import J0_FIRST_ZERO, quoted_formula_report, run_verify
 
@@ -38,6 +38,6 @@ __all__ = [
     "composition_inequality_check", "default_seed", "disc_eigenvalue", "disc_nodes",
     "exponent_bounds", "integrate_disc", "inverse_brennan", "kpq_norm",
     "make_bump_family", "pairwise_sum", "poincare_constant_disc", "pull_back",
-    "q_from_ps", "quoted_formula_report", "round_trip_check", "run_verify",
+    "q_from_ps", "quoted_formula_report", "ring_nodes", "round_trip_check", "run_verify",
     "sample_interior", "solve_dirichlet", "weak_residual",
 ]

@@ -142,7 +142,7 @@ def poincare_constant_disc(r: float, grid: PolarGrid,
         bumps = make_bump_family(64)
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in _bump_tables(bumps, grid.nodes, grid.cell_areas, r):
+        for t in _bump_tables(bumps, grid, r):
             if not (math.isfinite(t.norm) and math.isfinite(t.energy)):
                 raise EstimateNotUsable(f"a bump's sums overflow: ||b||_r = {t.norm}, "
                                         f"||grad b||_2^2 = {t.energy}")

@@ -3,10 +3,10 @@
 Test functions are closed-form bumps evaluated analytically (value and
 gradient), so composing them with a conformal map costs no interpolation
 error; the pulled-back checks below then run at pure quadrature accuracy.
-A bump is summed on a disc grid only on its support rows, by ``_row_sum``:
-``_bump_tables`` gives the package's L_r norms and Dirichlet energies, and
-``poisson.weak_residual`` its weak-form pairings.  The solver's solutions
-are radial, and ``poisson`` keeps each as its ring column.
+A bump is summed on a disc grid by ``_row_sum`` only on its support rows,
+the only rows ``ring_nodes`` forms nodes on: ``_bump_tables`` gives the L_r
+norms and Dirichlet energies, and ``poisson.weak_residual`` its weak-form
+pairings.  The solver's solutions are radial, each kept as its ring column.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import KpqDivergent
 from .maps import ConformalMap, Direction
-from .quadrature import DiscGridSpec, Verdict, kpq_norm, pull_back
+from .quadrature import CHECK_SPEC, DiscGridSpec, Verdict, kpq_norm, pull_back, ring_nodes
 from .util import default_seed, pairwise_sum
 
 
@@ -48,9 +48,8 @@ class PolarGrid:
         return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
 
     @cached_property
-    def nodes(self) -> np.ndarray:
-        """Complex node positions, shape (n_r, n_theta)."""
-        return self.r[:, None] * np.exp(1j * self.theta)[None, :]
+    def phase(self) -> np.ndarray:
+        return np.exp(1j * self.theta)
 
     @cached_property
     def cell_areas(self) -> np.ndarray:
@@ -135,15 +134,15 @@ def _support_rows(b: TestBump, radii: np.ndarray) -> slice:
     return slice(max(lo, 0), hi)
 
 
-def _row_sum(table: np.ndarray, rows: slice, areas: np.ndarray,
+def _row_sum(table: np.ndarray, rows: slice, grid: PolarGrid | DiscGridSpec,
              weight: np.ndarray | None = None) -> float:
-    """pairwise_sum over the whole grid of table * weight * areas, table zero off ``rows``.
+    """pairwise_sum over ``grid`` of table * weight * cell areas, table zero off ``rows``.
 
     The zero rows keep the whole grid's summation tree, so the sum has the
     bits of the same product formed on every row.
     """
-    out = np.zeros(areas.shape)
-    out[rows] = (table if weight is None else table * weight[rows]) * areas[rows]
+    out = np.zeros(grid.cell_areas.shape)
+    out[rows] = (table if weight is None else table * weight[rows]) * grid.cell_areas[rows]
     return pairwise_sum(out)
 
 
@@ -159,23 +158,23 @@ class _BumpTable:
     norm: float | None         # ||b||_{L_r(D)}
 
 
-def _bump_tables(bumps: list[TestBump], w: np.ndarray, areas: np.ndarray,
+def _bump_tables(bumps: list[TestBump], grid: PolarGrid | DiscGridSpec,
                  r: float | None = None) -> Iterator[_BumpTable]:
     """Each bump's |grad b|^2, and |b|^r when ``r`` is given, on its support rows.
 
-    ``w`` and ``areas`` are a polar grid's nodes and cell areas, ring radii
-    ascending down the rows.  Each table, built when the caller reaches it,
-    holds the rows ``_support_rows`` picks and the disc-side sums.
+    ``grid``'s ring radii ``r`` ascend down its rows.  Each table, built when
+    the caller reaches it, holds the rows ``_support_rows`` picks, on which
+    alone ``ring_nodes`` forms nodes, and the disc-side sums.
     """
-    radii = np.abs(w[:, 0])
     for b in bumps:
-        rows = _support_rows(b, radii)
-        grad2 = np.abs(b.gradient(w[rows])) ** 2
+        rows = _support_rows(b, grid.r)
+        w = ring_nodes(grid, rows)
+        grad2 = np.abs(b.gradient(w)) ** 2
         power = norm = None
         if r is not None:
-            power = np.abs(b.value(w[rows])) ** r
-            norm = _row_sum(power, rows, areas) ** (1.0 / r)
-        yield _BumpTable(rows, grad2, _row_sum(grad2, rows, areas), r, power, norm)
+            power = np.abs(b.value(w)) ** r
+            norm = _row_sum(power, rows, grid) ** (1.0 / r)
+        yield _BumpTable(rows, grad2, _row_sum(grad2, rows, grid), r, power, norm)
 
 
 def _gap(lhs: float, rhs: float) -> float:
@@ -195,17 +194,17 @@ def _pulled_back_checks(mapping: ConformalMap, spec: DiscGridSpec,
     the density-weighted one; the transfer defect compares each of
     ``transfers``' L_r norms and energies with the density-weighted ones.
     """
-    areas, density, jac = pull_back(mapping, spec)[1:]
+    density, jac = pull_back(mapping, spec)
     density *= jac
     del jac  # the bump loops hold only the density
-    mass = pairwise_sum(density * areas)
+    mass = pairwise_sum(density * spec.cell_areas)
     iso = 0.0
     for t in energies:
-        iso = max(iso, _gap(_row_sum(t.grad2, t.rows, areas, density), t.energy))
+        iso = max(iso, _gap(_row_sum(t.grad2, t.rows, spec, density), t.energy))
     transfer = 0.0
     for t in transfers:
-        lhs_norm = _row_sum(t.power, t.rows, areas, density) ** (1.0 / t.r)
-        lhs_energy = math.sqrt(_row_sum(t.grad2, t.rows, areas, density))
+        lhs_norm = _row_sum(t.power, t.rows, spec, density) ** (1.0 / t.r)
+        lhs_energy = math.sqrt(_row_sum(t.grad2, t.rows, spec, density))
         transfer = max(transfer, _gap(lhs_norm, t.norm),
                        _gap(lhs_energy, math.sqrt(t.energy)))
     return mass, iso, transfer
@@ -227,7 +226,7 @@ class CompositionRecord:
 
 def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
                                  bumps: list[TestBump],
-                                 spec: DiscGridSpec | None = None) -> list[CompositionRecord]:
+                                 spec: DiscGridSpec = CHECK_SPEC) -> list[CompositionRecord]:
     """Verify ||grad(f o phi)||_q <= K_{p,q} * ||grad f||_p per bump.
 
     The constant comes from kpq_norm; a non-converged constant integral
@@ -244,11 +243,11 @@ def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
         raise KpqDivergent(f"K_({p},{q}) integral verdict {kres.verdict.value} "
                            f"on {mapping.family.value}")
     big_k = kres.value
-    w, areas, h, jac = pull_back(mapping, spec)
+    h, jac = pull_back(mapping, spec)
     out = []
-    for t in _bump_tables(bumps, w, areas):
-        rhs = _row_sum(t.grad2 ** (p / 2.0), t.rows, areas) ** (1.0 / p)
-        lhs = _row_sum((t.grad2 * h[t.rows]) ** (q / 2.0), t.rows, areas, jac) ** (1.0 / q)
+    for t in _bump_tables(bumps, spec):
+        rhs = _row_sum(t.grad2 ** (p / 2.0), t.rows, spec) ** (1.0 / p)
+        lhs = _row_sum((t.grad2 * h[t.rows]) ** (q / 2.0), t.rows, spec, jac) ** (1.0 / q)
         out.append(CompositionRecord(lhs=lhs, rhs=rhs, constant=big_k,
                                      passed=lhs <= big_k * rhs * (1.0 + _COMPOSITION_SLACK)))
     return out

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import GridTooCoarse, RhsNotFinite, SolutionNotFinite
 from .fields import PolarGrid, TestBump, _row_sum, _support_rows
 from .maps import ConformalMap, Direction
+from .quadrature import ring_nodes
 from .util import IndexedColumn, fmt_g, write_csv
 
 
@@ -147,14 +148,14 @@ class DiscSolution:
         path as it was.
         """
         if lattice is None:
-            z = self.mapping.invert().eval(self.grid.nodes)
+            z = self.mapping.invert().eval(ring_nodes(self.grid))
             rings = np.broadcast_to(np.arange(self.grid.n_r)[:, None], z.shape)
             cols = (z.real, z.imag, IndexedColumn(self.column, rings))
         else:
             pts = np.ravel(np.asarray(lattice, dtype=complex))
             z = pts[self.mapping.contains(pts)]
-            vals = self.eval_domain(z) if z.size else np.empty(0)
-            cols = (IndexedColumn.distinct(z.real), IndexedColumn.distinct(z.imag), vals)
+            u = self.eval_domain(z)  # before the distinct columns, which lowers the peak
+            cols = (IndexedColumn.distinct(z.real), IndexedColumn.distinct(z.imag), u)
         write_csv(target, ("x", "y", "u"), cols, preamble)
 
 
@@ -202,14 +203,13 @@ def weak_residual(grid: PolarGrid, column: np.ndarray, rhs: RhsSpec,
     dv[0] = (v[1] - v[0]) / (2.0 * h)
     dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     cos, sin = np.cos(grid.theta), np.sin(grid.theta)
-    areas, nodes = grid.cell_areas, grid.nodes
     res = []
     for b in bumps:
         rows = _support_rows(b, grid.r)
-        w, dr = nodes[rows], dv[rows, None]
+        w, dr = ring_nodes(grid, rows), dv[rows, None]
         gb = b.gradient(w)
-        pair = _row_sum(dr * cos * gb.real + dr * sin * gb.imag, rows, areas)
-        load = _row_sum(rhs.on_disc(np.abs(w)) * b.value(w), rows, areas)
+        pair = _row_sum(dr * cos * gb.real + dr * sin * gb.imag, rows, grid)
+        load = _row_sum(rhs.on_disc(np.abs(w)) * b.value(w), rows, grid)
         res.append(abs(pair + load))
     return tuple(res)
 

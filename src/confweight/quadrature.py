@@ -17,13 +17,14 @@ Verdict semantics, judged on the sequence of per-level values v_1..v_L
 The tolerance therefore doubles as the significance floor for divergence:
 growth below tol scale is treated as settled, not as evidence of blow-up.
 
-Each level is evaluated in contiguous row blocks of about 2^16 nodes, each
-generated only when it is reached, so an integrand must be pointwise: it
-receives one block at a time, and the whole grid never exists.  Block and
-grid sizes are powers of two, so summing the block sums pairwise follows the
-same halving tree as summing the whole level, and every level value is
-bit-identical to a whole-grid evaluation.  A ladder may not reach a level
-above the 2^24-node budget (4096 x 4096 cells).
+A grid is its rings (radii ``r``, phases ``phase``, ``cell_areas``), and
+``ring_nodes`` forms the nodes of any of its rows.  Each level is evaluated in
+row blocks of about 2^16 nodes, each generated only when it is reached, so an
+integrand must be pointwise: it receives one block at a time, and the whole
+grid never exists.  Block and grid sizes are powers of two, so summing the
+block sums pairwise follows the same halving tree as summing the whole level,
+and every level value is bit-identical to a whole-grid evaluation.  A ladder
+may not reach a level above the 2^24-node budget (4096 x 4096 cells).
 
 The ladders of several exponents share their levels (``brennan_scan``): J is
 evaluated once per block for every exponent still running, and each keeps its
@@ -37,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -66,7 +68,7 @@ def _power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class DiscGridSpec:
-    """Base polar quadrature grid; refinement doubles both counts per level."""
+    """Base polar quadrature grid (rings built when first read); levels double both counts."""
 
     n_r: int = 16
     n_theta: int = 16
@@ -80,6 +82,23 @@ class DiscGridSpec:
     def level(self, k: int) -> "DiscGridSpec":
         return replace(self, n_r=self.n_r << k, n_theta=self.n_theta << k)
 
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        return 1.0 - (1.0 - np.linspace(0.0, 1.0, self.n_r + 1)) ** _RADIAL_GRADING
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return 0.5 * (self._edges[:-1] + self._edges[1:])
+
+    @cached_property
+    def phase(self) -> np.ndarray:  # e^{i theta} at the angular cell midpoints
+        return np.exp(1j * ((np.arange(self.n_theta) + 0.5) * (2.0 * np.pi / self.n_theta)))
+
+    @cached_property
+    def cell_areas(self) -> np.ndarray:
+        areas = self.r * np.diff(self._edges) * (2.0 * np.pi / self.n_theta)
+        return np.broadcast_to(areas[:, None], (self.n_r, self.n_theta))
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -90,28 +109,15 @@ class QuadResult:
     level_values: tuple[float, ...] = field(default_factory=tuple)
 
 
-def disc_nodes(spec: DiscGridSpec, rows: int | None = None
-               ) -> tuple[np.ndarray, np.ndarray] | Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Quadrature nodes (complex, n_r x n_theta) and area weights (read-only broadcast).
+def ring_nodes(grid, rows: slice = slice(None)) -> np.ndarray:
+    """The nodes r e^{i theta} on ``rows`` of a ``DiscGridSpec`` or a ``PolarGrid``."""
+    return grid.r[rows, None] * grid.phase
 
-    With ``rows``, an iterator over the same ``(w, areas)`` in consecutive
-    blocks of at most ``rows`` rows, each generated only when it is reached.
-    """
-    t = np.linspace(0.0, 1.0, spec.n_r + 1)
-    edges = 1.0 - (1.0 - t) ** _RADIAL_GRADING
-    r = 0.5 * (edges[:-1] + edges[1:])
-    dr = np.diff(edges)
-    dtheta = 2.0 * np.pi / spec.n_theta
-    theta = (np.arange(spec.n_theta) + 0.5) * dtheta
-    areas = r * dr * dtheta
-    phase = np.exp(1j * theta)[None, :]
 
-    def blocks(step):
-        for i in range(0, spec.n_r, step):
-            w = r[i:i + step, None] * phase
-            yield w, np.broadcast_to(areas[i:i + step, None], w.shape)
-
-    return next(blocks(spec.n_r)) if rows is None else blocks(rows)
+def disc_nodes(spec: DiscGridSpec, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Nodes and cell areas (read-only) in blocks of ``rows`` rows, each made when reached."""
+    for i in range(0, spec.n_r, rows):
+        yield ring_nodes(spec, slice(i, i + rows)), spec.cell_areas[i:i + rows]
 
 
 def classify(level_values: list[float] | tuple[float, ...], tol: float) -> Verdict:
@@ -208,27 +214,24 @@ def _result(values, verdict: Verdict) -> QuadResult:
 CHECK_SPEC = DiscGridSpec().level(5)
 
 
-def pull_back(mapping: ConformalMap, spec: DiscGridSpec | None = None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes w, area weights, h(psi(w)) and J(w, psi) on a disc grid.
+def pull_back(mapping: ConformalMap, spec: DiscGridSpec = CHECK_SPEC
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """h(psi(w)) and J(w, psi) on the nodes w of a disc grid, shape (n_r, n_theta).
 
     phi is the TO_DISC ``mapping`` and psi its inverse; h = J(., phi) and
     J(., psi) are ``ConformalMap.jacobian``, and their product, the pulled-back
-    weight, is one in exact arithmetic.  ``spec`` defaults to CHECK_SPEC.  Row
-    blocks keep the maps' complex temporaries block-sized.
+    weight, is one in exact arithmetic.  Row blocks keep the nodes and the
+    maps' complex temporaries block-sized.
     """
     if mapping.direction is not Direction.TO_DISC:
         raise ValueError("mapping must send its domain to the disc")
-    spec = CHECK_SPEC if spec is None else spec
-    w, areas = disc_nodes(spec)
     inv = mapping.invert()
-    h, jac = np.empty(w.shape), np.empty(w.shape)
+    h, jac = np.empty((spec.n_r, spec.n_theta)), np.empty((spec.n_r, spec.n_theta))
     rows = max(1, _BLOCK_NODES // spec.n_theta)
-    for i in range(0, spec.n_r, rows):
-        block = w[i:i + rows]
+    for i, (block, _) in zip(range(0, spec.n_r, rows), disc_nodes(spec, rows)):
         h[i:i + rows] = mapping.jacobian(inv.eval(block))
         jac[i:i + rows] = inv.jacobian(block)
-    return w, areas, h, jac
+    return h, jac
 
 
 def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = None,

@@ -33,8 +33,8 @@ from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
                    compose_with_automorphism, round_trip_check, sample_interior)
 from .poisson import RhsSpec, solve_dirichlet, weak_residual
-from .quadrature import (CHECK_SPEC, Verdict, brennan_direct, brennan_scan, disc_nodes,
-                         integrate_disc)
+from .quadrature import (CHECK_SPEC, Verdict, brennan_direct, brennan_scan, integrate_disc,
+                         ring_nodes)
 from .util import default_seed
 
 # first positive zero of the Bessel function J0; lambda_1(disc) = j01^2
@@ -108,17 +108,15 @@ def _check_automorphisms(add, rng):
 def _family_pass(rng):
     """Draw the fields and transfer bumps, then pull each family back once.
 
-    Each bump's tables are built once, on its support rows of one shared
-    node grid, before the family loop; one pull-back per family then gives
+    Each bump's tables are built once, on its support rows of the check
+    grid, before the family loop; one pull-back per family then gives
     its mass, isometry gap and transfer defect.  Returns both bump lists
     and those three sums per family.
     """
     fields_bumps = make_bump_family(3, rng=rng)
     transfer_bumps = make_bump_family(3, rng=rng)
-    w, areas = disc_nodes(CHECK_SPEC)
-    energies = list(_bump_tables(fields_bumps, w, areas))
-    transfers = list(_bump_tables(transfer_bumps, w, areas, 3.0))
-    del w, areas  # freed before the pull-backs build their own nodes
+    energies = list(_bump_tables(fields_bumps, CHECK_SPEC))
+    transfers = list(_bump_tables(transfer_bumps, CHECK_SPEC, 3.0))
     sums = {fam: _pulled_back_checks(ConformalMap.to_disc(fam), CHECK_SPEC,
                                      energies, transfers) for fam in _FAMILIES}
     return fields_bumps, transfer_bumps, sums
@@ -212,7 +210,7 @@ def _check_fields(add, bumps, sums):
     pair = [b, TestBump(b.center, b.radius, -2.7 * b.amplitude)]
     rel = 0.0
     for p in (1.0, 2.0, 3.5):
-        base, scaled = _bump_tables(pair, grid.nodes, grid.cell_areas, p)
+        base, scaled = _bump_tables(pair, grid, p)
         want = 2.7 * base.norm
         rel = max(rel, abs(scaled.norm - want) / want)
     add("fields.norm_homogeneity", rel <= 1e-13, max_rel=float(rel))
@@ -282,7 +280,7 @@ def _check_poisson(add, rng):
         inv = mapping.invert()
         errors = []
         for grid, column in zip(grids, columns):
-            exact = 1.0 - np.abs(mapping.eval(inv.eval(grid.nodes))) ** 2
+            exact = 1.0 - np.abs(mapping.eval(inv.eval(ring_nodes(grid)))) ** 2
             errors.append(float(np.max(np.abs(column[:, None] - exact))))
         err_orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         add(f"poisson.exact_const.{fam.value}",

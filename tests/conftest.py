@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confweight import (CHECK_SPEC, ConformalMap, Direction, DomainFamily, default_seed,
-                        disc_nodes, make_bump_family)
+                        make_bump_family)
 from confweight.fields import _bump_tables, _pulled_back_checks
 
 ALL_FAMILIES = tuple(DomainFamily)
@@ -47,6 +47,25 @@ def _derivative(mapping, z):
     return out
 
 
+def _whole_disc_grid(spec):
+    """The deleted whole-grid mode of ``disc_nodes``: (nodes, areas), every node in one product."""
+    t = np.linspace(0.0, 1.0, spec.n_r + 1)
+    edges = 1.0 - (1.0 - t) ** 3.0
+    r = 0.5 * (edges[:-1] + edges[1:])
+    dr = np.diff(edges)
+    dtheta = 2.0 * np.pi / spec.n_theta
+    theta = (np.arange(spec.n_theta) + 0.5) * dtheta
+    areas = r * dr * dtheta
+    w = r[:, None] * np.exp(1j * theta)[None, :]
+    return w, np.broadcast_to(areas[:, None], w.shape)
+
+
+@pytest.fixture
+def whole_grid():
+    """The reference nodes and areas of a ``DiscGridSpec``, formed on the whole grid at once."""
+    return _whole_disc_grid
+
+
 @pytest.fixture
 def derivative():
     """The complex derivative of a map at z, in closed form, chain rule through eta."""
@@ -78,12 +97,10 @@ def family_checks():
     """verify's pass over one map: (mass, worst isometry gap, worst transfer defect).
 
     The isometry gap is taken over ``energies``, the transfer defect over
-    ``transfers`` at r = 3, both tabulated on the nodes of ``spec``.
+    ``transfers`` at r = 3, both tabulated on the support rows of ``spec``.
     """
     def run(mapping, energies=(), transfers=(), spec=CHECK_SPEC):
-        w, areas = disc_nodes(spec)
-        fields = list(_bump_tables(energies, w, areas))
-        transfer = list(_bump_tables(transfers, w, areas, 3.0))
-        del w, areas  # as in verify, the pull-back builds its own nodes
+        fields = list(_bump_tables(energies, spec))
+        transfer = list(_bump_tables(transfers, spec, 3.0))
         return _pulled_back_checks(mapping, spec, fields, transfer)
     return run

@@ -155,6 +155,16 @@ def test_one_point_lattice_is_written(capsys):
     assert [float(c) for c in rows[1].split(",")[:2]] == [-0.5, -0.5]
 
 
+def test_a_lattice_that_misses_the_domain_writes_the_header_alone(capsys):
+    # every point of the window lies below the half plane, so no row is kept
+    code, out, err = run(capsys, "solve", "--domain", "halfplane", "--f", "quartic",
+                         "--nr", "16", "--ntheta", "16", "--export", "lattice",
+                         "--window=-1,1,-2,-1", "--lattice-n", "4")
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert all(line.startswith("#") for line in lines[:-1]) and lines[-1] == "x,y,u"
+
+
 def test_brennan_converged_exit(capsys):
     code, out, _ = run(capsys, "brennan", "--domain", "slitplane",
                        "--s", "3.0", "--tol", "0.1")

@@ -6,7 +6,7 @@ import pytest
 
 from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
                         InvalidExponents, KpqDivergent, PolarGrid, TestBump,
-                        composition_inequality_check, make_bump_family)
+                        composition_inequality_check, make_bump_family, ring_nodes)
 from confweight import fields
 from confweight.fields import _bump_tables
 
@@ -17,8 +17,17 @@ def test_polar_grid_node_layout():
     assert g.r[-1] == pytest.approx(7.5 / 8)
     assert g.theta[0] == 0.0
     assert g.theta[1] == pytest.approx(2 * math.pi / 16)
-    assert g.nodes.shape == (8, 16)
-    assert np.all(np.abs(g.nodes) < 1.0)
+    assert ring_nodes(g).shape == (8, 16)
+    assert np.all(np.abs(ring_nodes(g)) < 1.0)
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(16, 16), (100, 48), (256, 256)])
+def test_ring_nodes_of_a_polar_grid_have_the_whole_grid_bits(n_r, n_theta):
+    g = PolarGrid(n_r, n_theta)
+    # the deleted PolarGrid.nodes: every node in one product
+    whole = g.r[:, None] * np.exp(1j * g.theta)[None, :]
+    assert np.array_equal(ring_nodes(g), whole)
+    assert np.array_equal(ring_nodes(g, slice(3, 9)), whole[3:9])
 
 
 def test_polar_grid_cell_areas_cover_disc():
@@ -85,7 +94,7 @@ def test_bump_table_sums_match_a_radial_integral():
     energy = 4.0 * math.pi * np.sum(wts * s * np.exp(2.0 * (1.0 - 1.0 / (1.0 - s)))
                                     / (1.0 - s) ** 4)
     for p in (1.0, 2.0, 3.0):
-        (t,) = _bump_tables([TestBump(0j, rho)], g.nodes, g.cell_areas, p)
+        (t,) = _bump_tables([TestBump(0j, rho)], g, p)
         norm = (math.pi * rho**2 * np.sum(wts * np.exp(p * (1.0 - 1.0 / (1.0 - s))))) ** (1 / p)
         assert t.norm == pytest.approx(norm, rel=1e-4)
         assert t.energy == pytest.approx(energy, rel=1e-7)
@@ -96,7 +105,7 @@ def test_bump_table_norms_are_homogeneous():
     b = TestBump(center=0.1 - 0.2j, radius=0.35)
     pair = [b, TestBump(b.center, b.radius, -4.2 * b.amplitude)]
     for p in (1.0, 2.0, 3.0):
-        base, scaled = _bump_tables(pair, g.nodes, g.cell_areas, p)
+        base, scaled = _bump_tables(pair, g, p)
         assert scaled.norm == pytest.approx(4.2 * base.norm, rel=1e-13)
         assert scaled.energy == pytest.approx(4.2 ** 2 * base.energy, rel=1e-13)
 

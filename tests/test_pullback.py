@@ -6,8 +6,8 @@ import pytest
 
 from confweight import (CHECK_SPEC, ConformalMap, DiscGridSpec, DomainFamily,
                         MoebiusAutomorphism, compose_with_automorphism,
-                        composition_inequality_check, disc_nodes, make_bump_family,
-                        pairwise_sum, pull_back)
+                        composition_inequality_check, make_bump_family, pairwise_sum,
+                        pull_back)
 from confweight.fields import TestBump as Bump
 from confweight.fields import _bump_tables, _row_sum
 
@@ -42,10 +42,11 @@ def test_check_spec_is_the_512_grid():
     assert CHECK_SPEC == DiscGridSpec().level(5)
 
 
-def test_pull_back_defaults_to_check_spec():
-    w, areas, h, jac = pull_back(ConformalMap.to_disc(DomainFamily.HALFPLANE))
-    assert w.shape == areas.shape == h.shape == jac.shape == (512, 512)
-    assert np.array_equal(w, disc_nodes(CHECK_SPEC)[0])
+def test_pull_back_defaults_to_check_spec(whole_grid):
+    m = ConformalMap.to_disc(DomainFamily.HALFPLANE)
+    h, jac = pull_back(m)
+    assert h.shape == jac.shape == (512, 512)
+    assert np.array_equal(jac, m.invert().jacobian(whole_grid(CHECK_SPEC)[0]))
 
 
 @pytest.mark.parametrize("call", [
@@ -72,17 +73,20 @@ def test_pulled_back_checks_keep_their_bits(name, family_checks):
     recs = composition_inequality_check(m, p, q, bumps, spec)
     assert [(r.lhs.hex(), r.rhs.hex()) for r in recs] == comp
     # the pulled-back weight h(psi) J(., psi) sums to its pinned mass
-    _, areas, h, jac = pull_back(m, spec)
-    assert float(pairwise_sum(h * jac * areas)).hex() == mass
+    h, jac = pull_back(m, spec)
+    assert float(pairwise_sum(h * jac * spec.cell_areas)).hex() == mass
 
 
 @pytest.mark.parametrize("group, bound_mib", [
-    ("energies", 24.0),
-    ("transfers", 28.0),
+    ("energies", 11.5),
+    ("transfers", 12.5),
 ], ids=["isometry", "weighted_constant"])
 def test_bump_loops_do_not_hold_the_derivative_arrays(group, bound_mib, family_checks):
-    # at CHECK_SPEC one Jacobian array is 2 MiB; holding both through the
-    # bump loop lifted the peaks from 22.1 / 26.1 MiB to 26.1 / 30.1 MiB
+    # at CHECK_SPEC one Jacobian array is 2 MiB, and holding both through the
+    # bump loop adds one.  The tables and the pull-back peak at 9.8 / 11.0 MiB,
+    # forming nodes only on the rows each sum reads; building the 4 MiB node
+    # array of the whole grid for the tables, and again for the pull-back, read
+    # 12.8 / 14.0 MiB
     m = ConformalMap.to_disc(DomainFamily.STRIP)
     bumps = make_bump_family(3, rng=np.random.default_rng(5))
     tracemalloc.start()
@@ -98,9 +102,11 @@ def test_bump_loops_do_not_hold_the_derivative_arrays(group, bound_mib, family_c
                          ids=["512x512", "64x2048"])
 @pytest.mark.parametrize("eta", [None, MoebiusAutomorphism(0.3 - 0.2j, rotation=0.7)],
                          ids=["plain", "eta"])
-def test_blocked_pull_back_has_the_bits_of_a_whole_grid_evaluation(to_disc, eta, spec):
+def test_blocked_pull_back_has_the_bits_of_a_whole_grid_evaluation(to_disc, eta, spec,
+                                                                    whole_grid):
     m = to_disc if eta is None else compose_with_automorphism(to_disc, eta)
-    w, areas, h, jac = pull_back(m, spec)
+    h, jac = pull_back(m, spec)
+    w = whole_grid(spec)[0]
     inv = m.invert()
     assert np.array_equal(h, m.jacobian(inv.eval(w)))
     assert np.array_equal(jac, inv.jacobian(w))
@@ -123,11 +129,12 @@ def test_slit_plane_pull_back_keeps_its_temporaries_block_sized():
 _GRIDS = [CHECK_SPEC, DiscGridSpec(n_r=64, n_theta=2048)]
 
 
-def _assert_support_rows_keep_the_bits(spec, bumps):
+def _assert_support_rows_keep_the_bits(spec, bumps, whole_grid):
     # each restricted table against the same product formed on every row
-    w, areas, h, jac = pull_back(ConformalMap.to_disc(DomainFamily.STRIP), spec)
+    w, areas = whole_grid(spec)
+    h, jac = pull_back(ConformalMap.to_disc(DomainFamily.STRIP), spec)
     density = h * jac
-    for b, t in zip(bumps, _bump_tables(bumps, w, areas, 3.0)):
+    for b, t in zip(bumps, _bump_tables(bumps, spec, 3.0)):
         grad2 = np.abs(b.gradient(w)) ** 2
         power = np.abs(b.value(w)) ** 3.0
         off = np.ones(spec.n_r, dtype=bool)
@@ -136,7 +143,7 @@ def _assert_support_rows_keep_the_bits(spec, bumps):
             assert np.array_equal(whole[t.rows], part)
             # exactly +0.0 off the support rows, so the zero rows change no sum
             assert not whole[off].any() and not np.signbit(whole[off]).any()
-            assert (_row_sum(part, t.rows, areas, density).hex()
+            assert (_row_sum(part, t.rows, spec, density).hex()
                     == pairwise_sum(whole * density * areas).hex())
         assert t.energy.hex() == pairwise_sum(grad2 * areas).hex()
         assert t.norm.hex() == (float(pairwise_sum(power * areas)) ** (1.0 / 3.0)).hex()
@@ -147,11 +154,11 @@ def _assert_support_rows_keep_the_bits(spec, bumps):
     Bump(0.05 - 0.03j, 0.2, 1.3),        # |c| < rho: the support holds the origin
     Bump(0.6 * np.exp(2.2j), 0.3, 0.7),  # |c| + rho = 0.9, the family's outer limit
 ], ids=["origin", "outer"])
-def test_support_row_tables_have_the_bits_of_whole_grid_products(spec, bump):
-    w, areas = disc_nodes(spec)
-    (table,) = _bump_tables([bump], w, areas)
+def test_support_row_tables_have_the_bits_of_whole_grid_products(spec, bump, whole_grid):
+    w, areas = whole_grid(spec)
+    (table,) = _bump_tables([bump], spec)
     assert table.rows.stop - table.rows.start < spec.n_r  # the support leaves rows out
-    _assert_support_rows_keep_the_bits(spec, [bump])
+    _assert_support_rows_keep_the_bits(spec, [bump], whole_grid)
     # the composition check sums the same support-row table
     m = ConformalMap.to_disc(DomainFamily.CARDIOID)
     inv = m.invert()
@@ -163,7 +170,7 @@ def test_support_row_tables_have_the_bits_of_whole_grid_products(spec, bump):
     assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex())
 
 
-def test_support_row_tables_keep_the_bits_of_seeded_families():
+def test_support_row_tables_keep_the_bits_of_seeded_families(whole_grid):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -171,6 +178,6 @@ def test_support_row_tables_keep_the_bits_of_seeded_families():
     @hypothesis.given(st.sampled_from(_GRIDS), st.integers(0, 2**32 - 1))
     def check(spec, seed):
         bumps = make_bump_family(3, rng=np.random.default_rng(seed))
-        _assert_support_rows_keep_the_bits(spec, bumps)
+        _assert_support_rows_keep_the_bits(spec, bumps, whole_grid)
 
     check()

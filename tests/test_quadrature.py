@@ -8,8 +8,8 @@ import pytest
 from confweight import (ConformalMap, ConfweightError, DiscGridSpec, DomainFamily,
                         GridTooLarge, IntegrandNotFinite, InvalidExponents, MoebiusAutomorphism,
                         Verdict, brennan_direct, brennan_scan, classify,
-                        compose_with_automorphism, disc_nodes, integrate_disc, inverse_brennan,
-                        kpq_norm, pairwise_sum, quadrature)
+                        PolarGrid, compose_with_automorphism, disc_nodes, integrate_disc,
+                        inverse_brennan, kpq_norm, pairwise_sum, quadrature, ring_nodes)
 
 
 def test_grid_spec_validation():
@@ -26,21 +26,24 @@ def test_grid_spec_levels():
 
 
 def test_disc_nodes_partition_unity():
-    w, areas = disc_nodes(DiscGridSpec(n_r=32, n_theta=64))
+    blocks = list(disc_nodes(DiscGridSpec(n_r=32, n_theta=64), 8))
+    w, areas = (np.concatenate(part) for part in zip(*blocks))
     assert w.shape == areas.shape == (32, 64)
     assert np.all(np.abs(w) < 1.0)
     assert pairwise_sum(areas) == pytest.approx(math.pi, rel=1e-14)
 
 
-@pytest.mark.parametrize("n_r,n_theta", [(16, 16), (2048, 8)])
-def test_disc_node_weights_equal_the_outer_product(n_r, n_theta):
+@pytest.mark.parametrize("n_r,n_theta", [(16, 16), (2048, 8), (64, 2048)])
+def test_disc_node_weights_equal_the_outer_product(n_r, n_theta, whole_grid):
     spec = DiscGridSpec(n_r=n_r, n_theta=n_theta)
     edges = 1.0 - (1.0 - np.linspace(0.0, 1.0, n_r + 1)) ** 3.0
     r, dr = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
     outer = (r * dr)[:, None] * np.full(n_theta, 2.0 * np.pi / n_theta)[None, :]
-    _, weights = disc_nodes(spec)
+    weights = spec.cell_areas
     assert weights.shape == (n_r, n_theta) and not weights.flags.writeable
     assert np.array_equal(weights, outer)
+    assert np.array_equal(weights, whole_grid(spec)[1])
+    assert np.array_equal(spec.r, r)
 
 
 def test_integrate_constant_exact():
@@ -71,22 +74,25 @@ def test_integrand_not_finite():
 
 
 @pytest.mark.parametrize("rows", [1, 3, 16, 64])
-def test_node_blocks_tile_the_whole_grid_bit_for_bit(rows):
-    spec = DiscGridSpec(n_r=32, n_theta=64)
-    w, areas = disc_nodes(spec)
-    blocks = list(disc_nodes(spec, rows))
-    assert len(blocks) == -(-spec.n_r // rows)
-    assert all(b.shape == a.shape == (min(rows, spec.n_r), spec.n_theta)
-               for b, a in blocks[:-1])
-    assert np.array_equal(np.concatenate([b for b, _ in blocks]), w)
-    assert np.array_equal(np.concatenate([a for _, a in blocks]), areas)
+def test_node_blocks_tile_the_whole_grid_bit_for_bit(rows, whole_grid):
+    for n_r, n_theta in [(32, 64), (16, 16), (2048, 8), (64, 2048)]:
+        spec = DiscGridSpec(n_r=n_r, n_theta=n_theta)
+        w, areas = whole_grid(spec)
+        assert np.array_equal(ring_nodes(spec), w)
+        assert np.array_equal(spec.cell_areas, areas)
+        blocks = list(disc_nodes(spec, rows))
+        assert len(blocks) == -(-spec.n_r // rows)
+        assert all(b.shape == a.shape == (min(rows, spec.n_r), spec.n_theta)
+                   for b, a in blocks[:-1])
+        assert np.array_equal(np.concatenate([b for b, _ in blocks]), w)
+        assert np.array_equal(np.concatenate([a for _, a in blocks]), areas)
 
 
-def _whole_grid_levels(f, spec, levels):
+def _whole_grid_levels(f, spec, levels, whole_grid):
     """Level values from one whole-grid evaluation per level (no row blocks)."""
     values = []
     for k in range(levels):
-        w, weights = disc_nodes(spec.level(k))
+        w, weights = whole_grid(spec.level(k))
         vals = np.broadcast_to(np.asarray(f(w), dtype=float), w.shape)
         values.append(pairwise_sum(vals * weights))
     return values
@@ -103,14 +109,14 @@ _SLIT_PSI = ConformalMap.to_disc(DomainFamily.SLITPLANE).invert()
                                           (DiscGridSpec(64, 2048), 1),   # 2 blocks
                                           (DiscGridSpec(8, 1 << 17), 1)],  # row wider than a block
                          ids=["256-ladder", "64x2048", "8x131072"])
-def test_row_blocks_match_the_whole_grid_bit_for_bit(f, spec, levels):
+def test_row_blocks_match_the_whole_grid_bit_for_bit(f, spec, levels, whole_grid):
     res = integrate_disc(f, spec, tol=1e-300, max_levels=levels)
-    assert list(res.level_values) == _whole_grid_levels(f, spec, res.levels_used)
+    assert list(res.level_values) == _whole_grid_levels(f, spec, res.levels_used, whole_grid)
 
 
 def test_integrand_not_finite_names_the_first_node_in_a_later_block():
     spec = DiscGridSpec(512, 512)  # four blocks of 128 rows
-    w, _ = disc_nodes(spec)
+    w = ring_nodes(spec)
     r_cut = 0.5 * (abs(w[299, 0]) + abs(w[300, 0]))
 
     def bad(z):
@@ -128,6 +134,37 @@ def test_ladder_over_the_node_budget_fails_before_evaluating():
         integrate_disc(never, max_levels=10)
     with pytest.raises(GridTooLarge, match="is 0$"):
         integrate_disc(never, DiscGridSpec(8192, 8192), max_levels=1)
+
+
+def test_a_spec_and_its_budget_check_allocate_no_rings():
+    # r, phase and cell_areas are built when first read: a 4096^2 spec that
+    # fails its budget check never holds them (128 KiB and more at 4096^2)
+    tracemalloc.start()
+    try:
+        spec = DiscGridSpec(n_r=4096, n_theta=4096)
+        with pytest.raises(GridTooLarge):
+            integrate_disc(lambda w: 1.0, spec, max_levels=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+    assert not {"r", "phase", "cell_areas"} & set(vars(spec))
+
+
+def test_ring_nodes_of_any_rows_are_those_rows_of_the_whole_grid():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    grids = st.one_of(
+        st.builds(DiscGridSpec, st.sampled_from([8, 16, 64]), st.sampled_from([8, 32])),
+        st.builds(PolarGrid, st.integers(2, 70), st.integers(2, 40)))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(grids, st.data())
+    def check(grid, data):
+        rows = data.draw(st.slices(grid.n_r))
+        assert np.array_equal(ring_nodes(grid, rows), ring_nodes(grid)[rows])
+
+    check()
 
 
 def test_slitplane_level_and_ladder_peaks_do_not_grow_with_the_grid():

@@ -144,7 +144,7 @@ def test_verify_pulls_each_family_back_once_and_tabulates_each_bump_once(monkeyp
     pulls = []
     original_pull_back = quadrature.pull_back
 
-    def counted_pull_back(mapping, spec=None):
+    def counted_pull_back(mapping, spec=quadrature.CHECK_SPEC):
         pulls.append(mapping.family.value)
         return original_pull_back(mapping, spec)
 
@@ -185,8 +185,10 @@ def test_verify_pulls_each_family_back_once_and_tabulates_each_bump_once(monkeyp
 
 def test_verify_peaks_below_the_parent_under_tracemalloc(monkeypatch):
     # a cold run peaked at 26.9 MiB when every check pulled back and evaluated its
-    # bumps on the whole grid, and at 16.4 MiB with one pull-back per family and
-    # support-row bump tables; caching the nine tables whole would add 18 MiB
+    # bumps on the whole grid, and at 14.1 MiB with one pull-back per family and
+    # support-row bump tables but whole-grid node arrays; forming nodes only on
+    # the rows a sum reads, it peaks at 11.2 MiB.  Caching the nine tables whole
+    # would add 18 MiB
     monkeypatch.delenv("CW_SEED", raising=False)
     tracemalloc.start()
     try:
@@ -194,7 +196,7 @@ def test_verify_peaks_below_the_parent_under_tracemalloc(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < 12.5 * 2**20
 
 
 def test_koebe_ladders_share_one_jacobian_per_block(monkeypatch):

@@ -61,8 +61,8 @@ def test_disc_density_is_unity(to_disc, rng, derivative):
 
 def test_mass_identity(to_disc):
     spec = DiscGridSpec(n_r=256, n_theta=256)
-    _, areas, phi_abs, psi_abs = pull_back(to_disc, spec)
-    total = pairwise_sum(phi_abs**2 * psi_abs**2 * areas)
+    phi_abs, psi_abs = pull_back(to_disc, spec)
+    total = pairwise_sum(phi_abs**2 * psi_abs**2 * spec.cell_areas)
     assert abs(total - math.pi) / math.pi < 1e-4
 
 
