@@ -3,10 +3,11 @@
 Test functions are closed-form bumps evaluated analytically (value and
 gradient), so composing them with a conformal map costs no interpolation
 error; the pulled-back checks below then run at pure quadrature accuracy.
-A bump is summed on a disc grid by ``_row_sum`` only on its support rows,
-the only rows ``ring_nodes`` forms nodes on: ``_bump_tables`` gives the L_r
-norms and Dirichlet energies, and ``poisson.weak_residual`` its weak-form
-pairings.  The solver's solutions are radial, each kept as its ring column.
+A bump is summed on a disc grid only on its support rows, the only rows
+``ring_nodes`` forms nodes on, adding only the pairs of the grid's summation
+tree they meet: ``_bump_tables`` gives its L_r norms and Dirichlet energies,
+``poisson.weak_residual`` its weak-form pairings, and ``_pulled_back_sums`` its
+sums against ``pull_back``'s blocks.  Solutions are kept as radial ring columns.
 """
 from __future__ import annotations
 
@@ -134,16 +135,28 @@ def _support_rows(b: TestBump, radii: np.ndarray) -> slice:
     return slice(max(lo, 0), hi)
 
 
-def _row_sum(table: np.ndarray, rows: slice, grid: PolarGrid | DiscGridSpec,
-             weight: np.ndarray | None = None) -> float:
-    """pairwise_sum over ``grid`` of table * weight * cell areas, table zero off ``rows``.
+def _row_sum(part: np.ndarray, rows: slice, grid: PolarGrid | DiscGridSpec) -> float:
+    """The whole-grid pairwise_sum of ``part`` * cell areas on ``rows`` and +0.0 off them."""
+    return pairwise_sum(part * grid.cell_areas[rows], rows.start * grid.n_theta,
+                        grid.n_r * grid.n_theta)
 
-    The zero rows keep the whole grid's summation tree, so the sum has the
-    bits of the same product formed on every row.
+
+def _pulled_back_sums(mapping: ConformalMap, spec: DiscGridSpec, terms) -> list[float]:
+    """The ``_row_sum`` of f(sub, h, jac) for each (rows, f) of ``terms``, from one pull-back.
+
+    f gets h and jac on the rows of a ``pull_back`` block that meet ``rows``, and ``sub``
+    selects them in a table from ``rows.start``.  Each block is an aligned subtree of
+    the grid's summation tree, so the block sums, summed pairwise, keep the whole-grid bits.
     """
-    out = np.zeros(grid.cell_areas.shape)
-    out[rows] = (table if weight is None else table * weight[rows]) * grid.cell_areas[rows]
-    return pairwise_sum(out)
+    sums = [[] for _ in terms]
+    for block, h, jac in pull_back(mapping, spec):
+        for acc, (rows, f) in zip(sums, terms):
+            lo, hi = max(block.start, rows.start), min(block.stop, rows.stop)
+            at = slice(lo - block.start, hi - block.start)
+            acc.append(0.0 if lo >= hi else pairwise_sum(
+                f(slice(lo - rows.start, hi - rows.start), h[at], jac[at])
+                * spec.cell_areas[lo:hi], at.start * spec.n_theta, h.size))
+    return [pairwise_sum(acc) for acc in sums]
 
 
 @dataclass(frozen=True)
@@ -194,19 +207,15 @@ def _pulled_back_checks(mapping: ConformalMap, spec: DiscGridSpec,
     the density-weighted one; the transfer defect compares each of
     ``transfers``' L_r norms and energies with the density-weighted ones.
     """
-    density, jac = pull_back(mapping, spec)
-    density *= jac
-    del jac  # the bump loops hold only the density
-    mass = pairwise_sum(density * spec.cell_areas)
-    iso = 0.0
-    for t in energies:
-        iso = max(iso, _gap(_row_sum(t.grad2, t.rows, spec, density), t.energy))
-    transfer = 0.0
-    for t in transfers:
-        lhs_norm = _row_sum(t.power, t.rows, spec, density) ** (1.0 / t.r)
-        lhs_energy = math.sqrt(_row_sum(t.grad2, t.rows, spec, density))
-        transfer = max(transfer, _gap(lhs_norm, t.norm),
-                       _gap(lhs_energy, math.sqrt(t.energy)))
+    both = [*energies, *transfers]
+    mass, *sums = _pulled_back_sums(mapping, spec, [
+        (slice(0, spec.n_r), lambda sub, h, jac: h * jac),
+        *((t.rows, lambda sub, h, jac, t=t: t.grad2[sub] * (h * jac)) for t in both),
+        *((t.rows, lambda sub, h, jac, t=t: t.power[sub] * (h * jac)) for t in transfers)])
+    iso = max([0.0] + [_gap(g, t.energy) for g, t in zip(sums, energies)])
+    transfer = max([0.0] + [d for t, g, n in zip(transfers, sums[len(energies):], sums[len(both):])
+                            for d in (_gap(n ** (1.0 / t.r), t.norm),
+                                      _gap(math.sqrt(g), math.sqrt(t.energy)))])
     return mass, iso, transfer
 
 
@@ -242,12 +251,12 @@ def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
     if kres.verdict is not Verdict.CONVERGED:
         raise KpqDivergent(f"K_({p},{q}) integral verdict {kres.verdict.value} "
                            f"on {mapping.family.value}")
-    big_k = kres.value
-    h, jac = pull_back(mapping, spec)
+    big_k, tables = kres.value, list(_bump_tables(bumps, spec))
+    sums = _pulled_back_sums(mapping, spec, [
+        (t.rows, lambda sub, h, jac, t=t: (t.grad2[sub] * h) ** (q / 2.0) * jac) for t in tables])
     out = []
-    for t in _bump_tables(bumps, spec):
+    for t, lhs in zip(tables, (s ** (1.0 / q) for s in sums)):
         rhs = _row_sum(t.grad2 ** (p / 2.0), t.rows, spec) ** (1.0 / p)
-        lhs = _row_sum((t.grad2 * h[t.rows]) ** (q / 2.0), t.rows, spec, jac) ** (1.0 / q)
         out.append(CompositionRecord(lhs=lhs, rhs=rhs, constant=big_k,
                                      passed=lhs <= big_k * rhs * (1.0 + _COMPOSITION_SLACK)))
     return out

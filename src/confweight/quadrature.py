@@ -19,19 +19,19 @@ growth below tol scale is treated as settled, not as evidence of blow-up.
 
 A grid is its rings (radii ``r``, phases ``phase``, ``cell_areas``), and
 ``ring_nodes`` forms the nodes of any of its rows.  Each level is evaluated in
-row blocks of about 2^16 nodes, each generated only when it is reached, so an
-integrand must be pointwise: it receives one block at a time, and the whole
-grid never exists.  Block and grid sizes are powers of two, so summing the
-block sums pairwise follows the same halving tree as summing the whole level,
-and every level value is bit-identical to a whole-grid evaluation.  A ladder
-may not reach a level above the 2^24-node budget (4096 x 4096 cells).
+row blocks of 2^15 nodes (one row where a row holds more), each made when it
+is reached, so an integrand must be pointwise and the whole grid never exists.
+Block and grid sizes are powers of two, so each block is an aligned subtree of
+the level's halving tree, and the block sums, summed pairwise, give every level
+value the bits of a whole-grid evaluation.  A ladder may not reach a level
+above the 2^24-node budget (4096 x 4096 cells).
 
 The ladders of several exponents share their levels (``brennan_scan``): J is
 evaluated once per block for every exponent still running, and each keeps its
 own ladder's level values, verdict and stop level, bit for bit.
 
-``pull_back`` gives the matched-node checks h(psi(w)) and J(w, psi), both
-real Jacobians (``ConformalMap.jacobian``); their product is one.
+``pull_back`` streams the matched-node checks' h(psi(w)) and J(w, psi) in the
+same blocks: real Jacobians (``ConformalMap.jacobian``) whose product is one.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from .maps import ConformalMap, Direction
 from .util import pairwise_sum
 
 _GROWTH_SLACK = 0.9  # an increment counts as sustained when >= 0.9x its predecessor
-_BLOCK_NODES = 1 << 16  # nodes per row block of a level (bounds its temporaries)
+_BLOCK_NODES = 1 << 15  # nodes per row block of a level or pull-back (bounds its temporaries)
 NODE_BUDGET = 1 << 24  # largest level a ladder (or CLI grid) may reach: 4096 x 4096
 BUMP_BUDGET = 1 << 12  # largest bump family a CLI run may build
 # uniform t-cells map through g(t) = 1 - (1 - t)^3, packing radial cells
@@ -215,23 +215,17 @@ CHECK_SPEC = DiscGridSpec().level(5)
 
 
 def pull_back(mapping: ConformalMap, spec: DiscGridSpec = CHECK_SPEC
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """h(psi(w)) and J(w, psi) on the nodes w of a disc grid, shape (n_r, n_theta).
+              ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """(rows, h(psi(w)), J(w, psi)) on each row block of ``_BLOCK_NODES`` nodes w of a grid.
 
-    phi is the TO_DISC ``mapping`` and psi its inverse; h = J(., phi) and
-    J(., psi) are ``ConformalMap.jacobian``, and their product, the pulled-back
-    weight, is one in exact arithmetic.  Row blocks keep the nodes and the
-    maps' complex temporaries block-sized.
+    phi is the TO_DISC ``mapping``, checked at the call, and psi its inverse.  h = J(., phi)
+    and J(., psi) are ``ConformalMap.jacobian`` with product one; a block is made when reached.
     """
     if mapping.direction is not Direction.TO_DISC:
         raise ValueError("mapping must send its domain to the disc")
-    inv = mapping.invert()
-    h, jac = np.empty((spec.n_r, spec.n_theta)), np.empty((spec.n_r, spec.n_theta))
-    rows = max(1, _BLOCK_NODES // spec.n_theta)
-    for i, (block, _) in zip(range(0, spec.n_r, rows), disc_nodes(spec, rows)):
-        h[i:i + rows] = mapping.jacobian(inv.eval(block))
-        jac[i:i + rows] = inv.jacobian(block)
-    return h, jac
+    inv, step = mapping.invert(), max(1, _BLOCK_NODES // spec.n_theta)
+    return ((slice(i, i + step), mapping.jacobian(inv.eval(w)), inv.jacobian(w))
+            for i, (w, _) in zip(range(0, spec.n_r, step), disc_nodes(spec, step)))
 
 
 def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = None,

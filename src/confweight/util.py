@@ -34,21 +34,26 @@ def default_seed() -> int:
         ) from None
 
 
-def pairwise_sum(values: np.ndarray) -> float:
+def pairwise_sum(values: np.ndarray, start: int = 0, size: int | None = None) -> float:
     """Sum a 1-d array by explicit binary-tree halving.
 
     The reduction order is fixed by the array layout, so repeated runs on
     identical inputs are bit-identical regardless of how numpy was built.
+    With ``start`` and ``size`` it has the bits of a length-``size`` vector of
+    +0.0 holding ``values`` from ``start`` on, but adds only the pairs they meet.
     """
     flat = np.ascontiguousarray(values, dtype=float).ravel()
-    if flat.size == 0:
-        return 0.0
-    while flat.size > 1:
-        if flat.size % 2:
+    size = start + flat.size if size is None else size
+    while flat.size and size > 1:
+        lead, trail = start % 2, (start + flat.size) % 2 * (start + flat.size < size)
+        if lead or trail:
+            flat, start = np.concatenate([np.zeros(lead), flat, np.zeros(trail)]), start - lead
+        if flat.size % 2:  # the last value ends an odd level and is carried up
             flat = np.concatenate([flat[0:-1:2] + flat[1::2], flat[-1:]])
         else:
             flat = flat[0::2] + flat[1::2]
-    return float(flat[0])
+        start, size = start // 2, (size + 1) // 2
+    return float(flat[0]) if flat.size else 0.0
 
 
 def fmt_g(x: float) -> str:

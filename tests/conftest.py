@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confweight import (CHECK_SPEC, ConformalMap, Direction, DomainFamily, default_seed,
-                        make_bump_family)
+                        make_bump_family, pull_back)
 from confweight.fields import _bump_tables, _pulled_back_checks
 
 ALL_FAMILIES = tuple(DomainFamily)
@@ -64,6 +64,20 @@ def _whole_disc_grid(spec):
 def whole_grid():
     """The reference nodes and areas of a ``DiscGridSpec``, formed on the whole grid at once."""
     return _whole_disc_grid
+
+
+def _whole_pull_back(mapping, spec=CHECK_SPEC):
+    """``pull_back``'s row blocks joined into whole-grid (h, jac), after checking they tile it."""
+    rows, h, jac = zip(*pull_back(mapping, spec))
+    assert np.array_equal(np.concatenate([np.arange(spec.n_r)[s] for s in rows]),
+                          np.arange(spec.n_r))
+    return np.concatenate(h), np.concatenate(jac)
+
+
+@pytest.fixture
+def pulled_back():
+    """h(psi(w)) and J(w, psi) on the whole grid, shape (n_r, n_theta), from ``pull_back``."""
+    return _whole_pull_back
 
 
 @pytest.fixture

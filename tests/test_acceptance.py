@@ -17,7 +17,7 @@ from confweight import (ConformalMap, DiscGridSpec, DomainFamily, Verdict,
                         brennan_direct, composition_inequality_check,
                         default_seed, exponent_bounds,
                         kpq_norm, make_bump_family, pairwise_sum,
-                        poincare_constant_disc, pull_back, q_from_ps,
+                        poincare_constant_disc, q_from_ps,
                         quoted_formula_report, ring_nodes, run_verify, sample_interior)
 from confweight.fields import PolarGrid
 
@@ -56,12 +56,12 @@ def test_criterion_1_weight_formulas():
                      f"both quoted mismatches reproduced, {elapsed:.2f}s")
 
 
-def test_criterion_2_mass_identity():
+def test_criterion_2_mass_identity(pulled_back):
     start = time.perf_counter()
     level6 = DiscGridSpec(n_r=16, n_theta=16).level(5)  # 512 x 512
     worst = 0.0
     for fam in ALL:
-        h, jac = pull_back(ConformalMap.to_disc(fam), level6)
+        h, jac = pulled_back(ConformalMap.to_disc(fam), level6)
         total = pairwise_sum(h * jac * level6.cell_areas)
         worst = max(worst, abs(total - math.pi) / math.pi)
     elapsed = time.perf_counter() - start

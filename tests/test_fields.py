@@ -6,9 +6,10 @@ import pytest
 
 from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
                         InvalidExponents, KpqDivergent, PolarGrid, TestBump,
-                        composition_inequality_check, make_bump_family, ring_nodes)
+                        composition_inequality_check, make_bump_family, pairwise_sum,
+                        ring_nodes)
 from confweight import fields
-from confweight.fields import _bump_tables
+from confweight.fields import _bump_tables, _row_sum
 
 
 def test_polar_grid_node_layout():
@@ -28,6 +29,19 @@ def test_ring_nodes_of_a_polar_grid_have_the_whole_grid_bits(n_r, n_theta):
     whole = g.r[:, None] * np.exp(1j * g.theta)[None, :]
     assert np.array_equal(ring_nodes(g), whole)
     assert np.array_equal(ring_nodes(g, slice(3, 9)), whole[3:9])
+
+
+@pytest.mark.parametrize("rows", [slice(0, 100), slice(0, 1), slice(37, 61), slice(99, 100),
+                                  slice(1, 98), slice(64, 100)])
+def test_row_sum_has_the_bits_of_the_zero_padded_grid(rows):
+    # 100 x 48: neither count is a power of two, so the tree carries odd ends
+    g = PolarGrid(100, 48)
+    rng = np.random.default_rng(rows.start * 100 + rows.stop)
+    part = rng.standard_normal((rows.stop - rows.start, 48))
+    part[rng.random(part.shape) < 0.2] = -0.0
+    whole = np.zeros((100, 48))
+    whole[rows] = part * g.cell_areas[rows]
+    assert _row_sum(part, rows, g).hex() == pairwise_sum(whole).hex()
 
 
 def test_polar_grid_cell_areas_cover_disc():

@@ -1,5 +1,6 @@
 """The change of variables z = psi(w) behind every matched-node identity check."""
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from confweight import (CHECK_SPEC, ConformalMap, DiscGridSpec, DomainFamily,
                         composition_inequality_check, make_bump_family, pairwise_sum,
                         pull_back)
 from confweight.fields import TestBump as Bump
-from confweight.fields import _bump_tables, _row_sum
+from confweight.fields import _bump_tables, _pulled_back_checks, _row_sum
 
 # float.hex of the checks on a 64 x 64 grid with make_bump_family(3, seed 5),
 # taken before the checks shared pull_back: isometry, transfer defect at
@@ -42,9 +43,9 @@ def test_check_spec_is_the_512_grid():
     assert CHECK_SPEC == DiscGridSpec().level(5)
 
 
-def test_pull_back_defaults_to_check_spec(whole_grid):
+def test_pull_back_defaults_to_check_spec(whole_grid, pulled_back):
     m = ConformalMap.to_disc(DomainFamily.HALFPLANE)
-    h, jac = pull_back(m)
+    h, jac = pulled_back(m)
     assert h.shape == jac.shape == (512, 512)
     assert np.array_equal(jac, m.invert().jacobian(whole_grid(CHECK_SPEC)[0]))
 
@@ -63,7 +64,7 @@ def test_a_map_from_the_disc_is_rejected(call, family_checks):
 
 
 @pytest.mark.parametrize("name", sorted(_PINS))
-def test_pulled_back_checks_keep_their_bits(name, family_checks):
+def test_pulled_back_checks_keep_their_bits(name, family_checks, pulled_back):
     iso, transfer, (p, q), comp, mass = _PINS[name]
     spec = DiscGridSpec(n_r=64, n_theta=64)
     bumps = make_bump_family(3, rng=np.random.default_rng(5))
@@ -73,20 +74,19 @@ def test_pulled_back_checks_keep_their_bits(name, family_checks):
     recs = composition_inequality_check(m, p, q, bumps, spec)
     assert [(r.lhs.hex(), r.rhs.hex()) for r in recs] == comp
     # the pulled-back weight h(psi) J(., psi) sums to its pinned mass
-    h, jac = pull_back(m, spec)
+    h, jac = pulled_back(m, spec)
     assert float(pairwise_sum(h * jac * spec.cell_areas)).hex() == mass
 
 
 @pytest.mark.parametrize("group, bound_mib", [
-    ("energies", 11.5),
-    ("transfers", 12.5),
+    ("energies", 7.5),
+    ("transfers", 7.5),
 ], ids=["isometry", "weighted_constant"])
 def test_bump_loops_do_not_hold_the_derivative_arrays(group, bound_mib, family_checks):
-    # at CHECK_SPEC one Jacobian array is 2 MiB, and holding both through the
-    # bump loop adds one.  The tables and the pull-back peak at 9.8 / 11.0 MiB,
-    # forming nodes only on the rows each sum reads; building the 4 MiB node
-    # array of the whole grid for the tables, and again for the pull-back, read
-    # 12.8 / 14.0 MiB
+    # at CHECK_SPEC one Jacobian array is 2 MiB.  The tables and the streamed
+    # pull-back peak at 5.6 / 5.7 MiB; pulling h and jac back into whole-grid
+    # arrays, and summing each table through a zero-filled whole-grid array,
+    # read 9.8 / 11.0 MiB
     m = ConformalMap.to_disc(DomainFamily.STRIP)
     bumps = make_bump_family(3, rng=np.random.default_rng(5))
     tracemalloc.start()
@@ -103,9 +103,9 @@ def test_bump_loops_do_not_hold_the_derivative_arrays(group, bound_mib, family_c
 @pytest.mark.parametrize("eta", [None, MoebiusAutomorphism(0.3 - 0.2j, rotation=0.7)],
                          ids=["plain", "eta"])
 def test_blocked_pull_back_has_the_bits_of_a_whole_grid_evaluation(to_disc, eta, spec,
-                                                                    whole_grid):
+                                                                    whole_grid, pulled_back):
     m = to_disc if eta is None else compose_with_automorphism(to_disc, eta)
-    h, jac = pull_back(m, spec)
+    h, jac = pulled_back(m, spec)
     w = whole_grid(spec)[0]
     inv = m.invert()
     assert np.array_equal(h, m.jacobian(inv.eval(w)))
@@ -114,25 +114,43 @@ def test_blocked_pull_back_has_the_bits_of_a_whole_grid_evaluation(to_disc, eta,
 
 def test_slit_plane_pull_back_keeps_its_temporaries_block_sized():
     # one complex 512^2 temporary is 4 MiB: evaluating the derivatives on the
-    # whole grid peaked at 24.0 MiB, row blocks of 2^16 nodes peak at 13.0 MiB
+    # whole grid peaked at 24.0 MiB, and row blocks of 2^16 nodes written into
+    # whole-grid h and jac at 8.5 MiB; streamed blocks of 2^15 nodes peak at
+    # 2.8 MiB.  The blocks are consumed, since a generator does its work then
     m = ConformalMap.to_disc(DomainFamily.SLITPLANE)
-    pull_back(m, DiscGridSpec())
+    deque(pull_back(m, DiscGridSpec()), maxlen=0)
     tracemalloc.start()
     try:
-        pull_back(m)
+        deque(pull_back(m), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2**20
+    assert peak < 4 * 2**20
+
+
+def test_family_checks_hold_one_block_beyond_their_tables(to_disc):
+    # traced from when the tables exist: a block's map temporaries peak at
+    # 1.8-2.8 MiB over them; whole-grid h and jac and a zero-filled whole-grid
+    # array per sum read 7.6-8.5 MiB
+    bumps = make_bump_family(3, rng=np.random.default_rng(5))
+    energies = list(_bump_tables(bumps, CHECK_SPEC))
+    transfers = list(_bump_tables(bumps, CHECK_SPEC, 3.0))
+    tracemalloc.start()
+    try:
+        _pulled_back_checks(to_disc, CHECK_SPEC, energies, transfers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 _GRIDS = [CHECK_SPEC, DiscGridSpec(n_r=64, n_theta=2048)]
 
 
-def _assert_support_rows_keep_the_bits(spec, bumps, whole_grid):
+def _assert_support_rows_keep_the_bits(spec, bumps, whole_grid, pulled_back):
     # each restricted table against the same product formed on every row
     w, areas = whole_grid(spec)
-    h, jac = pull_back(ConformalMap.to_disc(DomainFamily.STRIP), spec)
+    h, jac = pulled_back(ConformalMap.to_disc(DomainFamily.STRIP), spec)
     density = h * jac
     for b, t in zip(bumps, _bump_tables(bumps, spec, 3.0)):
         grad2 = np.abs(b.gradient(w)) ** 2
@@ -143,7 +161,7 @@ def _assert_support_rows_keep_the_bits(spec, bumps, whole_grid):
             assert np.array_equal(whole[t.rows], part)
             # exactly +0.0 off the support rows, so the zero rows change no sum
             assert not whole[off].any() and not np.signbit(whole[off]).any()
-            assert (_row_sum(part, t.rows, spec, density).hex()
+            assert (_row_sum(part * density[t.rows], t.rows, spec).hex()
                     == pairwise_sum(whole * density * areas).hex())
         assert t.energy.hex() == pairwise_sum(grad2 * areas).hex()
         assert t.norm.hex() == (float(pairwise_sum(power * areas)) ** (1.0 / 3.0)).hex()
@@ -154,11 +172,12 @@ def _assert_support_rows_keep_the_bits(spec, bumps, whole_grid):
     Bump(0.05 - 0.03j, 0.2, 1.3),        # |c| < rho: the support holds the origin
     Bump(0.6 * np.exp(2.2j), 0.3, 0.7),  # |c| + rho = 0.9, the family's outer limit
 ], ids=["origin", "outer"])
-def test_support_row_tables_have_the_bits_of_whole_grid_products(spec, bump, whole_grid):
+def test_support_row_tables_have_the_bits_of_whole_grid_products(spec, bump, whole_grid,
+                                                                 pulled_back):
     w, areas = whole_grid(spec)
     (table,) = _bump_tables([bump], spec)
     assert table.rows.stop - table.rows.start < spec.n_r  # the support leaves rows out
-    _assert_support_rows_keep_the_bits(spec, [bump], whole_grid)
+    _assert_support_rows_keep_the_bits(spec, [bump], whole_grid, pulled_back)
     # the composition check sums the same support-row table
     m = ConformalMap.to_disc(DomainFamily.CARDIOID)
     inv = m.invert()
@@ -170,7 +189,7 @@ def test_support_row_tables_have_the_bits_of_whole_grid_products(spec, bump, who
     assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex())
 
 
-def test_support_row_tables_keep_the_bits_of_seeded_families(whole_grid):
+def test_support_row_tables_keep_the_bits_of_seeded_families(whole_grid, pulled_back):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -178,6 +197,6 @@ def test_support_row_tables_keep_the_bits_of_seeded_families(whole_grid):
     @hypothesis.given(st.sampled_from(_GRIDS), st.integers(0, 2**32 - 1))
     def check(spec, seed):
         bumps = make_bump_family(3, rng=np.random.default_rng(seed))
-        _assert_support_rows_keep_the_bits(spec, bumps, whole_grid)
+        _assert_support_rows_keep_the_bits(spec, bumps, whole_grid, pulled_back)
 
     check()

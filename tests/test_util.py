@@ -65,6 +65,39 @@ def test_pairwise_sum_block_identity_property():
     check()
 
 
+def _zero_padded(values, start, size):
+    out = np.zeros(size)
+    out[start:start + len(values)] = values
+    return out
+
+
+@pytest.mark.parametrize("values, start, size", [
+    ([], 0, 0), ([], 3, 7), ([-0.0], 0, 1), ([-0.0], 0, 3), ([-0.0], 1, 2),
+    ([-0.0, -0.0, -0.0], 0, 3), ([-0.0, -0.0], 4, 9), ([1.5, -2.0, 3.25], 5, 8),
+    ([1e16, 1.0, -1e16], 1, 5), ([2.0] * 7, 6, 13),
+])
+def test_pairwise_sum_at_an_offset_edge_cases(values, start, size):
+    got = pairwise_sum(np.array(values, dtype=float), start, size)
+    assert got.hex() == pairwise_sum(_zero_padded(values, start, size)).hex()
+
+
+def test_pairwise_sum_at_an_offset_has_the_bits_of_the_zero_padded_vector():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    floats = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0])
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        size = data.draw(st.integers(0, 300), "size")
+        values = data.draw(st.lists(floats, max_size=size), "values")
+        start = data.draw(st.integers(0, size - len(values)), "start")
+        got = pairwise_sum(np.array(values, dtype=float), start, size)
+        assert got.hex() == pairwise_sum(_zero_padded(values, start, size)).hex()
+
+    check()
+
+
 def test_write_csv_float_cells_round_trip():
     vals = np.array([0.1, -3.0, 1.0 / 3.0, 1e-300, 123456.789, np.pi])
     buf = io.StringIO()

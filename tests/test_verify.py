@@ -185,10 +185,11 @@ def test_verify_pulls_each_family_back_once_and_tabulates_each_bump_once(monkeyp
 
 def test_verify_peaks_below_the_parent_under_tracemalloc(monkeypatch):
     # a cold run peaked at 26.9 MiB when every check pulled back and evaluated its
-    # bumps on the whole grid, and at 14.1 MiB with one pull-back per family and
-    # support-row bump tables but whole-grid node arrays; forming nodes only on
-    # the rows a sum reads, it peaks at 11.2 MiB.  Caching the nine tables whole
-    # would add 18 MiB
+    # bumps on the whole grid, at 14.1 MiB with one pull-back per family and
+    # support-row bump tables but whole-grid node arrays, and at 11.1 MiB forming
+    # nodes only on the rows a sum reads but pulling back into whole-grid arrays.
+    # Streaming the pull-back in blocks of 2^15 nodes, it peaks at 5.5 MiB.
+    # Caching the nine tables whole would add 18 MiB
     monkeypatch.delenv("CW_SEED", raising=False)
     tracemalloc.start()
     try:
@@ -196,7 +197,7 @@ def test_verify_peaks_below_the_parent_under_tracemalloc(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12.5 * 2**20
+    assert peak < 7 * 2**20
 
 
 def test_koebe_ladders_share_one_jacobian_per_block(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from confweight import (ConformalMap, DiscGridSpec, MoebiusAutomorphism,
-                        compose_with_automorphism, pairwise_sum, pull_back,
+                        compose_with_automorphism, pairwise_sum,
                         sample_interior)
 
 
@@ -59,9 +59,9 @@ def test_disc_density_is_unity(to_disc, rng, derivative):
     assert np.abs(density - 1.0).max() < 1e-12
 
 
-def test_mass_identity(to_disc):
+def test_mass_identity(to_disc, pulled_back):
     spec = DiscGridSpec(n_r=256, n_theta=256)
-    phi_abs, psi_abs = pull_back(to_disc, spec)
+    phi_abs, psi_abs = pulled_back(to_disc, spec)
     total = pairwise_sum(phi_abs**2 * psi_abs**2 * spec.cell_areas)
     assert abs(total - math.pi) / math.pi < 1e-4
 
