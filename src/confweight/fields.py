@@ -7,7 +7,7 @@ A bump is summed on a disc grid only on its support rows, the only rows
 ``ring_nodes`` forms nodes on, adding only the pairs of the grid's summation
 tree they meet: ``_bump_tables`` gives its L_r norms and Dirichlet energies,
 ``poisson.weak_residual`` its weak-form pairings, and ``_pulled_back_sums`` its
-sums against ``pull_back``'s blocks.  Solutions are kept as radial ring columns.
+sums against a stream of ``disc_nodes`` blocks.  Solutions are radial ring columns.
 """
 from __future__ import annotations
 
@@ -27,10 +27,11 @@ from .util import default_seed, pairwise_sum
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Uniform polar grid, nodes r_i = (i+1/2)/n_r, theta_j = 2*pi*j/n_theta.
+    """Uniform polar grid, nodes r_i e^{i theta_j}, r_i = (i+1/2)/n_r, theta_j = 2*pi*j/n_theta.
 
     Nodes sit at radial cell midpoints, so neither r=0 nor r=1 is sampled;
-    theta wraps periodically.
+    theta wraps periodically.  As for a ``DiscGridSpec``, ``r``, ``phase`` and
+    ``cell_areas`` describe it.
     """
 
     n_r: int
@@ -45,12 +46,8 @@ class PolarGrid:
         return (np.arange(self.n_r) + 0.5) / self.n_r
 
     @cached_property
-    def theta(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-
-    @cached_property
-    def phase(self) -> np.ndarray:
-        return np.exp(1j * self.theta)
+    def phase(self) -> np.ndarray:  # e^{i theta_j}: its real and imaginary parts are cos, sin
+        return np.exp(1j * (2.0 * np.pi * np.arange(self.n_theta) / self.n_theta))
 
     @cached_property
     def cell_areas(self) -> np.ndarray:
@@ -141,21 +138,22 @@ def _row_sum(part: np.ndarray, rows: slice, grid: PolarGrid | DiscGridSpec) -> f
                         grid.n_r * grid.n_theta)
 
 
-def _pulled_back_sums(mapping: ConformalMap, spec: DiscGridSpec, terms) -> list[float]:
-    """The ``_row_sum`` of f(sub, h, jac) for each (rows, f) of ``terms``, from one pull-back.
+def _pulled_back_sums(blocks, spec: DiscGridSpec, terms) -> list[float]:
+    """The ``_row_sum`` of f(sub, *data) for each (rows, f) of ``terms``, from one block stream.
 
-    f gets h and jac on the rows of a ``pull_back`` block that meet ``rows``, and ``sub``
-    selects them in a table from ``rows.start``.  Each block is an aligned subtree of
-    the grid's summation tree, so the block sums, summed pairwise, keep the whole-grid bits.
+    ``blocks`` yields (block, *data) on the blocks of ``disc_nodes(spec)``, as ``pull_back``
+    does; f gets each data array on the rows of a block that meet ``rows``, and ``sub`` selects
+    them in a table from ``rows.start``.  Each block is an aligned subtree of the grid's
+    summation tree, so the block sums, summed pairwise, keep the whole-grid bits.
     """
     sums = [[] for _ in terms]
-    for block, h, jac in pull_back(mapping, spec):
+    for block, *data in blocks:
         for acc, (rows, f) in zip(sums, terms):
             lo, hi = max(block.start, rows.start), min(block.stop, rows.stop)
             at = slice(lo - block.start, hi - block.start)
             acc.append(0.0 if lo >= hi else pairwise_sum(
-                f(slice(lo - rows.start, hi - rows.start), h[at], jac[at])
-                * spec.cell_areas[lo:hi], at.start * spec.n_theta, h.size))
+                f(slice(lo - rows.start, hi - rows.start), *(d[at] for d in data))
+                * spec.cell_areas[lo:hi], at.start * spec.n_theta, data[0].size))
     return [pairwise_sum(acc) for acc in sums]
 
 
@@ -201,17 +199,18 @@ def _pulled_back_checks(mapping: ConformalMap, spec: DiscGridSpec,
                         ) -> tuple[float, float, float]:
     """Mass, worst isometry gap and worst transfer defect from one pull-back.
 
-    Every sum carries the one density h(psi) J(., psi) from ``pull_back``,
-    identically one in exact arithmetic.  The mass is its disc integral.
+    Every sum carries the one density h(psi) J(., psi) from ``pull_back``, formed
+    once per block and identically one in exact arithmetic: the mass is its integral.
     The isometry gap compares each of ``energies``' Dirichlet energies with
     the density-weighted one; the transfer defect compares each of
     ``transfers``' L_r norms and energies with the density-weighted ones.
     """
     both = [*energies, *transfers]
-    mass, *sums = _pulled_back_sums(mapping, spec, [
-        (slice(0, spec.n_r), lambda sub, h, jac: h * jac),
-        *((t.rows, lambda sub, h, jac, t=t: t.grad2[sub] * (h * jac)) for t in both),
-        *((t.rows, lambda sub, h, jac, t=t: t.power[sub] * (h * jac)) for t in transfers)])
+    blocks = ((rows, np.multiply(h, jac, out=h)) for rows, h, jac in pull_back(mapping, spec))
+    mass, *sums = _pulled_back_sums(blocks, spec, [
+        (slice(0, spec.n_r), lambda sub, density: density),
+        *((t.rows, lambda sub, density, t=t: t.grad2[sub] * density) for t in both),
+        *((t.rows, lambda sub, density, t=t: t.power[sub] * density) for t in transfers)])
     iso = max([0.0] + [_gap(g, t.energy) for g, t in zip(sums, energies)])
     transfer = max([0.0] + [d for t, g, n in zip(transfers, sums[len(energies):], sums[len(both):])
                             for d in (_gap(n ** (1.0 / t.r), t.norm),
@@ -252,7 +251,7 @@ def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
         raise KpqDivergent(f"K_({p},{q}) integral verdict {kres.verdict.value} "
                            f"on {mapping.family.value}")
     big_k, tables = kres.value, list(_bump_tables(bumps, spec))
-    sums = _pulled_back_sums(mapping, spec, [
+    sums = _pulled_back_sums(pull_back(mapping, spec), spec, [
         (t.rows, lambda sub, h, jac, t=t: (t.grad2[sub] * h) ** (q / 2.0) * jac) for t in tables])
     out = []
     for t, lhs in zip(tables, (s ** (1.0 / q) for s in sums)):

@@ -202,7 +202,7 @@ def weak_residual(grid: PolarGrid, column: np.ndarray, rhs: RhsSpec,
     dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     dv[0] = (v[1] - v[0]) / (2.0 * h)
     dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    cos, sin = np.cos(grid.theta), np.sin(grid.theta)
+    cos, sin = grid.phase.real, grid.phase.imag
     res = []
     for b in bumps:
         rows = _support_rows(b, grid.r)

@@ -18,9 +18,9 @@ The tolerance therefore doubles as the significance floor for divergence:
 growth below tol scale is treated as settled, not as evidence of blow-up.
 
 A grid is its rings (radii ``r``, phases ``phase``, ``cell_areas``), and
-``ring_nodes`` forms the nodes of any of its rows.  Each level is evaluated in
-row blocks of 2^15 nodes (one row where a row holds more), each made when it
-is reached, so an integrand must be pointwise and the whole grid never exists.
+``ring_nodes`` forms the nodes of any of its rows.  ``disc_nodes`` alone cuts a
+grid into row blocks of 2^15 nodes (one row where a row holds more), each made
+when reached; a level is summed by them, so an integrand must be pointwise.
 Block and grid sizes are powers of two, so each block is an aligned subtree of
 the level's halving tree, and the block sums, summed pairwise, give every level
 value the bits of a whole-grid evaluation.  A ladder may not reach a level
@@ -48,7 +48,7 @@ from .maps import ConformalMap, Direction
 from .util import pairwise_sum
 
 _GROWTH_SLACK = 0.9  # an increment counts as sustained when >= 0.9x its predecessor
-_BLOCK_NODES = 1 << 15  # nodes per row block of a level or pull-back (bounds its temporaries)
+_BLOCK_NODES = 1 << 15  # nodes per row block of disc_nodes (bounds a block's temporaries)
 NODE_BUDGET = 1 << 24  # largest level a ladder (or CLI grid) may reach: 4096 x 4096
 BUMP_BUDGET = 1 << 12  # largest bump family a CLI run may build
 # uniform t-cells map through g(t) = 1 - (1 - t)^3, packing radial cells
@@ -114,10 +114,12 @@ def ring_nodes(grid, rows: slice = slice(None)) -> np.ndarray:
     return grid.r[rows, None] * grid.phase
 
 
-def disc_nodes(spec: DiscGridSpec, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Nodes and cell areas (read-only) in blocks of ``rows`` rows, each made when reached."""
-    for i in range(0, spec.n_r, rows):
-        yield ring_nodes(spec, slice(i, i + rows)), spec.cell_areas[i:i + rows]
+def disc_nodes(spec) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, nodes) on each block of ``_BLOCK_NODES`` nodes (or one wider row) of a ring grid."""
+    step = max(1, _BLOCK_NODES // spec.n_theta)
+    for i in range(0, spec.n_r, step):
+        rows = slice(i, min(i + step, spec.n_r))
+        yield rows, ring_nodes(spec, rows)
 
 
 def classify(level_values: list[float] | tuple[float, ...], tol: float) -> Verdict:
@@ -185,15 +187,15 @@ def _ladders(f: Callable, count: int, spec: DiscGridSpec | None, tol: float,
     runs, live = [[] for _ in range(count)], list(range(count))
     for k in range(max_levels):
         level, sums = spec.level(k), [[] for _ in live]
-        for block, areas in disc_nodes(level, max(1, _BLOCK_NODES // level.n_theta)):
+        for rows, block in disc_nodes(level):
             for acc, vals in zip(sums, f(block, live)):
                 vals = np.broadcast_to(np.asarray(vals, dtype=float), block.shape)
                 if not np.all(np.isfinite(vals)):
                     bad = block[~np.isfinite(vals)].ravel()[0]
                     raise IntegrandNotFinite(f"integrand is not finite at interior node {bad}")
-                acc.append(pairwise_sum(vals * areas))
+                acc.append(pairwise_sum(vals * level.cell_areas[rows]))
         for i, acc in zip(live, sums):
-            runs[i].append(acc[0] if len(acc) == 1 else pairwise_sum(np.array(acc)))
+            runs[i].append(pairwise_sum(acc))
         live = [i for i in live if classify(runs[i], tol) is not Verdict.CONVERGED]
         if not live:
             break
@@ -216,16 +218,15 @@ CHECK_SPEC = DiscGridSpec().level(5)
 
 def pull_back(mapping: ConformalMap, spec: DiscGridSpec = CHECK_SPEC
               ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """(rows, h(psi(w)), J(w, psi)) on each row block of ``_BLOCK_NODES`` nodes w of a grid.
+    """(rows, h(psi(w)), J(w, psi)) on each ``disc_nodes`` block (rows, w) of a grid.
 
     phi is the TO_DISC ``mapping``, checked at the call, and psi its inverse.  h = J(., phi)
     and J(., psi) are ``ConformalMap.jacobian`` with product one; a block is made when reached.
     """
     if mapping.direction is not Direction.TO_DISC:
         raise ValueError("mapping must send its domain to the disc")
-    inv, step = mapping.invert(), max(1, _BLOCK_NODES // spec.n_theta)
-    return ((slice(i, i + step), mapping.jacobian(inv.eval(w)), inv.jacobian(w))
-            for i, (w, _) in zip(range(0, spec.n_r, step), disc_nodes(spec, step)))
+    inv = mapping.invert()
+    return ((rows, mapping.jacobian(inv.eval(w)), inv.jacobian(w)) for rows, w in disc_nodes(spec))
 
 
 def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = None,

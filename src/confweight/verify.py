@@ -33,8 +33,8 @@ from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
                    compose_with_automorphism, round_trip_check, sample_interior)
 from .poisson import RhsSpec, solve_dirichlet, weak_residual
-from .quadrature import (_BLOCK_NODES, CHECK_SPEC, Verdict, brennan_direct, brennan_scan,
-                         integrate_disc, ring_nodes)
+from .quadrature import (CHECK_SPEC, Verdict, brennan_direct, brennan_scan, disc_nodes,
+                         integrate_disc)
 from .util import default_seed
 
 # first positive zero of the Bessel function J0; lambda_1(disc) = j01^2
@@ -279,11 +279,9 @@ def _check_poisson(add, rng):
         mapping = ConformalMap.to_disc(fam)
         inv = mapping.invert()
         errors = []
-        for grid, column in zip(grids, columns):
-            rows = max(1, _BLOCK_NODES // grid.n_theta)  # max is exact, so block by block
-            errors.append(max(float(np.max(np.abs(column[s, None] - (1.0 - np.abs(
-                mapping.eval(inv.eval(ring_nodes(grid, s)))) ** 2))))
-                for s in (slice(i, i + rows) for i in range(0, grid.n_r, rows))))
+        for grid, column in zip(grids, columns):  # max is exact, so block by block
+            errors.append(max(float(np.max(np.abs(column[rows, None] - (1.0 - np.abs(
+                mapping.eval(inv.eval(w))) ** 2)))) for rows, w in disc_nodes(grid)))
         err_orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         add(f"poisson.exact_const.{fam.value}",
             min(err_orders) >= 1.9 and errors[-1] <= 1e-3,

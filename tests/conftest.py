@@ -47,6 +47,11 @@ def _derivative(mapping, z):
     return out
 
 
+def polar_theta(grid):
+    """theta_j = 2*pi*j/n_theta of a ``PolarGrid``: the angles its ``phase`` is e^{i theta} of."""
+    return 2.0 * np.pi * np.arange(grid.n_theta) / grid.n_theta
+
+
 def _whole_disc_grid(spec):
     """The deleted whole-grid mode of ``disc_nodes``: (nodes, areas), every node in one product."""
     t = np.linspace(0.0, 1.0, spec.n_r + 1)

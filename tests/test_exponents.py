@@ -15,6 +15,8 @@ from confweight import (ConformalMap, ConstantEstimate, DomainFamily,
 from confweight import exponents
 from confweight.cli import main
 
+from conftest import polar_theta
+
 J01 = 2.404825557695773
 
 
@@ -162,7 +164,7 @@ def _whole_grid_bound(r, grid, bumps):
     def norm(v, p):
         return pairwise_sum(np.abs(v) ** p * grid.cell_areas) ** (1.0 / p)
 
-    nodes = grid.r[:, None] * np.exp(1j * grid.theta)[None, :]  # the whole grid at once
+    nodes = grid.r[:, None] * np.exp(1j * polar_theta(grid))[None, :]  # the whole grid at once
     best = 0.0
     for b in bumps:
         denom = norm(b.gradient(nodes), 2.0)

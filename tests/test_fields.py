@@ -11,22 +11,33 @@ from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
 from confweight import fields
 from confweight.fields import _bump_tables, _row_sum
 
+from conftest import polar_theta
+
 
 def test_polar_grid_node_layout():
     g = PolarGrid(8, 16)
     assert g.r[0] == pytest.approx(0.5 / 8)
     assert g.r[-1] == pytest.approx(7.5 / 8)
-    assert g.theta[0] == 0.0
-    assert g.theta[1] == pytest.approx(2 * math.pi / 16)
+    assert g.phase[0] == 1.0
+    assert g.phase[1] == pytest.approx(np.exp(2j * math.pi / 16))
     assert ring_nodes(g).shape == (8, 16)
     assert np.all(np.abs(ring_nodes(g)) < 1.0)
+
+
+def test_polar_phase_parts_are_cos_and_sin_of_theta_bit_for_bit():
+    # weak_residual reads phase.real and phase.imag as cos and sin of theta
+    for n_theta in range(2, 4097):
+        g = PolarGrid(2, n_theta)
+        theta = polar_theta(g)
+        for part, want in ((g.phase.real, np.cos(theta)), (g.phase.imag, np.sin(theta))):
+            assert np.array_equal(part.view(np.int64), want.view(np.int64)), n_theta
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(16, 16), (100, 48), (256, 256)])
 def test_ring_nodes_of_a_polar_grid_have_the_whole_grid_bits(n_r, n_theta):
     g = PolarGrid(n_r, n_theta)
     # the deleted PolarGrid.nodes: every node in one product
-    whole = g.r[:, None] * np.exp(1j * g.theta)[None, :]
+    whole = g.r[:, None] * np.exp(1j * polar_theta(g))[None, :]
     assert np.array_equal(ring_nodes(g), whole)
     assert np.array_equal(ring_nodes(g, slice(3, 9)), whole[3:9])
 

@@ -17,6 +17,8 @@ from confweight.fields import _support_rows
 from confweight.poisson import solve_radial
 from confweight.util import CSV_BLOCK_ROWS, DEFAULT_SEED
 
+from conftest import polar_theta
+
 _ETA = MoebiusAutomorphism(0.3 - 0.2j, rotation=0.7)
 _CONST, _QUARTIC = RhsSpec("const", -4.0), RhsSpec("quartic")
 _RHS = pytest.mark.parametrize("rhs", [_CONST, _QUARTIC], ids=["const", "quartic"])
@@ -438,7 +440,7 @@ def test_overflowing_solve_names_the_first_bad_radius(recwarn):
 
 def _whole_grid_nodes(grid):
     """The deleted ``PolarGrid.nodes``: the whole grid's nodes in one product."""
-    return grid.r[:, None] * np.exp(1j * grid.theta)[None, :]
+    return grid.r[:, None] * np.exp(1j * polar_theta(grid))[None, :]
 
 
 def _polar_gradient(values, grid):
@@ -450,7 +452,8 @@ def _polar_gradient(values, grid):
     fr[0] = (values[1] - np.roll(values[0], -(grid.n_theta // 2))) / (2.0 * h)
     fr[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
     ft = (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2.0 * dtheta)
-    cos, sin = np.cos(grid.theta)[None, :], np.sin(grid.theta)[None, :]
+    theta = polar_theta(grid)
+    cos, sin = np.cos(theta)[None, :], np.sin(theta)[None, :]
     inv_r = (1.0 / grid.r)[:, None]
     return fr * cos - ft * sin * inv_r, fr * sin + ft * cos * inv_r
 
@@ -513,7 +516,8 @@ def _whole_grid_weak_residual(grid, column, rhs, bumps):
     dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     dv[0] = (v[1] - v[0]) / (2.0 * h)
     dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    gx, gy = dv[:, None] * np.cos(grid.theta), dv[:, None] * np.sin(grid.theta)
+    theta = polar_theta(grid)
+    gx, gy = dv[:, None] * np.cos(theta), dv[:, None] * np.sin(theta)
     areas, nodes = grid.cell_areas, _whole_grid_nodes(grid)
     ftilde = rhs.on_disc(np.abs(nodes))
     out = []

@@ -10,7 +10,8 @@ from confweight import (CHECK_SPEC, ConformalMap, DiscGridSpec, DomainFamily,
                         composition_inequality_check, make_bump_family, pairwise_sum,
                         pull_back)
 from confweight.fields import TestBump as Bump
-from confweight.fields import _bump_tables, _pulled_back_checks, _row_sum
+from confweight import fields
+from confweight.fields import _bump_tables, _pulled_back_checks, _pulled_back_sums, _row_sum
 
 # float.hex of the checks on a 64 x 64 grid with make_bump_family(3, seed 5),
 # taken before the checks shared pull_back: isometry, transfer defect at
@@ -142,6 +143,26 @@ def test_family_checks_hold_one_block_beyond_their_tables(to_disc):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_family_checks_keep_the_bits_of_a_density_per_term(to_disc, monkeypatch):
+    # each term once formed its own h * jac; the density formed once per block
+    # gives every one of the ten sums the same bits
+    bumps = make_bump_family(3, rng=np.random.default_rng(5))
+    energies = list(_bump_tables(bumps, CHECK_SPEC))
+    transfers = list(_bump_tables(bumps, CHECK_SPEC, 3.0))
+    per_term = _pulled_back_sums(pull_back(to_disc), CHECK_SPEC, [
+        (slice(0, CHECK_SPEC.n_r), lambda sub, h, jac: h * jac),
+        *((t.rows, lambda sub, h, jac, t=t: t.grad2[sub] * (h * jac))
+          for t in [*energies, *transfers]),
+        *((t.rows, lambda sub, h, jac, t=t: t.power[sub] * (h * jac)) for t in transfers)])
+    seen = []
+    monkeypatch.setattr(fields, "_pulled_back_sums",
+                        lambda *args: seen.append(_pulled_back_sums(*args)) or seen[-1])
+    mass, _, _ = _pulled_back_checks(to_disc, CHECK_SPEC, energies, transfers)
+    assert len(seen) == 1 and len(per_term) == 10
+    assert [x.hex() for x in seen[0]] == [x.hex() for x in per_term]
+    assert mass.hex() == per_term[0].hex()
 
 
 _GRIDS = [CHECK_SPEC, DiscGridSpec(n_r=64, n_theta=2048)]

@@ -25,9 +25,13 @@ def test_grid_spec_levels():
     assert (lvl3.n_r, lvl3.n_theta) == (64, 64)
 
 
-def test_disc_nodes_partition_unity():
-    blocks = list(disc_nodes(DiscGridSpec(n_r=32, n_theta=64), 8))
-    w, areas = (np.concatenate(part) for part in zip(*blocks))
+def test_disc_nodes_partition_unity(monkeypatch):
+    spec = DiscGridSpec(n_r=32, n_theta=64)
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", 8 * spec.n_theta)
+    rows, nodes = zip(*disc_nodes(spec))
+    w = np.concatenate(nodes)
+    areas = np.concatenate([spec.cell_areas[s] for s in rows])
+    assert len(rows) == 4
     assert w.shape == areas.shape == (32, 64)
     assert np.all(np.abs(w) < 1.0)
     assert pairwise_sum(areas) == pytest.approx(math.pi, rel=1e-14)
@@ -74,18 +78,32 @@ def test_integrand_not_finite():
 
 
 @pytest.mark.parametrize("rows", [1, 3, 16, 64])
-def test_node_blocks_tile_the_whole_grid_bit_for_bit(rows, whole_grid):
+def test_node_blocks_tile_the_whole_grid_bit_for_bit(rows, whole_grid, monkeypatch):
     for n_r, n_theta in [(32, 64), (16, 16), (2048, 8), (64, 2048)]:
         spec = DiscGridSpec(n_r=n_r, n_theta=n_theta)
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", rows * n_theta)
         w, areas = whole_grid(spec)
         assert np.array_equal(ring_nodes(spec), w)
         assert np.array_equal(spec.cell_areas, areas)
-        blocks = list(disc_nodes(spec, rows))
+        blocks = list(disc_nodes(spec))
         assert len(blocks) == -(-spec.n_r // rows)
-        assert all(b.shape == a.shape == (min(rows, spec.n_r), spec.n_theta)
-                   for b, a in blocks[:-1])
-        assert np.array_equal(np.concatenate([b for b, _ in blocks]), w)
-        assert np.array_equal(np.concatenate([a for _, a in blocks]), areas)
+        assert all(b.shape == spec.cell_areas[s].shape == (min(rows, spec.n_r), spec.n_theta)
+                   for s, b in blocks[:-1])
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), w)
+        assert np.array_equal(np.concatenate([spec.cell_areas[s] for s, _ in blocks]), areas)
+
+
+@pytest.mark.parametrize("grid, count", [(PolarGrid(100, 48), 1), (PolarGrid(256, 256), 2),
+                                         (DiscGridSpec(8, 1 << 17), 8)],
+                         ids=["polar-100x48", "polar-256x256", "8x131072"])
+def test_disc_nodes_tile_the_rows_in_blocks_of_the_block_size(grid, count):
+    # the wide grid's rows each hold more than a block, so each is a block of its own
+    blocks = list(disc_nodes(grid))
+    assert len(blocks) == count
+    assert [s.start for s, _ in blocks] == [0] + [s.stop for s, _ in blocks[:-1]]
+    assert blocks[-1][0].stop == grid.n_r
+    assert all(w.size <= max(quadrature._BLOCK_NODES, grid.n_theta) for _, w in blocks)
+    assert all(np.array_equal(w, ring_nodes(grid, s)) for s, w in blocks)
 
 
 def _whole_grid_levels(f, spec, levels, whole_grid):
