@@ -13,7 +13,7 @@ from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod, Expone
                         disc_eigenvalue, exponent_bounds, poincare_constant_disc, q_from_ps)
 from .fields import (CompositionRecord, PolarGrid, TestBump,
                      composition_inequality_check, make_bump_family)
-from .maps import (ConformalMap, Direction, DomainFamily, MoebiusAutomorphism,
+from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
                    boundary_image_check, boundary_samples,
                    compose_with_automorphism, round_trip_check, sample_interior)
 from .poisson import DiscSolution, RhsSpec, solve_dirichlet, weak_residual
@@ -28,7 +28,7 @@ __version__ = "1.0.0"
 __all__ = [
     "BranchCutViolation", "CHECK_SPEC", "CompositionRecord", "ConformalMap",
     "ConfweightError", "ConstantEstimate", "DEFAULT_ALPHA0", "DEFAULT_SEED",
-    "Direction", "DiscGridSpec", "DiscSolution", "DomainFamily", "EstimateMethod",
+    "DiscGridSpec", "DiscSolution", "DomainFamily", "EstimateMethod",
     "ExponentBounds", "EstimateNotUsable", "ExponentOutOfRange", "GridTooCoarse",
     "GridTooLarge", "IntegrandNotFinite", "InvalidExponents", "IterationDivergence",
     "J0_FIRST_ZERO", "KpqDivergent", "MoebiusAutomorphism", "PointOutsideDomain",

@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weight", help="evaluate h(z) = |phi'(z)|^2")
     common(p)
-    p.add_argument("--at", required=True, type=_parse_complex, metavar="RE,IM")
+    p.add_argument("--at", required=True, type=_parse_complex, metavar="RE,IM",
+                   help="a value that starts with '-' needs '=': --at=-0.1,0.2")
 
     for name, xflag in (("brennan", "--s"), ("inverse-brennan", "--alpha")):
         p = sub.add_parser(name, help="refinement study of a weight-power integral")
@@ -123,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export", choices=("pushforward", "lattice"),
                    default="pushforward")
     p.add_argument("--window", type=_parse_window, default=(-1.0, 1.0, -1.0, 1.0),
-                   metavar="XMIN,XMAX,YMIN,YMAX", help="lattice bounding box")
+                   metavar="XMIN,XMAX,YMIN,YMAX",
+                   help="lattice bounding box; a negative XMIN needs '=': --window=-2,2,0.01,4")
     p.add_argument("--lattice-n", type=int, default=64,
                    help="lattice points per axis")
 

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import KpqDivergent
-from .maps import ConformalMap, Direction
+from .maps import ConformalMap
 from .quadrature import CHECK_SPEC, DiscGridSpec, Verdict, kpq_norm, pull_back, ring_nodes
 from .util import default_seed, pairwise_sum
 
@@ -244,8 +244,6 @@ def composition_inequality_check(mapping: ConformalMap, p: float, q: float,
     """
     if not bumps:
         raise ValueError("need at least one bump")
-    if mapping.direction is not Direction.TO_DISC:  # pull_back's check, before the ladder
-        raise ValueError("mapping must send its domain to the disc")
     kres = kpq_norm(mapping, p, q)
     if kres.verdict is not Verdict.CONVERGED:
         raise KpqDivergent(f"K_({p},{q}) integral verdict {kres.verdict.value} "

@@ -1,11 +1,11 @@
 """Closed-form conformal maps between six planar domains and the unit disc.
 
-Each family fixes a domain Omega and an analytic bijection phi: Omega -> D
-(direction ``TO_DISC``) together with its inverse psi = phi^{-1}
-(direction ``FROM_DISC``):
+Each family fixes a domain Omega and an analytic bijection phi: Omega -> D.
+A ``ConformalMap`` is phi, its ``eval``; the inverse psi = phi^{-1} from the
+disc is its ``inverse``:
 
 ========== ============================== ========================= =====================
-family     Omega                          phi(z)                    psi(w)
+family     Omega                          phi(z), ``eval``          psi(w), ``inverse``
 ========== ============================== ========================= =====================
 disc       |z| < 1                        z                         w
 exterior   |z| > 1                        1/z                       1/w
@@ -15,12 +15,12 @@ cardioid   r < (1 + cos t)/2 (polar)      2 sqrt(z) - 1             (1 + w)^2 / 
 slitplane  C minus (-inf, -1/4]           2z/(1 + 2z + sqrt(1+4z))  w/(1 - w)^2
 ========== ============================== ========================= =====================
 
-Every map has a real Jacobian, closed-form in the real and imaginary parts
-x, y of its argument: a TO_DISC map's is the conformal weight
-h(z) = J(z, phi) = |phi'(z)|^2, and a FROM_DISC map's J(w, psi) = |psi'(w)|^2:
+Both have a real Jacobian, closed-form in the real and imaginary parts x, y
+of the argument: phi's is the conformal weight h(z) = J(z, phi) = |phi'(z)|^2,
+the map's ``jacobian``, and psi's is its ``inverse_jacobian`` J(w, psi) = |psi'(w)|^2:
 
 ========== ================================= ===========================================
-family     h(z)                              J(w, psi)
+family     h(z), ``jacobian``                J(w, psi), ``inverse_jacobian``
 ========== ================================= ===========================================
 disc       1                                 1
 exterior   1/(x^2 + y^2)^2                   1/(x^2 + y^2)^2
@@ -42,7 +42,7 @@ exclude the rays (-inf, 0] and (-inf, -1/4], which coincide with (part of)
 the domain boundary, so no interior point ever touches a cut.
 
 Maps may carry a disc automorphism eta(w) = e^{i t}(w - a)/(1 - conj(a) w)
-composed on the disc side: TO_DISC evaluates eta(phi(z)), FROM_DISC evaluates
+composed on the disc side: ``eval`` is eta(phi(z)) and ``inverse``
 psi(eta^{-1}(w)).  Only eta's real Jacobian enters a weight, as
 J(z, eta o phi) = J(phi(z), eta) h(z), so no map takes a complex derivative.
 All evaluators accept scalars or numpy arrays; where a part of z reaches
@@ -69,11 +69,6 @@ class DomainFamily(str, enum.Enum):
     STRIP = "strip"
     CARDIOID = "cardioid"
     SLITPLANE = "slitplane"
-
-
-class Direction(str, enum.Enum):
-    TO_DISC = "to_disc"
-    FROM_DISC = "from_disc"
 
 
 @dataclass(frozen=True)
@@ -332,108 +327,90 @@ _FAMILY_OPS: dict[DomainFamily, _FamilyOps] = {
 
 @dataclass(frozen=True)
 class ConformalMap:
-    """A family map in one direction, optionally rotated/recentred on the disc.
+    """A family's map phi: Omega -> D, optionally rotated/recentred on the disc.
 
-    ``automorphism`` always acts on the disc side: a TO_DISC map evaluates
-    eta(phi(z)); the matching FROM_DISC map evaluates psi(eta^{-1}(w)), so
-    ``invert`` is an exact inverse in both directions.
+    ``automorphism`` eta acts on the disc side: ``eval`` is eta(phi(z)) and
+    ``inverse`` psi(eta^{-1}(w)), its exact inverse on the open disc.
     """
 
     family: DomainFamily
-    direction: Direction = Direction.TO_DISC
     automorphism: MoebiusAutomorphism | None = None
 
     @classmethod
     def to_disc(cls, family: DomainFamily | str) -> "ConformalMap":
-        return cls(DomainFamily(family), Direction.TO_DISC)
-
-    @classmethod
-    def from_disc(cls, family: DomainFamily | str) -> "ConformalMap":
-        return cls(DomainFamily(family), Direction.FROM_DISC)
+        return cls(DomainFamily(family))
 
     @property
     def _ops(self) -> _FamilyOps:
         return _FAMILY_OPS[self.family]
 
-    def _inside(self, arr: np.ndarray) -> np.ndarray:
-        """Membership of the map's input domain; a cut family's excludes its cut."""
-        if self.direction is Direction.TO_DISC:
-            return self._ops.contains(arr)
-        inside = _square_modulus(arr) < 1.0
-        if self._ops.punctured:
-            # the puncture is eta(0), where eta^{-1}(w) = 0; eta^{-1} is only
-            # evaluated inside the disc, where its denominator cannot vanish
-            inner = arr
-            if self.automorphism is not None:
-                inner = self.automorphism.inverse()(np.where(inside, arr, 0.0))
-            inside &= inner != 0
-        return inside
-
     def _check_input(self, arr: np.ndarray) -> None:
-        inside = self._inside(arr)
+        inside = self._ops.contains(arr)
         if np.all(inside):
             return
         z = arr[~inside].ravel()[0] if arr.ndim else complex(arr)
-        if self.direction is Direction.FROM_DISC:
-            raise PointOutsideDomain(f"{z} is not an interior point of 'unit disc'")
         on_cut = self._ops.on_cut
         if on_cut is not None and on_cut(z):
             raise BranchCutViolation(f"{z} lies on the excluded ray of '{self.family.value}'")
         raise PointOutsideDomain(f"{z} is not an interior point of '{self.family.value}'")
 
+    def _disc_side(self, w) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(w, eta^{-1}(w), scalar flag) at points of the open disc; PointOutsideDomain at
+        any other w, and at a punctured family's puncture eta(0), where eta^{-1}(w) = 0."""
+        arr, scalar = as_complex_array(w)
+        eta, inside, inner = self.automorphism, _square_modulus(arr) < 1.0, arr
+        if eta is not None:  # eta^{-1}'s denominator vanishes only outside the disc
+            inner = eta.inverse()(np.where(inside, arr, 0.0))
+        if self._ops.punctured:
+            inside &= inner != 0
+        if not np.all(inside):
+            bad = arr[~inside].ravel()[0] if arr.ndim else complex(arr)
+            raise PointOutsideDomain(f"{bad} is not an interior point of 'unit disc'")
+        return arr, inner, scalar
+
     def contains(self, z) -> bool | np.ndarray:
-        """Membership test for the map's input domain (no exception)."""
+        """Membership of Omega, the map's domain (no exception); a cut family's excludes its cut."""
         arr, scalar = as_complex_array(z)
-        inside = self._inside(arr)
+        inside = self._ops.contains(arr)
         return bool(inside) if scalar else inside
 
     def eval(self, z):
-        """Evaluate the map at interior points (scalar or array)."""
+        """phi(z), then eta if composed, at interior points of Omega (scalar or array)."""
         arr, scalar = as_complex_array(z)
         self._check_input(arr)
-        ops = self._ops
-        if self.direction is Direction.TO_DISC:
-            out = ops.to_disc(arr)
-            if self.automorphism is not None:
-                out = self.automorphism(out)
-        else:
-            inner = self.automorphism.inverse()(arr) if self.automorphism is not None else arr
-            out = ops.from_disc(inner)
+        out = self._ops.to_disc(arr)
+        if self.automorphism is not None:
+            out = self.automorphism(out)
         return complex(out) if scalar else out
 
     def jacobian(self, z):
-        """The real Jacobian J = |f'|^2 of the map f at interior points.
-
-        That is h(z) = J(z, phi) for a TO_DISC map and J(w, psi) for a
-        FROM_DISC one, from the family's real closed forms; a composed
-        automorphism adds its own factor, J(phi(z), eta) or J(w, eta^{-1}).
-        Returns a float for a scalar and a new float array otherwise.
-        """
+        """The weight h(z) = J(z, phi) = |phi'(z)|^2, times J(phi(z), eta) if composed, at
+        interior points of Omega: a float for a scalar and a new float array otherwise."""
         arr, scalar = as_complex_array(z)
         self._check_input(arr)
-        ops, eta = self._ops, self.automorphism
-        if self.direction is Direction.TO_DISC:
-            out = ops.weight(arr.real, arr.imag)
-            if eta is not None:
-                out = out * eta.jacobian(ops.to_disc(arr))
-        elif eta is None:
-            out = ops.jacobian(arr.real, arr.imag)
-        else:
-            eta_inv = eta.inverse()
-            inner = eta_inv(arr)
-            out = ops.jacobian(inner.real, inner.imag) * eta_inv.jacobian(arr)
+        out = self._ops.weight(arr.real, arr.imag)
+        if self.automorphism is not None:
+            out = out * self.automorphism.jacobian(self._ops.to_disc(arr))
         return float(out) if scalar else out
 
-    def invert(self) -> "ConformalMap":
-        """The inverse map (direction flipped, same disc automorphism)."""
-        other = Direction.FROM_DISC if self.direction is Direction.TO_DISC else Direction.TO_DISC
-        return replace(self, direction=other)
+    def inverse(self, w):
+        """psi(w) = phi^{-1}(w), through eta^{-1} if composed, at points of the open disc."""
+        _, inner, scalar = self._disc_side(w)
+        out = self._ops.from_disc(inner)
+        return complex(out) if scalar else out
+
+    def inverse_jacobian(self, w):
+        """J(w, psi) = |psi'(w)|^2, times J(w, eta^{-1}) if composed, at points of the open
+        disc: a float for a scalar and a new float array otherwise."""
+        arr, inner, scalar = self._disc_side(w)
+        out = self._ops.jacobian(inner.real, inner.imag)
+        if self.automorphism is not None:
+            out = out * self.automorphism.inverse().jacobian(arr)
+        return float(out) if scalar else out
 
 
 def compose_with_automorphism(mapping: ConformalMap, eta: MoebiusAutomorphism) -> ConformalMap:
-    """Post-compose a TO_DISC map with a disc automorphism."""
-    if mapping.direction is not Direction.TO_DISC:
-        raise ValueError("only TO_DISC maps can be post-composed with a disc automorphism")
+    """Post-compose a map with a disc automorphism."""
     combined = eta if mapping.automorphism is None else eta.compose(mapping.automorphism)
     return replace(mapping, automorphism=combined)
 
@@ -458,8 +435,6 @@ def boundary_image_check(mapping: ConformalMap) -> float:
     inside (the approach limit).  A correct map drives every deviation to
     zero; a map onto the wrong region does not.
     """
-    if mapping.direction is not Direction.TO_DISC:
-        raise ValueError("boundary_image_check expects a TO_DISC map")
     gamma, normal = boundary_samples(mapping.family, 64)
     z = gamma[:, None] + np.array([1e-6, 1e-5, 1e-4, 1e-3]) * normal[:, None]
     inside = mapping.contains(z)
@@ -472,13 +447,14 @@ def boundary_image_check(mapping: ConformalMap) -> float:
 
 def sample_interior(mapping: ConformalMap, n: int, rng: np.random.Generator | None = None,
                     rmax: float = 0.98) -> np.ndarray:
-    """Interior points of the family domain, drawn by pulling disc samples back."""
+    """Interior points of the family domain: disc samples w pulled back to the bare
+    family's psi(w), the ``inverse`` of its map with no automorphism."""
     if rng is None:
         rng = np.random.default_rng(default_seed())
     r = rmax * np.sqrt(rng.uniform(size=n))
     r = np.maximum(r, 1e-6)  # keep clear of the removable puncture for 'exterior'
     w = r * np.exp(2j * np.pi * rng.uniform(size=n))
-    return ConformalMap.from_disc(mapping.family).eval(w)
+    return ConformalMap.to_disc(mapping.family).inverse(w)
 
 
 def round_trip_check(mapping: ConformalMap, n: int,
@@ -490,12 +466,10 @@ def round_trip_check(mapping: ConformalMap, n: int,
     """
     if rng is None:
         rng = np.random.default_rng(default_seed())
-    to_disc = mapping if mapping.direction is Direction.TO_DISC else mapping.invert()
-    from_disc = to_disc.invert()
     r = np.maximum(0.9 * np.sqrt(rng.uniform(size=n)), 0.1)
     w = r * np.exp(2j * np.pi * rng.uniform(size=n))
-    z = from_disc.eval(w)
-    err_w = np.abs(to_disc.eval(z) - w)
-    z2 = from_disc.eval(to_disc.eval(z))
-    err_z = np.abs(z2 - z)
+    z = mapping.inverse(w)
+    phi_z = mapping.eval(z)
+    err_w = np.abs(phi_z - w)
+    err_z = np.abs(mapping.inverse(phi_z) - z)
     return float(max(err_w.max(), err_z.max()))

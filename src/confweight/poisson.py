@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, RhsNotFinite, SolutionNotFinite
 from .fields import PolarGrid, TestBump, _row_sum, _support_rows
-from .maps import ConformalMap, Direction
+from .maps import ConformalMap
 from .quadrature import ring_nodes
 from .util import IndexedColumn, fmt_g, write_csv
 
@@ -113,10 +113,10 @@ def _ring_column(column, grid: PolarGrid) -> np.ndarray:
 class DiscSolution:
     """Transferred solution v on the disc grid plus the map that pushes it forward.
 
-    ``column`` is what ``solve_dirichlet`` returns; ``mapping`` (TO_DISC, phi)
-    names the domain, and u(z) := v(phi(z)) is the solution of that domain's
-    weighted problem.  Radial data has a radial solution, so v is its ring
-    ``column``: one finite value per grid radius, shape (n_r,).  Off-node
+    ``column`` is what ``solve_dirichlet`` returns; ``mapping``, phi with psi
+    its ``inverse``, names the domain, and u(z) := v(phi(z)) is the solution of
+    that domain's weighted problem.  Radial data has a radial solution, so v is
+    its ring ``column``: one finite value per grid radius, shape (n_r,).  Off-node
     evaluation is linear in r on the column with the exact boundary value 0
     at r = 1 appended; below the first ring it takes the first ring's value.
     """
@@ -126,8 +126,6 @@ class DiscSolution:
     mapping: ConformalMap
 
     def __post_init__(self):
-        if self.mapping.direction is not Direction.TO_DISC:
-            raise ValueError("solution needs a TO_DISC map")
         object.__setattr__(self, "column", _ring_column(self.column, self.grid))
 
     def eval_domain(self, z) -> np.ndarray:
@@ -148,7 +146,7 @@ class DiscSolution:
         path as it was.
         """
         if lattice is None:
-            z = self.mapping.invert().eval(ring_nodes(self.grid))
+            z = self.mapping.inverse(ring_nodes(self.grid))
             rings = np.broadcast_to(np.arange(self.grid.n_r)[:, None], z.shape)
             cols = (z.real, z.imag, IndexedColumn(self.column, rings))
         else:

@@ -31,7 +31,8 @@ evaluated once per block for every exponent still running, and each keeps its
 own ladder's level values, verdict and stop level, bit for bit.
 
 ``pull_back`` streams the matched-node checks' h(psi(w)) and J(w, psi) in the
-same blocks: real Jacobians (``ConformalMap.jacobian``) whose product is one.
+same blocks: real Jacobians (``ConformalMap.jacobian`` and ``inverse_jacobian``)
+whose product is one.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import GridTooLarge, IntegrandNotFinite, InvalidExponents
-from .maps import ConformalMap, Direction
+from .maps import ConformalMap
 from .util import pairwise_sum
 
 _GROWTH_SLACK = 0.9  # an increment counts as sustained when >= 0.9x its predecessor
@@ -220,13 +221,11 @@ def pull_back(mapping: ConformalMap, spec: DiscGridSpec = CHECK_SPEC
               ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """(rows, h(psi(w)), J(w, psi)) on each ``disc_nodes`` block (rows, w) of a grid.
 
-    phi is the TO_DISC ``mapping``, checked at the call, and psi its inverse.  h = J(., phi)
-    and J(., psi) are ``ConformalMap.jacobian`` with product one; a block is made when reached.
+    phi is ``mapping`` and psi its ``inverse``; h = J(., phi) is its ``jacobian`` and
+    J(., psi) its ``inverse_jacobian``, with product one.  A block is made when reached.
     """
-    if mapping.direction is not Direction.TO_DISC:
-        raise ValueError("mapping must send its domain to the disc")
-    inv = mapping.invert()
-    return ((rows, mapping.jacobian(inv.eval(w)), inv.jacobian(w)) for rows, w in disc_nodes(spec))
+    return ((rows, mapping.jacobian(mapping.inverse(w)), mapping.inverse_jacobian(w))
+            for rows, w in disc_nodes(spec))
 
 
 def brennan_direct(mapping: ConformalMap, s: float, spec: DiscGridSpec | None = None,
@@ -250,7 +249,7 @@ def inverse_brennan(mapping: ConformalMap, alpha: float, tol: float = 1e-6,
     """Integral of |psi'|^alpha over the unit disc, psi the map from the disc.
 
     The integrand is J(w, psi)^(alpha/2), with J = |psi'|^2 the map's real
-    Jacobian (``ConformalMap.jacobian``), so no complex derivative is taken.
+    Jacobian (``ConformalMap.inverse_jacobian``), so no complex derivative is taken.
     A power that overflows is not warned about; the node it overflows at
     raises IntegrandNotFinite.
     """
@@ -262,10 +261,9 @@ def _jacobian_ladders(mapping: ConformalMap, alphas: list[float], name: str,
     """The ladders of J(w, psi)^(alpha/2), one per alpha (``name`` in errors)."""
     if not alphas or not all(map(math.isfinite, alphas)):
         raise InvalidExponents(f"{name} must be finite" if alphas else f"no {name} to scan")
-    inv = mapping.invert() if mapping.direction is Direction.TO_DISC else mapping
 
     def powers(w, live):
-        jac = inv.jacobian(w)  # a fresh array: the last running power may overwrite it
+        jac = mapping.inverse_jacobian(w)  # a fresh array: the last running power may overwrite it
         with np.errstate(over="ignore"):
             return [np.power(jac, alphas[i] / 2, out=jac if i == live[-1] else None) for i in live]
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from confweight import (CHECK_SPEC, ConformalMap, Direction, DomainFamily, default_seed,
-                        make_bump_family, pull_back)
+from confweight import (CHECK_SPEC, ConformalMap, DomainFamily, PointOutsideDomain,
+                        default_seed, make_bump_family, pull_back)
 from confweight.fields import _bump_tables, _pulled_back_checks
 
 ALL_FAMILIES = tuple(DomainFamily)
@@ -32,10 +32,11 @@ def _eta_prime(eta, w):
     return np.exp(1j * eta.rotation) * (1.0 - abs(eta.a) ** 2) / (1.0 - np.conj(eta.a) * w) ** 2
 
 
-def _derivative(mapping, z):
+def _derivative(mapping, z, inverse=False):
+    """phi'(z) of ``mapping``, or with ``inverse`` its psi'(z), chain rule through eta."""
     z = np.asarray(z, dtype=complex)
     eta = mapping.automorphism
-    if mapping.direction is Direction.TO_DISC:
+    if not inverse:
         out = PHI_PRIME[mapping.family](z)
         if eta is not None:
             out = out * _eta_prime(eta, ConformalMap.to_disc(mapping.family).eval(z))
@@ -45,6 +46,18 @@ def _derivative(mapping, z):
         eta_inv = eta.inverse()
         out = PSI_PRIME[mapping.family](eta_inv(z)) * _eta_prime(eta_inv, z)
     return out
+
+
+def inverse_accepts(mapping, w):
+    """Elementwise, whether ``mapping.inverse`` takes w without PointOutsideDomain: the
+    open disc, less a punctured family's puncture."""
+    def one(point):
+        try:
+            mapping.inverse(point)
+        except PointOutsideDomain:
+            return False
+        return True
+    return one(w) if np.ndim(w) == 0 else np.array([one(p) for p in np.ravel(w)])
 
 
 def polar_theta(grid):
@@ -87,7 +100,7 @@ def pulled_back():
 
 @pytest.fixture
 def derivative():
-    """The complex derivative of a map at z, in closed form, chain rule through eta."""
+    """The complex derivative of a map (or with ``inverse=True`` of its inverse) in closed form."""
     return _derivative
 
 

@@ -31,6 +31,15 @@ def test_weight_halfplane_example(capsys):
     assert doc["config"]["domain"] == "halfplane"
 
 
+def test_weight_at_a_negative_real_part_needs_the_equals_form(capsys):
+    # argparse reads "-0.1,0.2" after a space as an option, so --at has no value
+    code, out, err = run(capsys, "weight", "--domain", "strip", "--at", "-0.1,0.2")
+    assert (code, out) == (2, "") and "argument --at: expected one argument" in err
+    code, out, _ = run(capsys, "weight", "--domain", "strip", "--at=-0.1,0.2")
+    assert code == 0
+    assert json.loads(out)["h"] == 0.9415544726104612
+
+
 def test_weight_csv_output(capsys):
     code, out, _ = run(capsys, "weight", "--domain", "exterior", "--at", "2,0",
                        "--output", "csv")
@@ -187,8 +196,9 @@ def test_inverse_brennan_uses_alpha_as_given(capsys):
     code, out, _ = run(capsys, "inverse-brennan", "--domain", "strip", "--alpha", "-1.7",
                        "--tol", "0.01", "--levels", "4")
     assert code == 0
-    inv = ConformalMap.to_disc(DomainFamily.STRIP).invert()
-    want = integrate_disc(lambda w: inv.jacobian(w) ** (-1.7 / 2.0), tol=0.01, max_levels=4)
+    phi = ConformalMap.to_disc(DomainFamily.STRIP)
+    want = integrate_disc(lambda w: phi.inverse_jacobian(w) ** (-1.7 / 2.0), tol=0.01,
+                          max_levels=4)
     assert json.loads(out)["level_values"] == list(want.level_values)
 
 

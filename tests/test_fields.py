@@ -8,7 +8,6 @@ from confweight import (ConformalMap, DiscGridSpec, DomainFamily,
                         InvalidExponents, KpqDivergent, PolarGrid, TestBump,
                         composition_inequality_check, make_bump_family, pairwise_sum,
                         ring_nodes)
-from confweight import fields
 from confweight.fields import _bump_tables, _row_sum
 
 from conftest import polar_theta
@@ -147,15 +146,6 @@ def test_composition_check_needs_bumps():
     with pytest.raises(ValueError, match="at least one bump"):
         composition_inequality_check(ConformalMap.to_disc(DomainFamily.CARDIOID),
                                      2.0, 1.5, [])
-
-
-def test_composition_check_rejects_a_map_from_the_disc_before_its_ladder(monkeypatch, bumps):
-    calls = []
-    monkeypatch.setattr(fields, "kpq_norm", lambda *args, **kw: calls.append(args))
-    with pytest.raises(ValueError, match="send its domain to the disc"):
-        composition_inequality_check(ConformalMap.from_disc(DomainFamily.CARDIOID),
-                                     2.0, 1.5, bumps)
-    assert calls == []
 
 
 def test_composition_inequality_cardioid(bumps):

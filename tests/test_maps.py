@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import inverse_accepts
 
-from confweight import (BranchCutViolation, ConformalMap, Direction,
+from confweight import (BranchCutViolation, ConformalMap,
                         DomainFamily, MoebiusAutomorphism, PointOutsideDomain,
                         boundary_image_check, boundary_samples,
                         compose_with_automorphism, round_trip_check,
@@ -40,7 +41,7 @@ def test_strip_is_tangent():
     m = ConformalMap.to_disc(DomainFamily.STRIP)
     z = 0.3 + 0.2j
     assert m.eval(z) == pytest.approx(np.tan(z))
-    assert m.invert().eval(np.tan(z)) == pytest.approx(z)
+    assert m.inverse(np.tan(z)) == pytest.approx(z)
 
 
 def test_cardioid_cusp_excluded():
@@ -68,15 +69,13 @@ def test_a_mixed_bad_array_names_its_first_rejected_point():
 
 
 def test_exterior_disc_side_punctured():
-    inv = ConformalMap.from_disc(DomainFamily.EXTERIOR)
     with pytest.raises(PointOutsideDomain):
-        inv.eval(0.0 + 0.0j)
+        ConformalMap.to_disc(DomainFamily.EXTERIOR).inverse(0.0 + 0.0j)
 
 
 def test_eval_rejects_exterior_of_disc(to_disc):
-    inv = to_disc.invert()
     with pytest.raises(PointOutsideDomain):
-        inv.eval(1.5 + 0.0j)
+        to_disc.inverse(1.5 + 0.0j)
 
 
 def test_contains_examples():
@@ -103,12 +102,13 @@ def test_derivative_matches_finite_differences(to_disc, rng, derivative):
     h = 3e-6
     r = 0.1 + 0.7 * rng.uniform(size=100)
     w = r * np.exp(2j * np.pi * rng.uniform(size=100))
-    z = to_disc.invert().eval(w)
-    for mapping, pts in ((to_disc, z), (to_disc.invert(), w)):
-        num = (mapping.eval(pts + h) - mapping.eval(pts - h)) / (2 * h)
-        exact = derivative(mapping, pts)
+    z = to_disc.inverse(w)
+    for f, jacobian, pts, inverse in ((to_disc.eval, to_disc.jacobian, z, False),
+                                      (to_disc.inverse, to_disc.inverse_jacobian, w, True)):
+        num = (f(pts + h) - f(pts - h)) / (2 * h)
+        exact = derivative(to_disc, pts, inverse)
         assert (np.abs(num - exact) / np.abs(exact)).max() < 1e-7
-        assert (np.abs(mapping.jacobian(pts) / np.abs(exact) ** 2 - 1.0)).max() < 1e-13
+        assert (np.abs(jacobian(pts) / np.abs(exact) ** 2 - 1.0)).max() < 1e-13
 
 
 def test_boundary_image_near_unit_circle(to_disc):
@@ -131,8 +131,6 @@ def test_boundary_image_check_refuses_a_map_with_no_sample_inside(monkeypatch):
     monkeypatch.setattr(ConformalMap, "contains", lambda self, z: np.zeros(np.shape(z), bool))
     with pytest.raises(PointOutsideDomain, match="no offset boundary sample"):
         boundary_image_check(mapping)
-    with pytest.raises(ValueError, match="expects a TO_DISC map"):
-        boundary_image_check(mapping.invert())
 
 
 def test_boundary_samples_on_boundary():
@@ -148,13 +146,6 @@ def test_sample_interior_contained(to_disc, rng):
     pts = sample_interior(to_disc, 500, rng=rng)
     assert pts.shape == (500,)
     assert np.all(to_disc.contains(pts))
-
-
-def test_invert_flips_direction(to_disc):
-    assert to_disc.direction is Direction.TO_DISC
-    inv = to_disc.invert()
-    assert inv.direction is Direction.FROM_DISC
-    assert inv.invert().direction is Direction.TO_DISC
 
 
 def test_automorphism_identity_and_inverse(rng):
@@ -277,10 +268,9 @@ def test_map_round_trip_and_jacobian_properties():
         phi = ConformalMap.to_disc(family)
         if eta is not None:
             phi = compose_with_automorphism(phi, eta)
-        psi = phi.invert()
-        z = psi.eval(w)
+        z = phi.inverse(w)
         assert abs(phi.eval(z) - w) <= 1e-12
-        assert abs(phi.jacobian(z) * psi.jacobian(w) - 1.0) <= 1e-12
+        assert abs(phi.jacobian(z) * phi.inverse_jacobian(w) - 1.0) <= 1e-12
 
     check()
 
@@ -297,26 +287,24 @@ def test_jacobian_is_the_squared_derivative_magnitude_property(derivative):
         phi = ConformalMap.to_disc(family)
         if eta is not None:
             phi = compose_with_automorphism(phi, eta)
-        psi = phi.invert()
-        z = psi.eval(w)
-        for mapping, pt in ((psi, w), (phi, z)):
-            want = abs(derivative(mapping, pt)) ** 2
-            assert abs(mapping.jacobian(pt) - want) <= 1e-13 * want
+        z = phi.inverse(w)
+        for jacobian, pt, inverse in ((phi.inverse_jacobian, w, True), (phi.jacobian, z, False)):
+            want = abs(derivative(phi, pt, inverse)) ** 2
+            assert abs(jacobian(pt) - want) <= 1e-13 * want
 
     check()
 
 
 def test_jacobian_rejects_what_derivative_rejects(to_disc):
-    # the map's Jacobian, its one derivative, rejects what its evaluation rejects
-    psi = to_disc.invert()
+    # psi's Jacobian, its one derivative, rejects what psi rejects
     for w in (1.0, 0.6 + 0.8j, 2j, np.array([0.1, 1.5])):
         with pytest.raises(PointOutsideDomain):
-            psi.eval(w)
+            to_disc.inverse(w)
         with pytest.raises(PointOutsideDomain):
-            psi.jacobian(w)
+            to_disc.inverse_jacobian(w)
     for w in (complex(np.nan, 0.0), np.array([0.1, np.inf])):
         with pytest.raises(ValueError):
-            psi.jacobian(w)
+            to_disc.inverse_jacobian(w)
 
 
 _TILT = MoebiusAutomorphism(0.3 - 0.2j, 0.7)
@@ -324,7 +312,7 @@ _TILT = MoebiusAutomorphism(0.3 - 0.2j, 0.7)
 
 @pytest.mark.parametrize("eta", [None, _TILT], ids=["bare", "tilted"])
 def test_weight_rejects_what_derivative_rejects(eta):
-    # the weight h, the TO_DISC map's one derivative, rejects what its evaluation rejects
+    # the weight h, the map's one derivative, rejects what its evaluation rejects
     cases = [("disc", 1.5, PointOutsideDomain),
              ("exterior", np.array([2.0, 0.5j]), PointOutsideDomain),
              ("halfplane", -1j, PointOutsideDomain),
@@ -346,27 +334,28 @@ def test_weight_rejects_what_derivative_rejects(eta):
 
 
 def test_jacobian_rejects_the_exterior_puncture():
-    psi = ConformalMap.from_disc(DomainFamily.EXTERIOR)
+    phi = ConformalMap.to_disc(DomainFamily.EXTERIOR)
     with pytest.raises(PointOutsideDomain):
-        psi.jacobian(0.0)
+        phi.inverse_jacobian(0.0)
     with pytest.raises(PointOutsideDomain):
-        psi.jacobian(np.array([0.5, 0.0]))
+        phi.inverse_jacobian(np.array([0.5, 0.0]))
 
 
 def test_exterior_psi_is_inf_not_nan_beyond_the_floats():
     # |1/w| and |w|^-4 leave the floats near the puncture; numpy's complex
     # division gave inf + nan*i there, and 1/(x^2 + y^2)^2 divided by zero
-    psi = ConformalMap.from_disc(DomainFamily.EXTERIOR)
+    phi = ConformalMap.to_disc(DomainFamily.EXTERIOR)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert psi.eval(5e-324) == complex(np.inf, 0.0)
-        assert psi.eval(-1e-309j) == complex(0.0, np.inf)
-        assert psi.eval(1e-200) == 1e200
-        z = psi.eval(np.array([1e-309 * (1 + 1j), 0.5, 5e-324j]))
+        assert phi.inverse(5e-324) == complex(np.inf, 0.0)
+        assert phi.inverse(-1e-309j) == complex(0.0, np.inf)
+        assert phi.inverse(1e-200) == 1e200
+        z = phi.inverse(np.array([1e-309 * (1 + 1j), 0.5, 5e-324j]))
         assert not np.any(np.isnan(z.real) | np.isnan(z.imag))
         assert z[1] == 2.0 and np.isinf(z[0].real) and np.isinf(z[0].imag)
-        assert psi.jacobian(1e-200) == np.inf
-        assert list(psi.jacobian(np.array([5e-324, 1e-78, 0.5]))) == [np.inf, np.inf, 16.0]
+        assert phi.inverse_jacobian(1e-200) == np.inf
+        jac = phi.inverse_jacobian(np.array([5e-324, 1e-78, 0.5]))
+        assert list(jac) == [np.inf, np.inf, 16.0]
 
 
 @pytest.mark.parametrize("family, z", [("exterior", 0.1 + 2e154j),
@@ -385,8 +374,9 @@ def test_far_field_weight_underflows_to_zero_without_a_warning(family, z):
 # |w|^2 = 1 + 5.1e-17, which np.abs rounds below 1
 _JUST_INSIDE = -0.002902420506091759 + 0.9999957879687321j
 _JUST_OUTSIDE = 0.8460001975820851 + 0.5331825819464407j
-_DISC_INPUTS = [ConformalMap.from_disc(f) for f in DomainFamily] + [
-    ConformalMap.to_disc(DomainFamily.DISC)]
+# each family's psi, through ``inverse``, and the disc family's phi all take disc points
+_DISC_INPUTS = [(ConformalMap.to_disc(f), True) for f in DomainFamily] + [
+    (ConformalMap.to_disc(DomainFamily.DISC), False)]
 _DISC_INPUT_IDS = [f"from_disc-{f.value}" for f in DomainFamily] + ["to_disc-disc"]
 
 
@@ -394,14 +384,23 @@ def _exact_square_modulus(w):
     return Fraction(w.real) ** 2 + Fraction(w.imag) ** 2
 
 
-@pytest.mark.parametrize("mapping", _DISC_INPUTS, ids=_DISC_INPUT_IDS)
-def test_disc_membership_next_to_the_circle(mapping):
+def _accepts(mapping, inverse, w):
+    return inverse_accepts(mapping, w) if inverse else mapping.contains(w)
+
+
+@pytest.mark.parametrize("mapping, inverse", _DISC_INPUTS, ids=_DISC_INPUT_IDS)
+def test_disc_membership_next_to_the_circle(mapping, inverse):
     assert _exact_square_modulus(_JUST_INSIDE) < 1 <= _exact_square_modulus(_JUST_OUTSIDE)
-    assert mapping.contains(_JUST_INSIDE)
-    assert np.isfinite(mapping.eval(_JUST_INSIDE))
-    assert list(mapping.contains(np.array([_JUST_INSIDE, _JUST_OUTSIDE]))) == [True, False]
-    with pytest.raises(PointOutsideDomain):
-        mapping.eval(_JUST_OUTSIDE)
+    evaluators = (mapping.inverse, mapping.inverse_jacobian) if inverse else (mapping.eval,)
+    pair = np.array([_JUST_INSIDE, _JUST_OUTSIDE])
+    assert _accepts(mapping, inverse, _JUST_INSIDE)
+    assert list(_accepts(mapping, inverse, pair)) == [True, False]
+    for f in evaluators:
+        assert np.isfinite(f(_JUST_INSIDE))
+        with pytest.raises(PointOutsideDomain):
+            f(_JUST_OUTSIDE)
+        with pytest.raises(PointOutsideDomain):
+            f(pair)
 
 
 def test_disc_membership_next_to_the_circle_property():
@@ -416,11 +415,11 @@ def test_disc_membership_next_to_the_circle_property():
         y = (y + ulps * math.ulp(y)) * (-1.0 if lower else 1.0)
         w = complex(y, x) if swap else complex(x, y)
         exact = _exact_square_modulus(w)
-        for mapping in _DISC_INPUTS:
+        for mapping, inverse in _DISC_INPUTS:
             if exact >= 1:
-                assert not mapping.contains(w)
+                assert not _accepts(mapping, inverse, w)
             elif exact <= 1 - Fraction(1, 2**51):
-                assert mapping.contains(w)
+                assert _accepts(mapping, inverse, w)
 
     check()
 
@@ -464,8 +463,8 @@ def test_exterior_membership_next_to_the_circle_property():
 
 def test_disc_and_exterior_split_the_plane_at_the_rounded_circle():
     # one unit-circle test: each point is in exactly one of the disc and the
-    # exterior, unless its rounded x*x + y*y is 1, and every map from the disc
-    # has the disc family's membership
+    # exterior, unless its rounded x*x + y*y is 1, and every family's ``inverse``
+    # takes exactly the disc family's members
     rng = np.random.default_rng(3)
     scale = 1.0 + rng.integers(-6, 7, 20_000) * 2.0**-53
     z = scale * np.exp(2j * np.pi * rng.uniform(size=20_000))
@@ -476,38 +475,37 @@ def test_disc_and_exterior_split_the_plane_at_the_rounded_circle():
     assert not np.any(disc & exterior)
     assert np.array_equal(disc | exterior, ~on_circle)
     for family in DomainFamily:
-        assert np.array_equal(ConformalMap.from_disc(family).contains(z), disc)
+        assert np.array_equal(inverse_accepts(ConformalMap.to_disc(family), z), disc)
 
 
 # the exterior family's psi = 1/u is singular at u = eta^{-1}(w) = 0, i.e. at w = eta(0)
 _ETA = MoebiusAutomorphism(0.3 - 0.4j, 0.7)
-_EXTERIOR_PSI = compose_with_automorphism(ConformalMap.to_disc(DomainFamily.EXTERIOR),
-                                          _ETA).invert()
+_EXTERIOR_TILTED = compose_with_automorphism(ConformalMap.to_disc(DomainFamily.EXTERIOR), _ETA)
 
 
-@pytest.mark.parametrize("method", ["eval", "jacobian"])
+# the disc side's eval and jacobian: ``inverse`` and ``inverse_jacobian``
+@pytest.mark.parametrize("method", ["inverse", "inverse_jacobian"], ids=["eval", "jacobian"])
 def test_composed_exterior_puncture_sits_at_eta_of_zero(method):
-    psi = _EXTERIOR_PSI
+    phi, f = _EXTERIOR_TILTED, getattr(_EXTERIOR_TILTED, method)
     puncture = _ETA(0.0)
-    assert psi.contains(0.0) and np.all(psi.contains(np.array([0.0, 0.5])))
-    assert np.isfinite(getattr(psi, method)(0.0))
-    assert np.all(np.isfinite(getattr(psi, method)(np.array([0.0, 0.5]))))
+    assert inverse_accepts(phi, 0.0) and np.all(inverse_accepts(phi, np.array([0.0, 0.5])))
+    assert np.isfinite(f(0.0))
+    assert np.all(np.isfinite(f(np.array([0.0, 0.5]))))
     # 1/conj(a') is where eta^{-1} divides by zero, outside the disc
     pole = 1.0 / np.conj(_ETA.inverse().a)
-    assert not psi.contains(puncture)
-    assert not np.any(psi.contains(np.array([puncture, 1.5, pole])))
+    assert not inverse_accepts(phi, puncture)
+    assert not np.any(inverse_accepts(phi, np.array([puncture, 1.5, pole])))
     with pytest.raises(PointOutsideDomain):
-        getattr(psi, method)(puncture)
+        f(puncture)
     with pytest.raises(PointOutsideDomain):
-        getattr(psi, method)(np.array([0.5, puncture]))
+        f(np.array([0.5, puncture]))
 
 
 def test_jacobian_keeps_shape_and_scalars(to_disc):
-    psi = to_disc.invert()
     w = np.array([[0.1 + 0.2j, -0.3j], [0.5, -0.4 + 0.1j]])
-    jac = psi.jacobian(w)
+    jac = to_disc.inverse_jacobian(w)
     assert jac.shape == w.shape and jac.dtype == float
-    assert isinstance(psi.jacobian(0.3 + 0.1j), float)
+    assert isinstance(to_disc.inverse_jacobian(0.3 + 0.1j), float)
 
 
 def test_compose_with_automorphism_still_uniformizes(rng):
@@ -522,13 +520,7 @@ def test_compose_with_automorphism_still_uniformizes(rng):
     assert err <= 1e-12
 
 
-def test_compose_requires_to_disc():
-    inv = ConformalMap.from_disc(DomainFamily.HALFPLANE)
-    with pytest.raises(ValueError):
-        compose_with_automorphism(inv, MoebiusAutomorphism(a=0.1, rotation=0.0))
-
-
 def test_scalar_in_scalar_out(to_disc):
-    w = to_disc.invert().eval(0.3 + 0.1j)
+    w = to_disc.inverse(0.3 + 0.1j)
     assert isinstance(w, complex)
     assert isinstance(to_disc.jacobian(w), float)

@@ -205,11 +205,11 @@ def test_koebe_ladders_share_one_jacobian_per_block(monkeypatch):
     # block of each level the scan reaches: 16,818,176 nodes when each ladder
     # evaluated its own J
     nodes = [0]
-    original_jacobian = maps.ConformalMap.jacobian
+    original_jacobian = maps.ConformalMap.inverse_jacobian
 
-    def counted_jacobian(self, z):
-        nodes[0] += np.size(z)
-        return original_jacobian(self, z)
+    def counted_jacobian(self, w):
+        nodes[0] += np.size(w)
+        return original_jacobian(self, w)
 
     direct = []
     original_direct = verify.brennan_direct
@@ -218,7 +218,7 @@ def test_koebe_ladders_share_one_jacobian_per_block(monkeypatch):
         direct.append((mapping.family.value, s))
         return original_direct(mapping, s, *args, **kwargs)
 
-    monkeypatch.setattr(maps.ConformalMap, "jacobian", counted_jacobian)
+    monkeypatch.setattr(maps.ConformalMap, "inverse_jacobian", counted_jacobian)
     monkeypatch.setattr(verify, "brennan_direct", counted_direct)
     checks = []
     verify._check_quadrature(lambda name, passed, **detail: checks.append((name, passed)))
