@@ -1,6 +1,7 @@
 """Command-line front end.
 
-One subcommand per module entry point:
+One subcommand per module entry point, each declared once: its subparser
+carries its handler (``set_defaults(run=...)``), which ``main`` calls.
 
     weight           evaluate the conformal weight h at a point
     brennan          refinement study of the integral of |psi'|^(2-s)
@@ -14,10 +15,11 @@ One subcommand per module entry point:
 Output is one JSON object (floats as shortest round-trip decimals, keys
 sorted) or a CSV table from ``util.write_csv``, the one CSV writer (float
 cells with 17 significant digits, other cells as ``str``, config echoed on
-`#` lines).  A non-finite number is refused in both formats.  Every run
-echoes its fully resolved configuration.  Exit codes: 0 for
-success / Converged, 1 for Divergent, Inconclusive or infeasible inputs,
-2 for usage errors.  Complex values are written as "re,im".
+`#` lines).  Every run echoes its fully resolved configuration, and a
+scalar report's other keys are its result dataclass's fields (``asdict``).
+A non-finite number is refused in both formats.  Exit codes: 0 for success
+/ Converged, 1 for Divergent, Inconclusive or infeasible inputs, 2 for
+usage errors.  Complex values are written as "re,im".
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .exponents import (DEFAULT_ALPHA0, exponent_bounds, poincare_constant_disc,
 from .fields import PolarGrid, make_bump_family
 from .maps import ConformalMap, DomainFamily
 from .poisson import DiscSolution, RhsSpec, solve_dirichlet
-from .quadrature import (BUMP_BUDGET, NODE_BUDGET, QuadResult, Verdict, brennan_direct,
+from .quadrature import (BUMP_BUDGET, NODE_BUDGET, Verdict, brennan_direct,
                          inverse_brennan, kpq_norm)
 from .util import fmt_g, open_target, write_csv
 from .verify import run_verify
@@ -74,40 +77,41 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="conformal weight toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, domain=True):
+    def common(p, run, domain=True):
+        p.set_defaults(run=run)
         if domain:
             p.add_argument("--domain", required=True, choices=_FAMILY_NAMES)
         p.add_argument("--output", choices=("json", "csv"), default=None)
         p.add_argument("--out", dest="out_path", default=None, metavar="PATH")
 
     p = sub.add_parser("weight", help="evaluate h(z) = |phi'(z)|^2")
-    common(p)
+    common(p, _cmd_weight)
     p.add_argument("--at", required=True, type=_parse_complex, metavar="RE,IM",
                    help="a value that starts with '-' needs '=': --at=-0.1,0.2")
 
     for name, xflag in (("brennan", "--s"), ("inverse-brennan", "--alpha")):
         p = sub.add_parser(name, help="refinement study of a weight-power integral")
-        common(p)
+        common(p, _cmd_ladder)
         p.add_argument(xflag, dest="exponent", required=True, type=float)
         p.add_argument("--levels", type=int, default=8)
         p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("kpq", help="dilatation integral K_{p,q}")
-    common(p)
+    common(p, _cmd_ladder)
     p.add_argument("--p", required=True, type=float)
     p.add_argument("--q", required=True, type=float)
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("exponents", help="admissible exponent arithmetic")
-    common(p, domain=False)
+    common(p, _cmd_exponents, domain=False)
     p.add_argument("--p", required=True, type=float)
     p.add_argument("--s", type=float, default=None,
                    help="report q(p,s); omit to report bounds from --alpha0")
     p.add_argument("--alpha0", type=float, default=DEFAULT_ALPHA0)
 
     p = sub.add_parser("constant", help="Poincare constant of the unit disc")
-    common(p, domain=False)
+    common(p, _cmd_constant, domain=False)
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--nr", type=int, default=128)
     p.add_argument("--ntheta", type=int, default=128)
@@ -116,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(needs --nr and --ntheta of at least 32)")
 
     p = sub.add_parser("solve", help="Dirichlet solve by conformal transfer")
-    common(p)
+    common(p, _cmd_solve)
     p.add_argument("--f", dest="rhs", required=True, type=_parse_rhs,
                    metavar="const:C|quartic")
     p.add_argument("--nr", type=int, default=128)
@@ -130,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lattice points per axis")
 
     p = sub.add_parser("verify", help="run the full invariant suite")
-    common(p, domain=False)
+    common(p, _cmd_verify, domain=False)
     return parser
 
 
@@ -150,7 +154,7 @@ def _csv_preamble(config: dict) -> str:
 def _config_echo(args) -> dict:
     cfg = {}
     for key, val in sorted(vars(args).items()):
-        if key in ("output", "out_path") or val is None:
+        if key in ("output", "out_path", "run") or val is None:
             continue
         if isinstance(val, complex):
             val = f"{fmt_g(val.real)},{fmt_g(val.imag)}"
@@ -160,16 +164,6 @@ def _config_echo(args) -> dict:
             val = ",".join(fmt_g(v) for v in val)
         cfg[key] = val
     return cfg
-
-
-def _quad_payload(res: QuadResult) -> dict:
-    return {
-        "value": res.value,
-        "error_estimate": res.error_estimate,
-        "levels_used": res.levels_used,
-        "verdict": res.verdict.value,
-        "level_values": list(res.level_values),
-    }
 
 
 def _check_budget(flags: str, nodes: int) -> None:
@@ -212,7 +206,9 @@ def _cmd_ladder(args) -> int:
         res = brennan_direct(mapping, args.exponent, tol=args.tol, max_levels=args.levels)
     else:
         res = inverse_brennan(mapping, args.exponent, tol=args.tol, max_levels=args.levels)
-    _scalar_output(args, _config_echo(args), _quad_payload(res))
+    # a list, so _scalar_output checks each level and the CSV joins them in one cell
+    _scalar_output(args, _config_echo(args), asdict(res) | {
+        "verdict": res.verdict.value, "level_values": list(res.level_values)})
     return 0 if res.verdict is Verdict.CONVERGED else 1
 
 
@@ -220,9 +216,7 @@ def _cmd_exponents(args) -> int:
     if args.s is not None:
         payload = {"q": q_from_ps(args.p, args.s)}
     else:
-        b = exponent_bounds(args.p, args.alpha0)
-        payload = {"p_min": b.p_min, "q_max": b.q_max, "r_max": b.r_max,
-                   "conjectural": b.conjectural}
+        payload = asdict(exponent_bounds(args.p, args.alpha0))
     _scalar_output(args, _config_echo(args), payload)
     return 0
 
@@ -235,9 +229,7 @@ def _cmd_constant(args) -> int:
                               f"of {BUMP_BUDGET}")
     bumps = make_bump_family(args.bumps) if args.r != 2.0 else None
     est = poincare_constant_disc(args.r, grid, bumps=bumps)
-    payload = {"value": est.value, "method": est.method.value,
-               "tolerance": est.tolerance, "iterations": est.iterations}
-    _scalar_output(args, _config_echo(args), payload)
+    _scalar_output(args, _config_echo(args), asdict(est) | {"method": est.method.value})
     return 0
 
 
@@ -254,9 +246,8 @@ def _cmd_solve(args) -> int:
     config = _config_echo(args)
     column = solve_dirichlet(args.rhs, grid)
     if args.output == "json":
-        _emit_json(config, {"u_min": float(column.min()), "u_max": float(column.max()),
-                            "n_r": args.nr, "n_theta": args.ntheta},
-                   args.out_path)
+        _scalar_output(args, config, {"u_min": float(column.min()), "u_max": float(column.max()),
+                                      "n_r": args.nr, "n_theta": args.ntheta})
         return 0
     lattice = None
     if args.export == "lattice":
@@ -283,18 +274,6 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-_DISPATCH = {
-    "weight": _cmd_weight,
-    "brennan": _cmd_ladder,
-    "inverse-brennan": _cmd_ladder,
-    "kpq": _cmd_ladder,
-    "exponents": _cmd_exponents,
-    "constant": _cmd_constant,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -305,7 +284,7 @@ def main(argv=None) -> int:
     try:
         if "tol" in vars(args) and not 0.0 < args.tol < math.inf:
             raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except BrokenPipeError:
         return 0
     except (ConfweightError, ValueError, OSError) as exc:

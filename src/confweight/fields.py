@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import KpqDivergent
-from .maps import ConformalMap
+from .maps import ConformalMap, _square_modulus
 from .quadrature import CHECK_SPEC, DiscGridSpec, Verdict, kpq_norm, pull_back, ring_nodes
 from .util import default_seed, pairwise_sum
 
@@ -81,22 +81,16 @@ class TestBump:
             raise ValueError("amplitude must be finite")
         object.__setattr__(self, "center", c)
 
-    def _t2(self, w: np.ndarray) -> np.ndarray:
-        d = w - self.center
-        return (d.real**2 + d.imag**2) / self.radius**2
-
     def value(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=complex)
-        t2 = self._t2(w)
+        t2 = _square_modulus(np.asarray(w, dtype=complex) - self.center) / self.radius**2
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             body = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - t2))
         return np.where(t2 < 1.0, body, 0.0)
 
     def gradient(self, w) -> np.ndarray:
         """Cartesian gradient packed as d/dx + i*d/dy."""
-        w = np.asarray(w, dtype=complex)
-        d = w - self.center
-        t2 = self._t2(w)
+        d = np.asarray(w, dtype=complex) - self.center
+        t2 = _square_modulus(d) / self.radius**2
         # with s = t^2: db/ds = -b/(1-s)^2 and grad s = 2*d/radius^2
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             b = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - t2))

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 import confweight
-from confweight import ConfweightError, ConformalMap, DomainFamily, integrate_disc
+from confweight import (ConfweightError, ConformalMap, ConstantEstimate, DomainFamily,
+                        ExponentBounds, QuadResult, cli, integrate_disc)
 from confweight.cli import build_parser, main
 
 
@@ -354,6 +357,71 @@ def test_parser_lists_all_commands():
     for cmd in ("weight", "brennan", "inverse-brennan", "kpq", "exponents",
                 "constant", "solve", "verify"):
         assert cmd in text
+
+
+def test_every_command_carries_a_registered_handler():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    handlers = {name: f for name, f in vars(cli).items() if name.startswith("_cmd_")}
+    runs = {name: p.get_default("run") for name, p in sub.choices.items()}
+    assert set(runs) == {"weight", "brennan", "inverse-brennan", "kpq", "exponents",
+                         "constant", "solve", "verify"}
+    # equal sets: each run is a handler (not None), and no handler is left out
+    assert set(runs.values()) == set(handlers.values())
+
+
+# one cheap run of each command; verify's suite is stubbed, as its config echo
+# does not depend on the report
+_EVERY_COMMAND = [
+    ("weight", "--domain", "disc", "--at", "0.1,0.2"),
+    ("brennan", "--domain", "disc", "--s", "1", "--levels", "2"),
+    ("inverse-brennan", "--domain", "disc", "--alpha", "1", "--levels", "2"),
+    ("kpq", "--domain", "cardioid", "--p", "2", "--q", "1", "--levels", "2"),
+    ("exponents", "--p", "1.8"),
+    ("constant", "--nr", "16", "--ntheta", "16"),
+    ("solve", "--domain", "disc", "--f", "const:1", "--nr", "8", "--ntheta", "8"),
+    ("verify",),
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_no_command_echoes_its_handler(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_verify", lambda: {
+        "passed": True, "checks": [{"name": "stub", "passed": True}], "mismatch_reports": []})
+    for output in ("json", "csv"):
+        _, out, err = run(capsys, *argv, "--output", output)
+        assert err == ""
+        if output == "json":
+            config = json.loads(out)["config"]
+        else:
+            config = dict(line[2:].split("=", 1) for line in out.splitlines()
+                          if line.startswith("# "))
+        assert config["command"] == argv[0] and "run" not in config
+
+
+def _fields(result_type) -> set:
+    return {f.name for f in dataclasses.fields(result_type)}
+
+
+@pytest.mark.parametrize("argv,result_type", [
+    (("brennan", "--domain", "exterior", "--s", "3", "--levels", "3"), QuadResult),
+    (("inverse-brennan", "--domain", "strip", "--alpha=-0.5", "--levels", "3"), QuadResult),
+    (("kpq", "--domain", "cardioid", "--p", "2", "--q", "1", "--levels", "3"), QuadResult),
+    (("constant", "--r", "2", "--nr", "32", "--ntheta", "32"), ConstantEstimate),
+    (("constant", "--r", "3", "--nr", "32", "--ntheta", "32", "--bumps", "4"),
+     ConstantEstimate),
+    (("exponents", "--p", "1.8"), ExponentBounds),
+], ids=["brennan", "inverse-brennan", "kpq", "constant-r2", "constant-r3", "exponents"])
+def test_a_scalar_report_is_its_result_dataclass(capsys, argv, result_type):
+    _, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert set(doc) == _fields(result_type) | {"config"}
+    _, out, _ = run(capsys, *argv, "--output", "csv")
+    header, row = [line for line in out.splitlines() if not line.startswith("#")]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert set(cells) == _fields(result_type)
+    if result_type is QuadResult:
+        assert isinstance(doc["level_values"], list) and len(doc["level_values"]) == 3
+        assert list(map(float, cells["level_values"].split(" "))) == doc["level_values"]
 
 
 def test_out_path_missing_directory_exit(tmp_path, capsys):

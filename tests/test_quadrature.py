@@ -283,6 +283,33 @@ def test_inverse_brennan_matches_direct():
     assert direct.level_values == inverse.level_values
 
 
+def _cardioid_inverse_brennan_exact(alpha: float) -> float:
+    # psi' = (1+w)/2, so Gauss's 2F1(a, b; 2; 1) gives the integral over the disc
+    return 2.0 ** -alpha * math.pi * math.gamma(2 + alpha) / math.gamma(2 + alpha / 2) ** 2
+
+
+@pytest.mark.parametrize("alpha,verdict,levels", [
+    (1.0, Verdict.CONVERGED, 7),
+    (2.0, Verdict.CONVERGED, 8),
+    (-0.5, Verdict.INCONCLUSIVE, 8),
+])
+def test_inverse_brennan_on_the_cardioid_is_within_its_error_estimate(alpha, verdict, levels):
+    card = ConformalMap.to_disc(DomainFamily.CARDIOID)
+    res = inverse_brennan(card, alpha, tol=1e-6, max_levels=8)
+    assert (res.verdict, res.levels_used) == (verdict, levels)
+    assert abs(res.value - _cardioid_inverse_brennan_exact(alpha)) <= res.error_estimate
+
+
+def test_inverse_brennan_on_the_cardioid_at_alpha_minus_one_is_the_extrapolation_baseline():
+    # the cusp's increments halve per level, so 8 plain levels stay 4.25e-3 off;
+    # an extrapolated ladder has this to beat
+    card = ConformalMap.to_disc(DomainFamily.CARDIOID)
+    res = inverse_brennan(card, -1.0, tol=1e-6, max_levels=8)
+    assert _cardioid_inverse_brennan_exact(-1.0) == pytest.approx(8.0, rel=1e-15)
+    assert (res.verdict, res.levels_used) == (Verdict.INCONCLUSIVE, 8)
+    assert abs(res.value - 8.0) == pytest.approx(4.25e-3, rel=1e-3)  # 5.3e-4 relative
+
+
 def test_deterministic_reduction():
     slit = ConformalMap.to_disc(DomainFamily.SLITPLANE)
     a = brennan_direct(slit, 3.5, tol=0.1)
