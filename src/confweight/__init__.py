@@ -9,8 +9,8 @@ from .errors import (BranchCutViolation, ConfweightError, EstimateNotUsable,
                      ExponentOutOfRange, GridTooCoarse, GridTooLarge,
                      IntegrandNotFinite, InvalidExponents, IterationDivergence,
                      KpqDivergent, PointOutsideDomain, RhsNotFinite, SolutionNotFinite)
-from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, EstimateMethod, ExponentBounds,
-                        disc_eigenvalue, exponent_bounds, poincare_constant_disc, q_from_ps)
+from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, ExponentBounds, exponent_bounds,
+                        poincare_constant_disc, q_from_ps)
 from .fields import (CompositionRecord, PolarGrid, TestBump,
                      composition_inequality_check, make_bump_family)
 from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
@@ -28,14 +28,14 @@ __version__ = "1.0.0"
 __all__ = [
     "BranchCutViolation", "CHECK_SPEC", "CompositionRecord", "ConformalMap",
     "ConfweightError", "ConstantEstimate", "DEFAULT_ALPHA0", "DEFAULT_SEED",
-    "DiscGridSpec", "DiscSolution", "DomainFamily", "EstimateMethod",
+    "DiscGridSpec", "DiscSolution", "DomainFamily",
     "ExponentBounds", "EstimateNotUsable", "ExponentOutOfRange", "GridTooCoarse",
     "GridTooLarge", "IntegrandNotFinite", "InvalidExponents", "IterationDivergence",
     "J0_FIRST_ZERO", "KpqDivergent", "MoebiusAutomorphism", "PointOutsideDomain",
     "PolarGrid", "QuadResult", "RhsNotFinite", "RhsSpec", "SolutionNotFinite",
     "TestBump", "Verdict", "boundary_image_check", "boundary_samples", "brennan_direct",
     "brennan_scan", "classify", "compose_with_automorphism",
-    "composition_inequality_check", "default_seed", "disc_eigenvalue", "disc_nodes",
+    "composition_inequality_check", "default_seed", "disc_nodes",
     "exponent_bounds", "integrate_disc", "inverse_brennan", "kpq_norm",
     "make_bump_family", "pairwise_sum", "poincare_constant_disc", "pull_back",
     "q_from_ps", "quoted_formula_report", "ring_nodes", "round_trip_check", "run_verify",

@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nr", type=int, default=128)
     p.add_argument("--ntheta", type=int, default=128)
     p.add_argument("--bumps", type=int, default=64,
-                   help="bump-family size for the r != 2 estimate from below "
-                        "(needs --nr and --ntheta of at least 32)")
+                   help="bump-family size for the lower bound reported beside K "
+                        "when r != 2 (needs --nr and --ntheta of at least 32)")
 
     p = sub.add_parser("solve", help="Dirichlet solve by conformal transfer")
     common(p, _cmd_solve)
@@ -229,7 +229,7 @@ def _cmd_constant(args) -> int:
                               f"of {BUMP_BUDGET}")
     bumps = make_bump_family(args.bumps) if args.r != 2.0 else None
     est = poincare_constant_disc(args.r, grid, bumps=bumps)
-    _scalar_output(args, _config_echo(args), asdict(est) | {"method": est.method.value})
+    _scalar_output(args, _config_echo(args), asdict(est))
     return 0
 
 

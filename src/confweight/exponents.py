@@ -3,14 +3,13 @@
 The algebra side is exact arithmetic on the exponent relations that govern
 gradient composition bounds: the conjugation q(p, s) = ps/(p + s - 2) and the
 (q, r) ranges determined by an integrability floor alpha0 of the inverse-map
-derivative.  The analytic side estimates the disc constant K of the
-inequality ||f||_{L_r} <= K ||grad f||_{L_2}: exactly (via the first
-Laplacian eigenvalue) for r = 2, and otherwise from below by a bump family,
+derivative.  The analytic side computes the disc constant K of the inequality
+||f||_{L_r} <= K ||grad f||_{L_2} for every r >= 1 by one radial iteration
+(inverse iteration at r = 2), and bounds it from below by a bump family,
 tabulated one bump at a time on a grid of at least 32 nodes per direction.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,16 +17,15 @@ import numpy as np
 
 from .errors import (EstimateNotUsable, ExponentOutOfRange, GridTooCoarse,
                      IterationDivergence)
-from .fields import PolarGrid, TestBump, _bump_tables, make_bump_family
+from .fields import PolarGrid, TestBump, _bump_tables
 from .poisson import solve_radial
 from .util import pairwise_sum
 
 # integrability floor used by default: |psi'|^alpha is known integrable on
 # the disc down to alpha0 = 2 - 3.752 for every simply connected domain
 DEFAULT_ALPHA0 = -1.752
-# relative change of the Rayleigh quotient at which disc_eigenvalue stops
-_EIGEN_TOL = 1e-10
-_EIGEN_MAX_ITERATIONS = 10_000  # disc_eigenvalue's safety bound on its iterations
+_TOL = 1e-13  # relative change of K at which poincare_constant_disc's iteration stops
+_MAX_ITERATIONS = 10_000  # that iteration's safety bound
 _BUMP_MIN_NODES = 32  # bump-route grid floor per direction; 8 x 8 read 3.1 K(3)
 
 
@@ -76,70 +74,49 @@ def exponent_bounds(p: float, alpha0: float) -> ExponentBounds:
                           conjectural=(alpha0 == -2.0))
 
 
-class EstimateMethod(str, enum.Enum):
-    EIGEN_RAYLEIGH = "EigenRayleigh"
-    BUMP_FAMILY_MAX = "BumpFamilyMax"
-
-
 @dataclass(frozen=True)
 class ConstantEstimate:
     value: float
-    method: EstimateMethod
     tolerance: float
     iterations: int
-
-
-def disc_eigenvalue(grid: PolarGrid) -> tuple[float, int]:
-    """Smallest Dirichlet eigenvalue of -Laplacian on the disc, discretized.
-
-    Inverse power iteration: each step solves lap y = -x with the radial
-    solver and renormalizes.  The first eigenfunction is radial, and so is
-    every iterate from the constant start, so x lives on the n_r rings; each
-    ring weighs n_theta cells, which for a power-of-two n_theta gives the
-    same sums as the full grid.  The Rayleigh quotient of the inverse
-    operator, mu = <y, x>/<x, x> (area weighted), converges to 1/lambda_1;
-    iteration stops when successive quotients agree to ``_EIGEN_TOL`` relative.
-    """
-    ring = grid.n_theta * grid.cell_areas[:, 0]
-    x = np.ones(grid.n_r)
-    mu_prev = math.inf
-    for it in range(1, _EIGEN_MAX_ITERATIONS + 1):
-        y = solve_radial(-x)
-        mu = pairwise_sum(y * x * ring) / pairwise_sum(x * x * ring)
-        if abs(mu - mu_prev) <= _EIGEN_TOL * abs(mu):
-            return 1.0 / mu, it
-        mu_prev = mu
-        x = y / math.sqrt(pairwise_sum(y * y * ring))
-    raise IterationDivergence(f"Rayleigh quotient did not settle to {_EIGEN_TOL} "
-                              f"in {_EIGEN_MAX_ITERATIONS} iterations")
+    lower_bound: float | None  # the bump family's maximum, when bumps are given
 
 
 def poincare_constant_disc(r: float, grid: PolarGrid,
                            bumps: list[TestBump] | None = None) -> ConstantEstimate:
-    """Disc constant of ||f||_{L_r} <= K ||grad f||_{L_2} for zero-trace f.
+    """Disc constant K(r) of ||f||_{L_r} <= K ||grad f||_{L_2} for zero-trace f.
 
-    r = 2 is solved exactly (to discretization) as K = 1/sqrt(lambda_1) by
-    inverse power iteration on the discrete Dirichlet Laplacian.  Other r
-    have no elementary sharp constant; the estimate is then the maximum of
-    ||b||_r / ||grad b||_2 over a seeded bump family, which bounds K from
-    below in exact arithmetic but never claims sharpness.  The midpoint rule
-    lifts it above K on coarse grids, so below 32 nodes per direction, where
-    bumps of radius >= 0.1 are not resolved, it raises GridTooCoarse.  A
-    bump whose sums overflow, or a family in which none gives a nonzero
-    finite ratio (sums that underflow), raises EstimateNotUsable.
+    The extremal is radial (Polya-Szego), so K is found on the rings, of areas A:
+    from u = 1 - r^2, each step solves lap v = -g, g = u^(r-1), reads K = ||v||_r /
+    sqrt(<v, g>_A), where <v, g>_A is v's gradient energy, and sets u = v / max v,
+    until successive K agree to ``_TOL`` relative.  At r = 2 this is inverse
+    iteration, K = 1/sqrt(lambda_1).  ``lower_bound`` is ``_bump_bound(bumps)``.
     """
     if not (math.isfinite(r) and r >= 1.0):
         raise ExponentOutOfRange(f"r must be at least 1, got {r}")
-    if r == 2.0:
-        lam, its = disc_eigenvalue(grid)
-        return ConstantEstimate(value=1.0 / math.sqrt(lam),
-                                method=EstimateMethod.EIGEN_RAYLEIGH,
-                                tolerance=_EIGEN_TOL, iterations=its)
+    bound = None if bumps is None else _bump_bound(r, grid, bumps)
+    ring = grid.n_theta * grid.cell_areas[:, 0]
+    u, k_prev = 1.0 - grid.r ** 2, math.inf
+    for it in range(1, _MAX_ITERATIONS + 1):
+        g = u ** (r - 1.0)
+        v = solve_radial(-g)
+        k = pairwise_sum(v ** r * ring) ** (1.0 / r) / math.sqrt(pairwise_sum(v * g * ring))
+        if abs(k - k_prev) <= _TOL * k:
+            return ConstantEstimate(value=k, tolerance=_TOL, iterations=it, lower_bound=bound)
+        k_prev = k
+        u = v / v.max()
+    raise IterationDivergence(f"K did not settle to {_TOL} in {_MAX_ITERATIONS} iterations")
+
+
+def _bump_bound(r: float, grid: PolarGrid, bumps: list[TestBump]) -> float:
+    """Max of ||b||_r / ||grad b||_2 over ``bumps``, in exact arithmetic a lower bound of K.
+
+    Grids of under 32 nodes per direction, where the midpoint rule lifts it above K, raise
+    GridTooCoarse; sums that overflow, or no nonzero finite ratio, raise EstimateNotUsable.
+    """
     if grid.n_r < _BUMP_MIN_NODES or grid.n_theta < _BUMP_MIN_NODES:
         raise GridTooCoarse(f"the bump route needs at least {_BUMP_MIN_NODES} nodes per "
                             f"direction, got {grid.n_r}x{grid.n_theta}")
-    if bumps is None:
-        bumps = make_bump_family(64)
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in _bump_tables(bumps, grid, r):
@@ -151,5 +128,4 @@ def poincare_constant_disc(r: float, grid: PolarGrid,
     if not 0.0 < best < math.inf:
         raise EstimateNotUsable(f"no bump gave a nonzero finite ratio (best {best}); "
                                 "their sums underflow or miss the grid")
-    return ConstantEstimate(value=best, method=EstimateMethod.BUMP_FAMILY_MAX,
-                            tolerance=0.0, iterations=len(bumps))
+    return best

@@ -243,8 +243,9 @@ def test_constant_eigen_route(capsys):
                        "--ntheta", "128")
     assert code == 0
     doc = json.loads(out)
-    assert doc["method"] == "EigenRayleigh"
     assert abs(doc["value"] - 0.41583) < 0.01 * 0.41583 + 1e-5
+    # r = 2 tabulates no bumps, so its lower bound is null
+    assert doc["lower_bound"] is None and doc["iterations"] == 9
 
 
 def test_constant_bump_route_seeded(capsys, monkeypatch):
@@ -252,15 +253,18 @@ def test_constant_bump_route_seeded(capsys, monkeypatch):
                        "--ntheta", "64", "--bumps", "8")
     assert code == 0
     base = json.loads(out)
-    assert base["method"] == "BumpFamilyMax"
-    # same seed, same bumps, same value
+    assert 0.0 < base["lower_bound"] < base["value"]
+    # same seed, same bumps, same bound
     code, out, _ = run(capsys, "constant", "--r", "1.5", "--nr", "64",
                        "--ntheta", "64", "--bumps", "8")
-    assert json.loads(out)["value"] == base["value"]
+    assert json.loads(out) == base
+    # another seed moves the bound, and K, which tabulates no bumps, stays
     monkeypatch.setenv("CW_SEED", "99")
     code, out, _ = run(capsys, "constant", "--r", "1.5", "--nr", "64",
                        "--ntheta", "64", "--bumps", "8")
-    assert json.loads(out)["value"] != base["value"]
+    other = json.loads(out)
+    assert other["lower_bound"] != base["lower_bound"]
+    assert other["value"] == base["value"]
 
 
 @pytest.mark.parametrize("n", ["8", "16"])
@@ -276,7 +280,8 @@ def test_constant_bump_route_stays_below_k3_at_32(capsys, monkeypatch):
     monkeypatch.delenv("CW_SEED", raising=False)
     code, out, _ = run(capsys, "constant", "--r", "3", "--nr", "32", "--ntheta", "32")
     assert code == 0
-    assert 0.0 < json.loads(out)["value"] < 0.3878
+    doc = json.loads(out)
+    assert 0.0 < doc["lower_bound"] < doc["value"]
 
 
 def test_solve_csv_against_exact(capsys):
@@ -400,6 +405,20 @@ def test_no_command_echoes_its_handler(capsys, monkeypatch, argv):
 
 def _fields(result_type) -> set:
     return {f.name for f in dataclasses.fields(result_type)}
+
+
+def test_constant_reports_k_with_its_bump_bound(capsys, monkeypatch):
+    assert _fields(ConstantEstimate) == {"iterations", "lower_bound", "tolerance", "value"}
+    argv = ("constant", "--r", "2", "--nr", "32", "--ntheta", "32")
+    assert json.loads(run(capsys, *argv)[1])["lower_bound"] is None
+    header, row = [line for line in run(capsys, *argv, "--output", "csv")[1].splitlines()
+                   if not line.startswith("#")]
+    assert dict(zip(header.split(","), row.split(",")))["lower_bound"] == "None"
+    # the bump maximum that was the r = 3 report's value is now its lower bound
+    monkeypatch.delenv("CW_SEED", raising=False)
+    doc = json.loads(run(capsys, "constant", "--r", "3", "--nr", "64", "--ntheta", "64",
+                         "--bumps", "8")[1])
+    assert doc["lower_bound"].hex() == (0.15492631132406232).hex()
 
 
 @pytest.mark.parametrize("argv,result_type", [
@@ -616,13 +635,15 @@ def test_solve_csv_bytes_are_pinned_across_row_blocks(capsys, argv, rows, digest
      "865e2d3101360238b9be010cf64a520a29d412caa3462c3d319efc87eb44b900"),
     (("exponents", "--p", "3", "--s", "3"), 0,
      "4270cf308643ca1e8b898614c1cb8db1afc35710fec389c2f3c7da5a0c8f2ec8"),
+    # the two constant digests and verify's re-taken when one radial iteration gave K
+    # for every r: the keys, K(2) and the transfer.* values moved (listed in CHANGES.md)
     (("constant", "--r", "2", "--nr", "64", "--ntheta", "64"), 0,
-     "625dd5b2784cb47357afddf15900e3c29d9e81bab50446882eb03a528fc29b18"),
+     "806a5eb3161a82260dd983dd8d3b144f7e4cfe088ed511db5cf73c2a7c3cce45"),
     (("constant", "--r", "3", "--nr", "64", "--ntheta", "64", "--bumps", "8"), 0,
-     "0cfd470c15b6865d8f1f3c0c1802799f4e3eda20d8273a51816ac7d5d395eb72"),
-    # the default-seed verify report itself, as taken with the flux solve
+     "3b30d409501d2bd6496903e1edaf2f55b57930926f69ba558c7609e9707712f9"),
+    # the default-seed verify report itself
     (("verify", "--output", "json"), 0,
-     "626071ef2caf47b45699885b4dc24f44ac687ae17541019d99d75bb1825c0a50"),
+     "751dc6b5314f0d8b4ca3f799b94257dfdbb0f0489d5c31a683011ee47bcfb4d4"),
 ])
 def test_verify_and_scalar_csv_bytes_are_pinned(capsys, argv, exit_code, digest):
     # digests taken when these tables had a per-cell writer of their own; one writer

@@ -6,18 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confweight import (ConformalMap, ConstantEstimate, DomainFamily,
-                        EstimateMethod, EstimateNotUsable, ExponentOutOfRange,
-                        GridTooCoarse,
-                        IterationDivergence, PolarGrid, TestBump, disc_eigenvalue,
-                        exponent_bounds, make_bump_family, pairwise_sum,
-                        poincare_constant_disc, q_from_ps)
+from confweight import (DEFAULT_SEED, ConformalMap, ConstantEstimate, DomainFamily,
+                        EstimateNotUsable, ExponentOutOfRange, GridTooCoarse,
+                        IterationDivergence, PolarGrid, TestBump, exponent_bounds,
+                        make_bump_family, pairwise_sum, poincare_constant_disc, q_from_ps)
 from confweight import exponents
 from confweight.cli import main
 
 from conftest import polar_theta
 
 J01 = 2.404825557695773
+# sharp K(r): sqrt(pi/8) at r = 1 (the torsion function), 1/j01 at r = 2, and
+# K(3) from Richardson extrapolation of the radial iteration on 1024 and 2048 rings
+SHARP_K = {1.0: math.sqrt(math.pi / 8.0), 2.0: 1.0 / J01, 3.0: 0.3878267822}
 
 
 def test_q_from_ps_point_values():
@@ -126,15 +127,17 @@ def test_exponent_bounds_domain():
         exponent_bounds(1.05, -0.5)    # below p_min
 
 
+# the two disc_eigenvalue tests read lambda_1 = K(2)^-2, which the radial
+# iteration finds at r = 2 as disc_eigenvalue's inverse iteration did
 def test_disc_eigenvalue_close_to_bessel():
-    lam, iterations = disc_eigenvalue(PolarGrid(64, 64))
-    assert abs(lam - J01**2) / J01**2 < 1e-3
-    assert 0 < iterations < 50
+    est = poincare_constant_disc(2.0, PolarGrid(64, 64))
+    assert abs(est.value ** -2 - J01**2) / J01**2 < 1e-3
+    assert est.iterations == 9
 
 
 def test_disc_eigenvalue_refines_toward_target():
-    lam64, _ = disc_eigenvalue(PolarGrid(64, 64))
-    lam128, _ = disc_eigenvalue(PolarGrid(128, 128))
+    lam64 = poincare_constant_disc(2.0, PolarGrid(64, 64)).value ** -2
+    lam128 = poincare_constant_disc(2.0, PolarGrid(128, 128)).value ** -2
     target = J01**2
     assert abs(lam128 - target) < abs(lam64 - target)
 
@@ -142,21 +145,49 @@ def test_disc_eigenvalue_refines_toward_target():
 def test_poincare_constant_r2():
     est = poincare_constant_disc(2.0, PolarGrid(128, 128))
     assert isinstance(est, ConstantEstimate)
-    assert est.method is EstimateMethod.EIGEN_RAYLEIGH
-    assert abs(est.value - 1.0 / J01) * J01 < 0.01
-    assert est.iterations > 0
+    assert abs(est.value - 1.0 / J01) * J01 < 1e-4
+    assert est.iterations == 9 and est.tolerance == 1e-13
+    assert est.lower_bound is None
+
+
+def _sharp_ladder(r):
+    return [poincare_constant_disc(r, PolarGrid(n, n)).value for n in (256, 512, 1024)]
+
+
+@pytest.mark.parametrize("r", sorted(SHARP_K))
+def test_radial_iteration_converges_to_the_sharp_constant_at_order_2(r):
+    k256, k512, k1024 = _sharp_ladder(r)
+    assert math.log2((k256 - k512) / (k512 - k1024)) == pytest.approx(2.0, abs=0.05)
+    assert abs(k1024 - SHARP_K[r]) < 1e-6
+    # Richardson: 2.9e-13, 4.4e-14 and 1.8e-11 off, the last from SHARP_K[3]'s 10 digits
+    assert abs((4.0 * k1024 - k512) / 3.0 - SHARP_K[r]) < 1e-10
+
+
+def test_the_torsion_function_is_the_extremal_at_r_1():
+    # from u = 1 - r^2, g = u^0 = 1: the first solve is already the torsion
+    # function, so the second step repeats its K to the bit
+    assert poincare_constant_disc(1.0, PolarGrid(64, 64)).iterations == 2
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("r", [1.0, 1.5, 3.0, 6.0])
+def test_the_bump_witness_stays_below_the_sharp_constant(r, n):
+    # narrowest at r = 6 on 32^2: 0.257 against 0.410
+    bumps = make_bump_family(64, rng=np.random.default_rng(DEFAULT_SEED))
+    est = poincare_constant_disc(r, PolarGrid(n, n), bumps=bumps)
+    assert 0.0 < est.lower_bound < est.value
 
 
 def test_poincare_constant_bump_route(rng):
     bumps = make_bump_family(16, rng=rng)
     est = poincare_constant_disc(1.0, PolarGrid(64, 64), bumps=bumps)
-    assert est.method is EstimateMethod.BUMP_FAMILY_MAX
-    assert est.value > 0.0
-    assert est.iterations == 16
-    # a lower bound can only grow with more candidates
+    assert est.lower_bound > 0.0
+    assert est.iterations == 2
+    # a lower bound can only grow with more candidates, and K does not see them
     more = poincare_constant_disc(1.0, PolarGrid(64, 64),
                                   bumps=bumps + make_bump_family(8, rng=rng))
-    assert more.value >= est.value
+    assert more.lower_bound >= est.lower_bound
+    assert more.value == est.value
 
 
 def _whole_grid_bound(r, grid, bumps):
@@ -180,15 +211,15 @@ def test_bump_route_has_the_bits_of_whole_grid_norms(n, r):
     for seed in (0, 1, 2):
         bumps = make_bump_family(8, rng=np.random.default_rng(seed))
         est = poincare_constant_disc(r, grid, bumps=bumps)
-        assert est.value.hex() == _whole_grid_bound(r, grid, bumps).hex()
+        assert est.lower_bound.hex() == _whole_grid_bound(r, grid, bumps).hex()
 
 
 def test_bump_route_skips_a_flat_bump():
     bumps = [TestBump(0.2j, 0.3, 0.0), TestBump(-0.1, 0.4)]
     grid = PolarGrid(64, 32)
     est = poincare_constant_disc(3.0, grid, bumps=bumps)
-    assert est.value.hex() == _whole_grid_bound(3.0, grid, bumps).hex()
-    assert est.value > 0.0 and est.iterations == 2
+    assert est.lower_bound.hex() == _whole_grid_bound(3.0, grid, bumps).hex()
+    assert est.lower_bound > 0.0
 
 
 @pytest.mark.parametrize("amplitude", [1e200, 1e150, -1e200])
@@ -214,9 +245,9 @@ def test_bump_route_refuses_a_family_without_a_usable_ratio(recwarn, bumps):
 def test_bump_route_keeps_the_usable_ratios_beside_an_underflowing_bump():
     grid = PolarGrid(64, 64)
     one = poincare_constant_disc(3.0, grid, [TestBump(0j, 0.5)])
-    assert one.value == pytest.approx(0.2201054136936772, rel=1e-15)
+    assert one.lower_bound == pytest.approx(0.2201054136936772, rel=1e-15)
     both = poincare_constant_disc(3.0, grid, [TestBump(0j, 0.5, 1e-200), TestBump(0j, 0.5)])
-    assert both.value == one.value and both.iterations == 2
+    assert both.lower_bound == one.lower_bound
 
 
 def test_bump_route_builds_one_table_at_a_time():
@@ -241,12 +272,14 @@ def test_bump_route_refuses_a_coarse_grid_before_any_bump_is_evaluated(
     def evaluated(self, w):
         raise AssertionError("a bump was evaluated")
 
+    bumps = make_bump_family(64)
     monkeypatch.setattr(TestBump, "value", evaluated)
     monkeypatch.setattr(TestBump, "gradient", evaluated)
     with pytest.raises(GridTooCoarse, match=f"at least 32 .* got {n_r}x{n_theta}"):
-        poincare_constant_disc(3.0, PolarGrid(n_r, n_theta))
-    # the eigen route has no bumps to resolve
-    assert poincare_constant_disc(2.0, PolarGrid(n_r, n_theta)).value > 0.0
+        poincare_constant_disc(3.0, PolarGrid(n_r, n_theta), bumps=bumps)
+    # without bumps there is nothing to resolve: the radial iteration needs no floor
+    est = poincare_constant_disc(3.0, PolarGrid(n_r, n_theta))
+    assert est.value > 0.0 and est.lower_bound is None
 
 
 def test_poincare_constant_domain():
@@ -255,10 +288,10 @@ def test_poincare_constant_domain():
 
 
 def test_eigen_iteration_budget_enforced(monkeypatch):
-    monkeypatch.setattr(exponents, "_EIGEN_TOL", 1e-30)
-    monkeypatch.setattr(exponents, "_EIGEN_MAX_ITERATIONS", 3)
+    monkeypatch.setattr(exponents, "_TOL", 1e-30)
+    monkeypatch.setattr(exponents, "_MAX_ITERATIONS", 3)
     with pytest.raises(IterationDivergence, match="in 3 iterations"):
-        disc_eigenvalue(PolarGrid(64, 64))
+        poincare_constant_disc(2.0, PolarGrid(64, 64))
 
 
 def test_weighted_constant_check_families(bumps, family_checks):

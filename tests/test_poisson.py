@@ -11,7 +11,7 @@ import pytest
 from confweight import (ConformalMap, DiscSolution, DomainFamily, GridTooCoarse,
                         MoebiusAutomorphism, PointOutsideDomain, PolarGrid,
                         RhsNotFinite, RhsSpec, SolutionNotFinite, boundary_samples, compose_with_automorphism,
-                        TestBump, disc_eigenvalue, make_bump_family, pairwise_sum,
+                        TestBump, make_bump_family, pairwise_sum, poincare_constant_disc,
                         ring_nodes, solve_dirichlet, weak_residual)
 from confweight.fields import _support_rows
 from confweight.poisson import solve_radial
@@ -339,8 +339,9 @@ def test_solve_dirichlet_matches_the_fft_reference(n_r, n_theta, rhs):
 
 
 def test_disc_eigenvalue_matches_the_original_solver_bit_for_bit():
-    # named for the Thomas solve it matched bit for bit; against the FFT reference
-    # the flux solve takes the same iterations, and lambda moves by at most 4e-14
+    # named for the Thomas solve it matched bit for bit; lambda_1 is now K(2)^-2 from
+    # the radial iteration, which takes the 9 iterations that inverse iteration on the
+    # FFT reference takes, and lands within 5e-13 of its lambda
     for grid in (PolarGrid(128, 128), PolarGrid(64, 256)):
         areas = grid.cell_areas
         x = np.ones((grid.n_r, grid.n_theta))
@@ -352,9 +353,9 @@ def test_disc_eigenvalue_matches_the_original_solver_bit_for_bit():
                 break
             mu_prev = mu
             x = y / math.sqrt(pairwise_sum(y * y * areas))
-        lam, iterations = disc_eigenvalue(grid)
-        assert iterations == it
-        assert lam == pytest.approx(1.0 / mu, rel=1e-12, abs=0.0)
+        est = poincare_constant_disc(2.0, grid)
+        assert est.iterations == it == 9
+        assert est.value ** -2 == pytest.approx(1.0 / mu, rel=1e-12, abs=0.0)
 
 
 # --- closed-form assembly on the disc ----------------------------------------

@@ -125,6 +125,23 @@ def test_manufactured_orders_catch_a_wrong_quartic_rhs(monkeypatch):
         "poisson.manufactured_orders.strip"]
 
 
+def test_disc_constant_catches_a_k2_half_a_percent_high(monkeypatch):
+    # at the old tolerance of 1e-2 this K(2) passed; it reads 9.6e-6 when right
+    right = verify.poincare_constant_disc
+
+    def high(r, grid, bumps=None):
+        est = right(r, grid, bumps)
+        return replace(est, value=est.value * 1.005) if r == 2.0 else est
+
+    monkeypatch.setattr(verify, "poincare_constant_disc", high)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    checks = []
+    verify._check_transfer(lambda name, passed, **detail: checks.append((name, passed)),
+                           rng, fields.make_bump_family(3, rng=rng),
+                           {fam: (0.0, 0.0, 0.0) for fam in verify._FAMILIES})
+    assert [name for name, passed in checks if not passed] == ["transfer.disc_constant"]
+
+
 def test_weight_checks_and_quoted_report_keep_their_bits():
     # the weight digest re-taken when h came from the real kernels instead of
     # |phi'|^2: 16 report values moved by rounding (listed in CHANGES.md)
