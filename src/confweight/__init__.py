@@ -5,10 +5,10 @@ domains, integrates weight powers with refinement-based convergence
 verdicts, transfers Sobolev norms and Dirichlet problems between a domain
 and the unit disc, and estimates the associated embedding constants.
 """
-from .errors import (BranchCutViolation, ConfweightError, EstimateNotUsable,
-                     ExponentOutOfRange, GridTooCoarse, GridTooLarge,
-                     IntegrandNotFinite, InvalidExponents, IterationDivergence,
-                     KpqDivergent, PointOutsideDomain, RhsNotFinite, SolutionNotFinite)
+from .errors import (BranchCutViolation, ConfweightError, ExponentOutOfRange,
+                     GridTooCoarse, GridTooLarge, IntegrandNotFinite, InvalidExponents,
+                     IterationDivergence, KpqDivergent, PointOutsideDomain, RhsNotFinite,
+                     SolutionNotFinite)
 from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, ExponentBounds, exponent_bounds,
                         poincare_constant_disc, q_from_ps)
 from .fields import (CompositionRecord, PolarGrid, TestBump,
@@ -29,7 +29,7 @@ __all__ = [
     "BranchCutViolation", "CHECK_SPEC", "CompositionRecord", "ConformalMap",
     "ConfweightError", "ConstantEstimate", "DEFAULT_ALPHA0", "DEFAULT_SEED",
     "DiscGridSpec", "DiscSolution", "DomainFamily",
-    "ExponentBounds", "EstimateNotUsable", "ExponentOutOfRange", "GridTooCoarse",
+    "ExponentBounds", "ExponentOutOfRange", "GridTooCoarse",
     "GridTooLarge", "IntegrandNotFinite", "InvalidExponents", "IterationDivergence",
     "J0_FIRST_ZERO", "KpqDivergent", "MoebiusAutomorphism", "PointOutsideDomain",
     "PolarGrid", "QuadResult", "RhsNotFinite", "RhsSpec", "SolutionNotFinite",

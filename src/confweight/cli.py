@@ -8,7 +8,7 @@ carries its handler (``set_defaults(run=...)``), which ``main`` calls.
     inverse-brennan  same study parameterized by alpha = 2 - s
     kpq              dilatation integral K_{p,q} for composition bounds
     exponents        admissible exponent arithmetic (bounds or q from (p,s))
-    constant         Poincare constant of the unit disc
+    constant         sharp Poincare constant K(r) of the unit disc
     solve            Dirichlet problem -Delta u = f h via disc transfer
     verify           full cross-module invariant suite
 
@@ -34,11 +34,10 @@ import numpy as np
 from .errors import ConfweightError, GridTooLarge
 from .exponents import (DEFAULT_ALPHA0, exponent_bounds, poincare_constant_disc,
                         q_from_ps)
-from .fields import PolarGrid, make_bump_family
+from .fields import PolarGrid
 from .maps import ConformalMap, DomainFamily
 from .poisson import DiscSolution, RhsSpec, solve_dirichlet
-from .quadrature import (BUMP_BUDGET, NODE_BUDGET, Verdict, brennan_direct,
-                         inverse_brennan, kpq_norm)
+from .quadrature import NODE_BUDGET, Verdict, brennan_direct, inverse_brennan, kpq_norm
 from .util import fmt_g, open_target, write_csv
 from .verify import run_verify
 
@@ -115,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--nr", type=int, default=128)
     p.add_argument("--ntheta", type=int, default=128)
-    p.add_argument("--bumps", type=int, default=64,
-                   help="bump-family size for the lower bound reported beside K "
-                        "when r != 2 (needs --nr and --ntheta of at least 32)")
 
     p = sub.add_parser("solve", help="Dirichlet solve by conformal transfer")
     common(p, _cmd_solve)
@@ -224,12 +220,7 @@ def _cmd_exponents(args) -> int:
 def _cmd_constant(args) -> int:
     grid = PolarGrid(args.nr, args.ntheta)
     _check_budget("--nr x --ntheta", grid.n_r * grid.n_theta)
-    if args.bumps > BUMP_BUDGET:
-        raise ConfweightError(f"--bumps asks for {args.bumps} bumps, over the bump budget "
-                              f"of {BUMP_BUDGET}")
-    bumps = make_bump_family(args.bumps) if args.r != 2.0 else None
-    est = poincare_constant_disc(args.r, grid, bumps=bumps)
-    _scalar_output(args, _config_echo(args), asdict(est))
+    _scalar_output(args, _config_echo(args), asdict(poincare_constant_disc(args.r, grid)))
     return 0
 
 

@@ -37,10 +37,6 @@ class ExponentOutOfRange(ConfweightError):
     """An exponent lies outside the admissible analytic range."""
 
 
-class EstimateNotUsable(ConfweightError):
-    """A bump's sums overflowed, or no bump of a family gave a nonzero finite ratio."""
-
-
 class IterationDivergence(ConfweightError):
     """An iterative estimate failed to settle within the iteration budget."""
 

@@ -5,19 +5,15 @@ gradient composition bounds: the conjugation q(p, s) = ps/(p + s - 2) and the
 (q, r) ranges determined by an integrability floor alpha0 of the inverse-map
 derivative.  The analytic side computes the disc constant K of the inequality
 ||f||_{L_r} <= K ||grad f||_{L_2} for every r >= 1 by one radial iteration
-(inverse iteration at r = 2), and bounds it from below by a bump family,
-tabulated one bump at a time on a grid of at least 32 nodes per direction.
+(inverse iteration at r = 2).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (EstimateNotUsable, ExponentOutOfRange, GridTooCoarse,
-                     IterationDivergence)
-from .fields import PolarGrid, TestBump, _bump_tables
+from .errors import ExponentOutOfRange, IterationDivergence
+from .fields import PolarGrid
 from .poisson import solve_radial
 from .util import pairwise_sum
 
@@ -26,7 +22,6 @@ from .util import pairwise_sum
 DEFAULT_ALPHA0 = -1.752
 _TOL = 1e-13  # relative change of K at which poincare_constant_disc's iteration stops
 _MAX_ITERATIONS = 10_000  # that iteration's safety bound
-_BUMP_MIN_NODES = 32  # bump-route grid floor per direction; 8 x 8 read 3.1 K(3)
 
 
 def q_from_ps(p: float, s: float) -> float:
@@ -79,22 +74,19 @@ class ConstantEstimate:
     value: float
     tolerance: float
     iterations: int
-    lower_bound: float | None  # the bump family's maximum, when bumps are given
 
 
-def poincare_constant_disc(r: float, grid: PolarGrid,
-                           bumps: list[TestBump] | None = None) -> ConstantEstimate:
+def poincare_constant_disc(r: float, grid: PolarGrid) -> ConstantEstimate:
     """Disc constant K(r) of ||f||_{L_r} <= K ||grad f||_{L_2} for zero-trace f.
 
     The extremal is radial (Polya-Szego), so K is found on the rings, of areas A:
     from u = 1 - r^2, each step solves lap v = -g, g = u^(r-1), reads K = ||v||_r /
     sqrt(<v, g>_A), where <v, g>_A is v's gradient energy, and sets u = v / max v,
     until successive K agree to ``_TOL`` relative.  At r = 2 this is inverse
-    iteration, K = 1/sqrt(lambda_1).  ``lower_bound`` is ``_bump_bound(bumps)``.
+    iteration, K = 1/sqrt(lambda_1).
     """
     if not (math.isfinite(r) and r >= 1.0):
         raise ExponentOutOfRange(f"r must be at least 1, got {r}")
-    bound = None if bumps is None else _bump_bound(r, grid, bumps)
     ring = grid.n_theta * grid.cell_areas[:, 0]
     u, k_prev = 1.0 - grid.r ** 2, math.inf
     for it in range(1, _MAX_ITERATIONS + 1):
@@ -102,30 +94,8 @@ def poincare_constant_disc(r: float, grid: PolarGrid,
         v = solve_radial(-g)
         k = pairwise_sum(v ** r * ring) ** (1.0 / r) / math.sqrt(pairwise_sum(v * g * ring))
         if abs(k - k_prev) <= _TOL * k:
-            return ConstantEstimate(value=k, tolerance=_TOL, iterations=it, lower_bound=bound)
+            return ConstantEstimate(value=k, tolerance=_TOL, iterations=it)
         k_prev = k
         u = v / v.max()
     raise IterationDivergence(f"K did not settle to {_TOL} in {_MAX_ITERATIONS} iterations")
 
-
-def _bump_bound(r: float, grid: PolarGrid, bumps: list[TestBump]) -> float:
-    """Max of ||b||_r / ||grad b||_2 over ``bumps``, in exact arithmetic a lower bound of K.
-
-    Grids of under 32 nodes per direction, where the midpoint rule lifts it above K, raise
-    GridTooCoarse; sums that overflow, or no nonzero finite ratio, raise EstimateNotUsable.
-    """
-    if grid.n_r < _BUMP_MIN_NODES or grid.n_theta < _BUMP_MIN_NODES:
-        raise GridTooCoarse(f"the bump route needs at least {_BUMP_MIN_NODES} nodes per "
-                            f"direction, got {grid.n_r}x{grid.n_theta}")
-    best = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in _bump_tables(bumps, grid, r):
-            if not (math.isfinite(t.norm) and math.isfinite(t.energy)):
-                raise EstimateNotUsable(f"a bump's sums overflow: ||b||_r = {t.norm}, "
-                                        f"||grad b||_2^2 = {t.energy}")
-            if t.energy != 0.0:
-                best = max(best, t.norm / t.energy ** 0.5)
-    if not 0.0 < best < math.inf:
-        raise EstimateNotUsable(f"no bump gave a nonzero finite ratio (best {best}); "
-                                "their sums underflow or miss the grid")
-    return best

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import KpqDivergent
 from .maps import ConformalMap, _square_modulus
 from .quadrature import CHECK_SPEC, DiscGridSpec, Verdict, kpq_norm, pull_back, ring_nodes
-from .util import default_seed, pairwise_sum
+from .util import pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,10 @@ class TestBump:
         return slope * d / self.radius**2
 
 
-def make_bump_family(count: int, rng: np.random.Generator | None = None) -> list[TestBump]:
-    """Reproducible random bumps, closed supports inside |w| <= 0.9."""
+def make_bump_family(count: int, rng: np.random.Generator) -> list[TestBump]:
+    """Random bumps drawn from ``rng``, closed supports inside |w| <= 0.9."""
     if count < 1:
         raise ValueError("count must be positive")
-    if rng is None:
-        rng = np.random.default_rng(default_seed())
     bumps = []
     for _ in range(count):
         radius = rng.uniform(0.1, 0.3)

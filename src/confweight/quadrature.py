@@ -51,7 +51,6 @@ from .util import pairwise_sum
 _GROWTH_SLACK = 0.9  # an increment counts as sustained when >= 0.9x its predecessor
 _BLOCK_NODES = 1 << 15  # nodes per row block of disc_nodes (bounds a block's temporaries)
 NODE_BUDGET = 1 << 24  # largest level a ladder (or CLI grid) may reach: 4096 x 4096
-BUMP_BUDGET = 1 << 12  # largest bump family a CLI run may build
 # uniform t-cells map through g(t) = 1 - (1 - t)^3, packing radial cells
 # against r = 1 where the pulled-back integrands are singular
 _RADIAL_GRADING = 3.0

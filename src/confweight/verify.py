@@ -257,10 +257,18 @@ def _check_transfer(add, rng, bumps, sums):
     add("transfer.disc_constant", rel <= 1e-4, value=float(est.value),
         rel_error=float(rel), iterations=est.iterations)
 
-    base, extended = (poincare_constant_disc(1.0, PolarGrid(64, 64), bumps=b).lower_bound
+    # at r = 1 the extremal is the torsion function, K(1)^2 = pi/8
+    k1 = poincare_constant_disc(1.0, PolarGrid(128, 128)).value
+    rel = abs(k1 - math.sqrt(math.pi / 8.0)) / math.sqrt(math.pi / 8.0)
+    add("transfer.disc_constant_r1", rel <= 1e-4, value=float(k1), rel_error=float(rel))
+
+    # each bump's ||b||_1 / ||grad b||_2 is a witness below K(1), on the same grid
+    grid = PolarGrid(64, 64)
+    base, extended = (max(t.norm / t.energy ** 0.5 for t in _bump_tables(b, grid, 1.0))
                       for b in (bumps, bumps + make_bump_family(2, rng=rng)))
-    add("transfer.bump_bound_monotone", 0.0 < base <= extended,
-        base=float(base), extended=float(extended))
+    k = poincare_constant_disc(1.0, grid).value
+    add("transfer.bump_bound_monotone", 0.0 < base <= extended < k,
+        base=float(base), extended=float(extended), k=float(k))
 
 
 def _check_poisson(add, rng):

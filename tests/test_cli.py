@@ -111,37 +111,6 @@ def test_grid_at_the_node_budget_reaches_the_solver(capsys, monkeypatch, argv):
     assert code == 1 and err == "error: reached the solver\n"
 
 
-@pytest.mark.parametrize("r", ["3", "2"])
-def test_bumps_over_the_bump_budget_exit_1_before_any_bump_is_built(capsys, monkeypatch, r):
-    # 10^9 TestBumps of ~192 B each would need ~190 GB
-    def builds(*args, **kwargs):
-        raise AssertionError("a family over the bump budget was built")
-
-    monkeypatch.setattr("confweight.cli.make_bump_family", builds)
-    monkeypatch.setattr("confweight.cli.poincare_constant_disc", builds)
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "constant", "--r", r, "--bumps", "1000000000")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, out) == (1, "")
-    assert err == "error: --bumps asks for 1000000000 bumps, over the bump budget of 4096\n"
-    assert peak < 2**20
-
-
-def test_bumps_at_the_bump_budget_are_built(capsys, monkeypatch):
-    sizes = []
-
-    def built(count, rng=None):
-        sizes.append(count)
-        raise ConfweightError("built")
-
-    monkeypatch.setattr("confweight.cli.make_bump_family", built)
-    code, _, err = run(capsys, "constant", "--r", "3", "--bumps", "4096")
-    assert (code, err, sizes) == (1, "error: built\n", [4096])
-
-
 @pytest.mark.parametrize("n", ["0", "-5"])
 def test_empty_lattice_exits_1_before_the_solve_and_the_out_file(capsys, monkeypatch,
                                                                   tmp_path, n):
@@ -244,44 +213,22 @@ def test_constant_eigen_route(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["value"] - 0.41583) < 0.01 * 0.41583 + 1e-5
-    # r = 2 tabulates no bumps, so its lower bound is null
-    assert doc["lower_bound"] is None and doc["iterations"] == 9
-
-
-def test_constant_bump_route_seeded(capsys, monkeypatch):
-    code, out, _ = run(capsys, "constant", "--r", "1.5", "--nr", "64",
-                       "--ntheta", "64", "--bumps", "8")
-    assert code == 0
-    base = json.loads(out)
-    assert 0.0 < base["lower_bound"] < base["value"]
-    # same seed, same bumps, same bound
-    code, out, _ = run(capsys, "constant", "--r", "1.5", "--nr", "64",
-                       "--ntheta", "64", "--bumps", "8")
-    assert json.loads(out) == base
-    # another seed moves the bound, and K, which tabulates no bumps, stays
-    monkeypatch.setenv("CW_SEED", "99")
-    code, out, _ = run(capsys, "constant", "--r", "1.5", "--nr", "64",
-                       "--ntheta", "64", "--bumps", "8")
-    other = json.loads(out)
-    assert other["lower_bound"] != base["lower_bound"]
-    assert other["value"] == base["value"]
+    assert doc["iterations"] == 9
 
 
 @pytest.mark.parametrize("n", ["8", "16"])
-def test_constant_bump_route_exits_1_on_a_coarse_grid(capsys, n):
-    # at 8^2 the bump route printed 1.21, 3.1 times the sharp K(3) = 0.3878
+def test_constant_has_no_grid_floor(capsys, n):
+    # the bump route exited 1 below 32 nodes per direction; K is found on the rings
+    # alone and reads 0.3891 at 8 rings and 0.3882 at 16, against the sharp K(3) = 0.3878
     code, out, err = run(capsys, "constant", "--r", "3", "--nr", n, "--ntheta", n)
-    assert (code, out) == (1, "")
-    assert err == (f"error: the bump route needs at least 32 nodes per direction, "
-                   f"got {n}x{n}\n")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == pytest.approx(0.389, abs=1e-3)
 
 
-def test_constant_bump_route_stays_below_k3_at_32(capsys, monkeypatch):
-    monkeypatch.delenv("CW_SEED", raising=False)
-    code, out, _ = run(capsys, "constant", "--r", "3", "--nr", "32", "--ntheta", "32")
-    assert code == 0
-    doc = json.loads(out)
-    assert 0.0 < doc["lower_bound"] < doc["value"]
+def test_constant_takes_no_bumps(capsys):
+    code, out, err = run(capsys, "constant", "--r", "3", "--bumps", "4")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --bumps 4" in err
 
 
 def test_solve_csv_against_exact(capsys):
@@ -407,18 +354,8 @@ def _fields(result_type) -> set:
     return {f.name for f in dataclasses.fields(result_type)}
 
 
-def test_constant_reports_k_with_its_bump_bound(capsys, monkeypatch):
-    assert _fields(ConstantEstimate) == {"iterations", "lower_bound", "tolerance", "value"}
-    argv = ("constant", "--r", "2", "--nr", "32", "--ntheta", "32")
-    assert json.loads(run(capsys, *argv)[1])["lower_bound"] is None
-    header, row = [line for line in run(capsys, *argv, "--output", "csv")[1].splitlines()
-                   if not line.startswith("#")]
-    assert dict(zip(header.split(","), row.split(",")))["lower_bound"] == "None"
-    # the bump maximum that was the r = 3 report's value is now its lower bound
-    monkeypatch.delenv("CW_SEED", raising=False)
-    doc = json.loads(run(capsys, "constant", "--r", "3", "--nr", "64", "--ntheta", "64",
-                         "--bumps", "8")[1])
-    assert doc["lower_bound"].hex() == (0.15492631132406232).hex()
+def test_constant_reports_k_alone():
+    assert _fields(ConstantEstimate) == {"iterations", "tolerance", "value"}
 
 
 @pytest.mark.parametrize("argv,result_type", [
@@ -426,8 +363,7 @@ def test_constant_reports_k_with_its_bump_bound(capsys, monkeypatch):
     (("inverse-brennan", "--domain", "strip", "--alpha=-0.5", "--levels", "3"), QuadResult),
     (("kpq", "--domain", "cardioid", "--p", "2", "--q", "1", "--levels", "3"), QuadResult),
     (("constant", "--r", "2", "--nr", "32", "--ntheta", "32"), ConstantEstimate),
-    (("constant", "--r", "3", "--nr", "32", "--ntheta", "32", "--bumps", "4"),
-     ConstantEstimate),
+    (("constant", "--r", "3", "--nr", "32", "--ntheta", "32"), ConstantEstimate),
     (("exponents", "--p", "1.8"), ExponentBounds),
 ], ids=["brennan", "inverse-brennan", "kpq", "constant-r2", "constant-r3", "exponents"])
 def test_a_scalar_report_is_its_result_dataclass(capsys, argv, result_type):
@@ -466,7 +402,7 @@ def test_invalid_grid_sizes_exit_cleanly(capsys):
 
 def test_bad_cw_seed_exit(capsys, monkeypatch):
     monkeypatch.setenv("CW_SEED", "banana")
-    code, _, err = run(capsys, "constant", "--r", "1.5", "--bumps", "2")
+    code, _, err = run(capsys, "verify")
     assert code == 1
     assert "CW_SEED" in err
 
@@ -621,7 +557,9 @@ def test_solve_csv_bytes_are_pinned_across_row_blocks(capsys, argv, rows, digest
 
 
 @pytest.mark.parametrize("argv,exit_code,digest", [
-    (("verify",), 0, "51f684f2d0ab2532690b9936878f2349b6d6a87c2c3ec9431753308b3ab393b0"),
+    # verify's two and the constant ones re-taken when the bump lower bound went: the
+    # --bumps echo and lower_bound key left, two transfer checks moved (listed in CHANGES.md)
+    (("verify",), 0, "1e06ecdada8fc9646eec66b74617d8cf551333b914fae516a3000d41d511e8fd"),
     # re-taken when h came from the real kernel: 0x1.c5894d10d4987p-5 -> ...86p-5
     (("weight", "--domain", "exterior", "--at", "2,0.5"), 0,
      "c930adaab16ed1c98c7dfb0b164ef54237e63a1c488102833d54591fb4abc0fe"),
@@ -635,15 +573,13 @@ def test_solve_csv_bytes_are_pinned_across_row_blocks(capsys, argv, rows, digest
      "865e2d3101360238b9be010cf64a520a29d412caa3462c3d319efc87eb44b900"),
     (("exponents", "--p", "3", "--s", "3"), 0,
      "4270cf308643ca1e8b898614c1cb8db1afc35710fec389c2f3c7da5a0c8f2ec8"),
-    # the two constant digests and verify's re-taken when one radial iteration gave K
-    # for every r: the keys, K(2) and the transfer.* values moved (listed in CHANGES.md)
     (("constant", "--r", "2", "--nr", "64", "--ntheta", "64"), 0,
-     "806a5eb3161a82260dd983dd8d3b144f7e4cfe088ed511db5cf73c2a7c3cce45"),
-    (("constant", "--r", "3", "--nr", "64", "--ntheta", "64", "--bumps", "8"), 0,
-     "3b30d409501d2bd6496903e1edaf2f55b57930926f69ba558c7609e9707712f9"),
+     "a7e7f483cf44613a2a1faf5b8aa7787bc0f9077d34ca1e1deda8d8e1e912bbe6"),
+    (("constant", "--r", "3", "--nr", "64", "--ntheta", "64"), 0,
+     "78d48f6d395fd89eabc7be8b282a58f38f8ee417829021b5e5ca721587974b7b"),
     # the default-seed verify report itself
     (("verify", "--output", "json"), 0,
-     "751dc6b5314f0d8b4ca3f799b94257dfdbb0f0489d5c31a683011ee47bcfb4d4"),
+     "b5a902f55f96f83f9df01b8824b9ec11e1a0e9f5e3df4753bba0dac9cf2722d9"),
 ])
 def test_verify_and_scalar_csv_bytes_are_pinned(capsys, argv, exit_code, digest):
     # digests taken when these tables had a per-cell writer of their own; one writer

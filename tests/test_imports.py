@@ -11,7 +11,7 @@ import confweight
 
 MODULES = sorted(Path(confweight.__file__).parent.glob("*.py"))
 # the package's line count, which it may not grow past (ROADMAP item 9)
-LINE_BUDGET = 2404
+LINE_BUDGET = 2366
 
 
 def test_the_package_stays_within_its_line_budget():

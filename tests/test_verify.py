@@ -35,7 +35,8 @@ VERIFY_CHECK_NAMES = [
     "exponents.admissible_chain", "exponents.endpoint_equality",
     "exponents.conjugation_formula",
     *_each("transfer.norm_identities.{}"),
-    "transfer.eigen_refinement", "transfer.disc_constant", "transfer.bump_bound_monotone",
+    "transfer.eigen_refinement", "transfer.disc_constant", "transfer.disc_constant_r1",
+    "transfer.bump_bound_monotone",
     *_each("poisson.exact_const.{}", "poisson.weak_residual.{}"),
     "poisson.manufactured_orders.strip", "poisson.deterministic_resolve",
     "poisson.linearity_negation", "poisson.weight_free_assembly",
@@ -47,7 +48,7 @@ def test_verify_keeps_its_check_names(monkeypatch):
     monkeypatch.delenv("CW_SEED", raising=False)
     report = verify.run_verify()
     assert report["seed"] == DEFAULT_SEED and report["passed"] is True
-    assert len(VERIFY_CHECK_NAMES) == 102
+    assert len(VERIFY_CHECK_NAMES) == 103
     assert [c["name"] for c in report["checks"]] == VERIFY_CHECK_NAMES
 
 
@@ -125,21 +126,45 @@ def test_manufactured_orders_catch_a_wrong_quartic_rhs(monkeypatch):
         "poisson.manufactured_orders.strip"]
 
 
-def test_disc_constant_catches_a_k2_half_a_percent_high(monkeypatch):
-    # at the old tolerance of 1e-2 this K(2) passed; it reads 9.6e-6 when right
+def _scale_k(monkeypatch, at_r, factor):
+    """Make verify's K(at_r) ``factor`` times the computed one, on every grid."""
     right = verify.poincare_constant_disc
 
-    def high(r, grid, bumps=None):
-        est = right(r, grid, bumps)
-        return replace(est, value=est.value * 1.005) if r == 2.0 else est
+    def scaled(r, grid):
+        est = right(r, grid)
+        return replace(est, value=est.value * factor) if r == at_r else est
 
-    monkeypatch.setattr(verify, "poincare_constant_disc", high)
+    monkeypatch.setattr(verify, "poincare_constant_disc", scaled)
+
+
+def _failed_transfer_checks():
     rng = np.random.default_rng(DEFAULT_SEED)
     checks = []
     verify._check_transfer(lambda name, passed, **detail: checks.append((name, passed)),
                            rng, fields.make_bump_family(3, rng=rng),
                            {fam: (0.0, 0.0, 0.0) for fam in verify._FAMILIES})
-    assert [name for name, passed in checks if not passed] == ["transfer.disc_constant"]
+    return [name for name, passed in checks if not passed]
+
+
+def test_disc_constant_catches_a_k2_half_a_percent_high(monkeypatch):
+    # at the old tolerance of 1e-2 this K(2) passed; it reads 9.6e-6 when right
+    _scale_k(monkeypatch, 2.0, 1.005)
+    assert _failed_transfer_checks() == ["transfer.disc_constant"]
+
+
+def test_disc_constant_r1_catches_a_k1_half_a_percent_high(monkeypatch):
+    # K(1) = sqrt(pi/8) reads 3.05e-5 relative on 128^2 when right
+    _scale_k(monkeypatch, 1.0, 1.005)
+    assert _failed_transfer_checks() == ["transfer.disc_constant_r1"]
+
+
+def test_bump_bound_monotone_catches_a_k1_twenty_times_low(monkeypatch):
+    # the bump maximum once stood in for K(1), 14 times below it; the report's
+    # witnesses (0.0358 on 64^2) must stay below K(1)
+    _scale_k(monkeypatch, 1.0, 0.05)
+    monkeypatch.delenv("CW_SEED", raising=False)
+    assert verify.run_verify()["failed"] == ["transfer.disc_constant_r1",
+                                             "transfer.bump_bound_monotone"]
 
 
 def test_weight_checks_and_quoted_report_keep_their_bits():
