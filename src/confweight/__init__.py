@@ -14,8 +14,8 @@ from .exponents import (DEFAULT_ALPHA0, ConstantEstimate, ExponentBounds, expone
 from .fields import (CompositionRecord, PolarGrid, TestBump,
                      composition_inequality_check, make_bump_family)
 from .maps import (ConformalMap, DomainFamily, MoebiusAutomorphism,
-                   boundary_image_check, boundary_samples,
-                   compose_with_automorphism, round_trip_check, sample_interior)
+                   boundary_image_check, boundary_samples, round_trip_check,
+                   sample_interior)
 from .poisson import DiscSolution, RhsSpec, solve_dirichlet, weak_residual
 from .quadrature import (CHECK_SPEC, DiscGridSpec, QuadResult, Verdict,
                          brennan_direct, brennan_scan, classify, disc_nodes, integrate_disc,
@@ -34,8 +34,7 @@ __all__ = [
     "J0_FIRST_ZERO", "KpqDivergent", "MoebiusAutomorphism", "PointOutsideDomain",
     "PolarGrid", "QuadResult", "RhsNotFinite", "RhsSpec", "SolutionNotFinite",
     "TestBump", "Verdict", "boundary_image_check", "boundary_samples", "brennan_direct",
-    "brennan_scan", "classify", "compose_with_automorphism",
-    "composition_inequality_check", "default_seed", "disc_nodes",
+    "brennan_scan", "classify", "composition_inequality_check", "default_seed", "disc_nodes",
     "exponent_bounds", "integrate_disc", "inverse_brennan", "kpq_norm",
     "make_bump_family", "pairwise_sum", "poincare_constant_disc", "pull_back",
     "q_from_ps", "quoted_formula_report", "ring_nodes", "round_trip_check", "run_verify",

@@ -46,20 +46,21 @@ composed on the disc side: ``eval`` is eta(phi(z)) and ``inverse``
 psi(eta^{-1}(w)).  Only eta's real Jacobian enters a weight, as
 J(z, eta o phi) = J(phi(z), eta) h(z), so no map takes a complex derivative.
 All evaluators accept scalars or numpy arrays; where a part of z reaches
-2^1021, phi takes an equal form that cannot overflow.
+2^1021, phi takes an equal form that cannot overflow.  The samplers draw
+area-uniform disc points (``_annulus``) from the caller's generator alone.
 """
 from __future__ import annotations
 
 import cmath
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import BranchCutViolation, PointOutsideDomain
-from .util import as_complex_array, default_seed
+from .util import as_complex_array
 
 
 class DomainFamily(str, enum.Enum):
@@ -409,12 +410,6 @@ class ConformalMap:
         return float(out) if scalar else out
 
 
-def compose_with_automorphism(mapping: ConformalMap, eta: MoebiusAutomorphism) -> ConformalMap:
-    """Post-compose a map with a disc automorphism."""
-    combined = eta if mapping.automorphism is None else eta.compose(mapping.automorphism)
-    return replace(mapping, automorphism=combined)
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -445,29 +440,22 @@ def boundary_image_check(mapping: ConformalMap) -> float:
     return float(np.max(np.abs(np.abs(mapping.eval(first)) - 1.0)))
 
 
-def sample_interior(mapping: ConformalMap, n: int, rng: np.random.Generator | None = None,
+def _annulus(rng: np.random.Generator, n: int, rmin: float, rmax: float) -> np.ndarray:
+    """n points area-uniform on rmin <= |w| <= rmax, from 2n draws of ``rng``."""
+    r = np.sqrt(rng.uniform(rmin**2, rmax**2, size=n))
+    return r * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+def sample_interior(mapping: ConformalMap, n: int, rng: np.random.Generator,
                     rmax: float = 0.98) -> np.ndarray:
-    """Interior points of the family domain: disc samples w pulled back to the bare
-    family's psi(w), the ``inverse`` of its map with no automorphism."""
-    if rng is None:
-        rng = np.random.default_rng(default_seed())
-    r = rmax * np.sqrt(rng.uniform(size=n))
-    r = np.maximum(r, 1e-6)  # keep clear of the removable puncture for 'exterior'
-    w = r * np.exp(2j * np.pi * rng.uniform(size=n))
-    return ConformalMap.to_disc(mapping.family).inverse(w)
+    """psi(w) at n disc samples w, 1e-6 <= |w| <= rmax, clear of the exterior's puncture."""
+    return mapping.inverse(_annulus(rng, n, 1e-6, rmax))
 
 
-def round_trip_check(mapping: ConformalMap, n: int,
-                     rng: np.random.Generator | None = None) -> float:
-    """Max |psi(phi(z)) - z| and |phi(psi(w)) - w| over n seeded interior samples.
-
-    Samples w are drawn area-uniformly in the disc |w| <= 0.9, with |w|
-    raised to at least 0.1, and pushed to the domain side.
-    """
-    if rng is None:
-        rng = np.random.default_rng(default_seed())
-    r = np.maximum(0.9 * np.sqrt(rng.uniform(size=n)), 0.1)
-    w = r * np.exp(2j * np.pi * rng.uniform(size=n))
+def round_trip_check(mapping: ConformalMap, n: int, rng: np.random.Generator) -> float:
+    """Max |psi(phi(z)) - z| and |phi(psi(w)) - w| over n samples w, 0.1 <= |w| <= 0.9,
+    pushed to the domain side."""
+    w = _annulus(rng, n, 0.1, 0.9)
     z = mapping.inverse(w)
     phi_z = mapping.eval(z)
     err_w = np.abs(phi_z - w)

@@ -22,7 +22,7 @@ CSV_BLOCK_ROWS = 4096
 
 
 def default_seed() -> int:
-    """Seed for all randomized families; the CW_SEED env var overrides it."""
+    """Seed of verify's one generator; the CW_SEED env var overrides it."""
     raw = os.environ.get("CW_SEED")
     if raw is None:
         return DEFAULT_SEED

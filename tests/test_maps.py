@@ -8,8 +8,7 @@ from conftest import inverse_accepts
 
 from confweight import (BranchCutViolation, ConformalMap,
                         DomainFamily, MoebiusAutomorphism, PointOutsideDomain,
-                        boundary_image_check, boundary_samples,
-                        compose_with_automorphism, round_trip_check,
+                        boundary_image_check, boundary_samples, round_trip_check,
                         sample_interior)
 
 
@@ -148,6 +147,19 @@ def test_sample_interior_contained(to_disc, rng):
     assert np.all(to_disc.contains(pts))
 
 
+@pytest.mark.parametrize("sampler", [sample_interior, round_trip_check])
+def test_samplers_draw_only_from_the_callers_generator(monkeypatch, sampler):
+    # no generator of their own and no seed read: 2n uniform draws from the caller's
+    m = ConformalMap.to_disc(DomainFamily.HALFPLANE)
+    with pytest.raises(TypeError):
+        sampler(m, 5)
+    monkeypatch.setenv("CW_SEED", "banana")
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    sampler(m, 5, rng)
+    twin.uniform(size=10)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_automorphism_identity_and_inverse(rng):
     ident = MoebiusAutomorphism(a=0.0, rotation=0.0)
     w = 0.8 * np.exp(2j * np.pi * rng.uniform(size=64))
@@ -182,7 +194,7 @@ def test_automorphism_derivative_and_bounds(rng, derivative):
     assert lo == pytest.approx((1 - 0.5) / (1 + 0.5))
     assert hi == pytest.approx((1 + 0.5) / (1 - 0.5))
     assert mags.min() >= lo - 1e-12 and mags.max() <= hi + 1e-12
-    disc = compose_with_automorphism(ConformalMap.to_disc(DomainFamily.DISC), eta)
+    disc = ConformalMap(DomainFamily.DISC, eta)
     np.testing.assert_allclose(eta.jacobian(w), np.abs(derivative(disc, w)) ** 2,
                                rtol=1e-14, atol=0)
     assert isinstance(eta.jacobian(0.5j), float)
@@ -265,9 +277,7 @@ def test_map_round_trip_and_jacobian_properties():
     @settings
     @given(st.sampled_from(list(DomainFamily)), st.none() | automorphisms, points)
     def check(family, eta, w):
-        phi = ConformalMap.to_disc(family)
-        if eta is not None:
-            phi = compose_with_automorphism(phi, eta)
+        phi = ConformalMap(family, eta)
         z = phi.inverse(w)
         assert abs(phi.eval(z) - w) <= 1e-12
         assert abs(phi.jacobian(z) * phi.inverse_jacobian(w) - 1.0) <= 1e-12
@@ -284,9 +294,7 @@ def test_jacobian_is_the_squared_derivative_magnitude_property(derivative):
     @settings
     @given(st.sampled_from(list(DomainFamily)), st.none() | automorphisms, points)
     def check(family, eta, w):
-        phi = ConformalMap.to_disc(family)
-        if eta is not None:
-            phi = compose_with_automorphism(phi, eta)
+        phi = ConformalMap(family, eta)
         z = phi.inverse(w)
         for jacobian, pt, inverse in ((phi.inverse_jacobian, w, True), (phi.jacobian, z, False)):
             want = abs(derivative(phi, pt, inverse)) ** 2
@@ -324,9 +332,7 @@ def test_weight_rejects_what_derivative_rejects(eta):
              ("halfplane", complex(np.nan, 1.0), ValueError),
              ("strip", np.array([0.1, np.nan]), ValueError)]
     for family, z, error in cases:
-        phi = ConformalMap.to_disc(family)
-        if eta is not None:
-            phi = compose_with_automorphism(phi, eta)
+        phi = ConformalMap(DomainFamily(family), eta)
         with pytest.raises(error):
             phi.eval(z)
         with pytest.raises(error):
@@ -480,7 +486,7 @@ def test_disc_and_exterior_split_the_plane_at_the_rounded_circle():
 
 # the exterior family's psi = 1/u is singular at u = eta^{-1}(w) = 0, i.e. at w = eta(0)
 _ETA = MoebiusAutomorphism(0.3 - 0.4j, 0.7)
-_EXTERIOR_TILTED = compose_with_automorphism(ConformalMap.to_disc(DomainFamily.EXTERIOR), _ETA)
+_EXTERIOR_TILTED = ConformalMap(DomainFamily.EXTERIOR, _ETA)
 
 
 # the disc side's eval and jacobian: ``inverse`` and ``inverse_jacobian``
@@ -508,10 +514,10 @@ def test_jacobian_keeps_shape_and_scalars(to_disc):
     assert isinstance(to_disc.inverse_jacobian(0.3 + 0.1j), float)
 
 
-def test_compose_with_automorphism_still_uniformizes(rng):
+def test_a_map_with_an_automorphism_still_uniformizes(rng):
     base = ConformalMap.to_disc(DomainFamily.HALFPLANE)
     eta = MoebiusAutomorphism(a=0.5, rotation=0.3)
-    tilted = compose_with_automorphism(base, eta)
+    tilted = ConformalMap(DomainFamily.HALFPLANE, eta)
     z = sample_interior(base, 200, rng=rng)
     img = tilted.eval(z)
     assert np.all(np.abs(img) < 1.0)

@@ -7,7 +7,7 @@ import pytest
 from conftest import inverse_accepts
 
 from confweight import (ConformalMap, DomainFamily, MoebiusAutomorphism, boundary_samples,
-                        compose_with_automorphism, sample_interior)
+                        sample_interior)
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 50
@@ -88,7 +88,7 @@ def test_jacobian_through_a_composed_automorphism_against_the_oracle(family):
     # interior points only: near a singular point, rounding eta^{-1}(w) alone
     # moves J by (distance)^-1 ulps, on the complex derivative's path as well
     eta = MoebiusAutomorphism(a=0.3 - 0.4j, rotation=0.7)
-    phi = compose_with_automorphism(ConformalMap.to_disc(family), eta)
+    phi = ConformalMap(family, eta)
     for w in _INTERIOR:  # the exterior family's puncture is eta(0), not one of these
         exact = _exact_jacobian(family, w, eta)
         assert float(abs(mp.mpf(phi.inverse_jacobian(w)) - exact) / exact) <= 1e-14, w
@@ -141,9 +141,7 @@ def _weight_points(family, rng) -> np.ndarray:
 @pytest.mark.parametrize("family", list(DomainFamily), ids=lambda f: f.value)
 def test_weight_against_the_oracle_near_the_boundary_and_far_out(family, eta):
     # h = J(z, phi) from the real kernels, |z| up to 1e12 and 1e-14 from the boundary
-    phi = ConformalMap.to_disc(family)
-    if eta is not None:
-        phi = compose_with_automorphism(phi, eta)
+    phi = ConformalMap(family, eta)
     pts = _weight_points(family, np.random.default_rng(7))
     assert len(pts) >= 150
     h = phi.jacobian(pts)

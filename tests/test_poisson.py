@@ -10,7 +10,7 @@ import pytest
 
 from confweight import (ConformalMap, DiscSolution, DomainFamily, GridTooCoarse,
                         MoebiusAutomorphism, PointOutsideDomain, PolarGrid,
-                        RhsNotFinite, RhsSpec, SolutionNotFinite, boundary_samples, compose_with_automorphism,
+                        RhsNotFinite, RhsSpec, SolutionNotFinite, boundary_samples,
                         TestBump, make_bump_family, pairwise_sum, poincare_constant_disc,
                         ring_nodes, solve_dirichlet, weak_residual)
 from confweight.fields import _support_rows
@@ -361,7 +361,7 @@ def test_disc_eigenvalue_matches_the_original_solver_bit_for_bit():
 # --- closed-form assembly on the disc ----------------------------------------
 
 _PLAIN = {f.value: ConformalMap.to_disc(f) for f in DomainFamily}
-_MAPPINGS = {**_PLAIN, **{name + "+eta": compose_with_automorphism(m, _ETA)
+_MAPPINGS = {**_PLAIN, **{name + "+eta": ConformalMap(m.family, _ETA)
                           for name, m in _PLAIN.items()}}
 
 

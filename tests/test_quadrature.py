@@ -8,7 +8,7 @@ import pytest
 from confweight import (ConformalMap, ConfweightError, DiscGridSpec, DomainFamily,
                         GridTooLarge, IntegrandNotFinite, InvalidExponents, MoebiusAutomorphism,
                         Verdict, brennan_direct, brennan_scan, classify,
-                        PolarGrid, compose_with_automorphism, disc_nodes, integrate_disc,
+                        PolarGrid, disc_nodes, integrate_disc,
                         inverse_brennan, kpq_norm, pairwise_sum, quadrature, ring_nodes)
 
 
@@ -207,15 +207,10 @@ _MAPS = [(f, eta) for f in DomainFamily for eta in (None, _ETA)]
 _MAP_IDS = [f"{f.value}-{'bare' if eta is None else 'eta'}" for f, eta in _MAPS]
 
 
-def _map(family, eta):
-    phi = ConformalMap.to_disc(family)
-    return phi if eta is None else compose_with_automorphism(phi, eta)
-
-
 @pytest.mark.parametrize("family,eta", _MAPS, ids=_MAP_IDS)
 def test_ladders_match_the_complex_derivative_integrand(family, eta, derivative):
     # the integrand before the real Jacobian: |psi'|^(2 - s) from the closed-form derivative
-    phi = _map(family, eta)
+    phi = ConformalMap(family, eta)
     for s in (1.2, 3.0, 4.1):
         got = brennan_direct(phi, s, max_levels=6)
         old = integrate_disc(lambda w: np.abs(derivative(phi, w, True)) ** (2.0 - s), max_levels=6)
@@ -226,7 +221,7 @@ def test_ladders_match_the_complex_derivative_integrand(family, eta, derivative)
 @pytest.mark.parametrize("family,eta", _MAPS, ids=_MAP_IDS)
 def test_s2_is_exactly_pi_at_every_level(family, eta):
     # J^0 is one at every node, so each level sums the areas alone
-    phi = _map(family, eta)
+    phi = ConformalMap(family, eta)
     for k in range(6):
         level = brennan_direct(phi, 2.0, DiscGridSpec().level(k), max_levels=1)
         assert level.value.hex() == math.pi.hex()

@@ -102,8 +102,8 @@ def test_poisson_checks_solve_each_disc_grid_once(monkeypatch):
         lambda name, passed, **detail: checks.append(
             {"name": name, "passed": bool(passed), "detail": detail}),
         np.random.default_rng(DEFAULT_SEED))
-    # 3 grids + 4 convergence levels + 2 re-solves + negation + weight spy
-    assert counts == {"solve_dirichlet": 11, "weak_residual": 3}
+    # 3 grids + 4 convergence levels + 1 re-solve of the 64^2 grid + negation + weight spy
+    assert counts == {"solve_dirichlet": 10, "weak_residual": 3}
     # digest re-taken when the flux solve replaced the Thomas sweeps: the errors
     # and orders moved by rounding (listed in CHANGES.md)
     digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
@@ -168,15 +168,15 @@ def test_bump_bound_monotone_catches_a_k1_twenty_times_low(monkeypatch):
 
 
 def test_weight_checks_and_quoted_report_keep_their_bits():
-    # the weight digest re-taken when h came from the real kernels instead of
-    # |phi'|^2: 16 report values moved by rounding (listed in CHANGES.md)
+    # the weight digest re-taken when the samples came from one annulus sampler:
+    # the sampled positivity, continuity and equivalence details moved (listed in CHANGES.md)
     checks = []
     verify._check_weights(
         lambda name, passed, **detail: checks.append(
             {"name": name, "passed": bool(passed), "detail": detail}),
         np.random.default_rng(DEFAULT_SEED))
     digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
-    assert digest == "73afe1a75f3a3fcac079b30cac8bd5f4fb9a3d99f32cef36058f1201f7968a18"
+    assert digest == "9a1c5f2ae71415d35f7391dad5c0c312eeecc75ce82256cabc675f8b6045e7b0"
     report = json.dumps(verify.quoted_formula_report(), sort_keys=True).encode()
     assert (hashlib.sha256(report).hexdigest()
             == "83ba08a7df40de23064ef84f246597f593f3bd84efc5d0f339864cb6cde82a31")
@@ -264,7 +264,46 @@ def test_koebe_ladders_share_one_jacobian_per_block(monkeypatch):
     monkeypatch.setattr(verify, "brennan_direct", counted_direct)
     checks = []
     verify._check_quadrature(lambda name, passed, **detail: checks.append((name, passed)))
-    assert nodes[0] == 5_602_560
-    # the deterministic-reduction check still runs the s = 3 ladder twice, alone
-    assert [s for family, s in direct if family == "slitplane"] == [2.0, 3.0, 3.0]
+    assert nodes[0] == 5_601_280
+    # the deterministic-reduction check runs the s = 3 ladder once alone, against the scan's
+    assert [s for family, s in direct if family == "slitplane"] == [2.0, 3.0]
     assert all(passed for _, passed in checks)
+
+
+def test_deterministic_reduction_catches_a_scan_one_ulp_off(monkeypatch):
+    # the scan's s = 3 ladder on shared levels must keep the bits of that ladder alone
+    right = verify.brennan_scan
+
+    def nudged(mapping, ss, tol):
+        results = right(mapping, ss, tol=tol)
+        i = ss.index(3.0)
+        results[i] = replace(results[i], level_values=tuple(
+            np.nextafter(v, np.inf) for v in results[i].level_values))
+        return results
+
+    monkeypatch.setattr(verify, "brennan_scan", nudged)
+    checks = []
+    verify._check_quadrature(lambda name, passed, **detail: checks.append((name, passed)))
+    assert [name for name, passed in checks if not passed] == [
+        "quadrature.deterministic_reduction"]
+
+
+@pytest.mark.parametrize("family, region", [
+    ("halfplane", lambda x, y: x * x + y * y > 400.0),  # beyond |z| = 20
+    ("cardioid", lambda x, y: x * x + y * y < 1e-4),  # within |z| < 0.01 of the cusp
+], ids=["halfplane-far", "cardioid-cusp"])
+def test_mass_identity_catches_a_weight_high_in_one_region(monkeypatch, family, region):
+    # h 1e-3 high there moves the mass by 4.6e-6 (half plane) or 1.9e-5 (cardioid),
+    # which the old tolerance of 1e-4 passed; the right weight reads 0.0
+    key = maps.DomainFamily(family)
+    ops = maps._FAMILY_OPS[key]
+    high = lambda x, y: ops.weight(x, y) * np.where(region(x, y), 1.0 + 1e-3, 1.0)
+    monkeypatch.setitem(maps._FAMILY_OPS, key, replace(ops, weight=high))
+    checks = []
+    verify._check_weights(lambda name, passed, **detail: checks.append((name, passed, detail)),
+                          np.random.default_rng(DEFAULT_SEED))
+    assert [name for name, passed, _ in checks if not passed] == [
+        f"weights.mass_identity.{family}"]
+    rel = {name: detail["rel_error"] for name, _, detail in checks if ".mass_identity." in name}
+    assert 1e-12 < rel.pop(f"weights.mass_identity.{family}") <= 1e-4
+    assert set(rel.values()) == {0.0}
